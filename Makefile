@@ -102,13 +102,16 @@ bench-shard:
 	$(GO) test -run='TestShardBenchGuard' -count=1 ./cmd/icostload/
 
 # chaos: the fault-injection suite (internal/faultinject + every
-# TestChaos* test) under the race detector. Seeded fault plans make a
-# failure replayable: rerun with the seed from the failure log. The
-# router drills include the backend-kill storm: shards hard-killed
-# mid-query while hedged reads ride replicas and writes re-route.
+# TestChaos* test) under the race detector, once at GOMAXPROCS=1 and
+# once at 2 (-cpu 1,2): the windowed fold's lane-group count follows
+# GOMAXPROCS, and real parallelism schedules interleavings one CPU
+# never does. Seeded fault plans make a failure replayable: rerun with
+# the seed from the failure log. The router drills include the
+# backend-kill storm: shards hard-killed mid-query while hedged reads
+# ride replicas and writes re-route.
 chaos:
-	$(GO) test -race ./internal/faultinject/
-	$(GO) test -race -run='TestChaos' ./internal/engine/ ./internal/fleet/ ./internal/router/ ./cmd/icostd/
+	$(GO) test -race -cpu 1,2 ./internal/faultinject/
+	$(GO) test -race -cpu 1,2 -run='TestChaos' ./internal/engine/ ./internal/fleet/ ./internal/router/ ./cmd/icostd/
 
 # fuzz smoke: FUZZTIME per fuzz target (override: make fuzz FUZZTIME=1m).
 fuzz:
@@ -116,6 +119,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/trace/
 	$(GO) test -run='^$$' -fuzz=FuzzReadSamples -fuzztime=$(FUZZTIME) ./internal/profiler/
 	$(GO) test -run='^$$' -fuzz=FuzzWindowFold -fuzztime=$(FUZZTIME) ./internal/window/
+	$(GO) test -run='^$$' -fuzz=FuzzReadSnapshot -fuzztime=$(FUZZTIME) ./internal/engine/
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

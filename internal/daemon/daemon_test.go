@@ -8,10 +8,13 @@ package daemon
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -144,6 +147,59 @@ func TestRestoreErrorStatuses(t *testing.T) {
 	}
 
 	if m := e2.Metrics(); m.SessionsLive != 0 {
+		t.Fatalf("rejected snapshots left %d live sessions", m.SessionsLive)
+	}
+}
+
+// lyingSnapshots hand-encodes two ICSS v2 frames whose declared
+// lengths outrun their bytes: a 14-byte body whose length prefix
+// claims a 1 GiB payload, and a checksum-valid frame whose few dozen
+// payload bytes claim a 16M-instruction graph.
+func lyingSnapshots() map[string][]byte {
+	magic := []byte{'I', 'C', 'S', 'S', 2}
+	hugeLen := append(append(magic[:5:5], 0, 0, 0, 0), binary.AppendUvarint(nil, 1<<30)...)
+
+	p := append(binary.AppendUvarint(nil, 3), "gcc"...)
+	// seed, trace_len, warmup, dl1, window, wakeup, recovery,
+	// window_insts, build ns, cycles; kind 0 (graph); instruction
+	// count; the twelve graph-config fields.
+	for _, v := range []uint64{1, 1 << 24, 1, 2, 64, 0, 8, 0, 0, 0} {
+		p = binary.AppendUvarint(p, v)
+	}
+	p = append(p, 0)
+	p = binary.AppendUvarint(p, 1<<24)
+	for _, v := range []uint64{4, 4, 64, 20, 1, 1, 8, 0, 2, 10, 100, 30} {
+		p = binary.AppendUvarint(p, v)
+	}
+	hugeGraph := append(magic[:5:5], 0, 0, 0, 0)
+	binary.LittleEndian.PutUint32(hugeGraph[5:], crc32.Checksum(p, crc32.MakeTable(crc32.Castagnoli)))
+	hugeGraph = append(binary.AppendUvarint(hugeGraph, uint64(len(p))), p...)
+	return map[string][]byte{"payload length": hugeLen, "instruction count": hugeGraph}
+}
+
+// TestRestoreRejectsLyingLengths: a /restore body that declares more
+// than it carries is the client's error (400), found before the shard
+// sizes anything from the declared lengths.
+func TestRestoreRejectsLyingLengths(t *testing.T) {
+	leakcheck.Check(t)
+	e := engine.New(engine.Config{Workers: 1})
+	defer e.Close()
+	h := NewHandler(e, fleet.NewAggregator(fleet.Config{}), Options{})
+	for name, raw := range lyingSnapshots() {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/restore", bytes.NewReader(raw))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		h.ServeHTTP(rec, req)
+		runtime.ReadMemStats(&after)
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s (%d bytes): status %d, want 400: %s", name, len(raw), rec.Code, rec.Body)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Fatalf("%s (%d bytes): /restore allocated %d bytes", name, len(raw), alloc)
+		}
+	}
+	if m := e.Metrics(); m.SessionsLive != 0 {
 		t.Fatalf("rejected snapshots left %d live sessions", m.SessionsLive)
 	}
 }

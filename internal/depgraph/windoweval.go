@@ -96,6 +96,21 @@ func (w *Window) Resize(lo int64, n int) {
 	w.MispPrev = w.MispPrev[:n]
 }
 
+// CopyFrom makes w a copy of src, reusing w's backing arrays. A
+// consumer that folds blocks on another goroutine copies each one, so
+// the emitter can refill its own block at once.
+func (w *Window) CopyFrom(src *Window) {
+	w.Resize(src.Lo, src.N)
+	copy(w.Info, src.Info)
+	copy(w.DDBreak, src.DDBreak)
+	copy(w.RELat, src.RELat)
+	copy(w.CCLat, src.CCLat)
+	copy(w.Prod1, src.Prod1)
+	copy(w.Prod2, src.Prod2)
+	copy(w.PPLeader, src.PPLeader)
+	copy(w.MispPrev, src.MispPrev)
+}
+
 // Bytes is the block's backing-store footprint, for budget accounting.
 func (w *Window) Bytes() int64 {
 	const instInfoBytes = int64(16) // Op+SIdx+flags+levels, padded

@@ -424,3 +424,63 @@ func TestChaosSeededStormReplays(t *testing.T) {
 		}
 	}
 }
+
+// TestChaosWindowed drives faults through the windowed pipeline,
+// whose fold runs on worker goroutines behind the simulator: an
+// ooo.sim error and a mid-pass context cancellation, each during a
+// windowed build and during a windowed sensitivity re-fold. Every
+// faulted call returns a typed error, leaves no fold goroutine
+// behind, and the same spec then builds (or re-folds) cleanly.
+func TestChaosWindowed(t *testing.T) {
+	ctx := context.Background()
+	// 1024-instruction trace segments: the fault fires at segment 7
+	// of 13, once some twenty 256-instruction blocks have been folded.
+	spec := SessionSpec{Bench: "gcc", Seed: 5, TraceLen: 12000, Warmup: 1000, WindowInsts: 256}
+	passes := []struct {
+		name string
+		q    Query
+		warm bool // build the session first, so the fault hits the re-fold
+	}{
+		{"build", Query{Session: spec, Op: OpCost, Cats: []string{"dmiss"}}, false},
+		{"sensitivity", Query{Session: spec, Op: OpSensitivity, Cats: []string{"dl1", "win"}}, true},
+	}
+	faults := []struct {
+		name string
+		rule faultinject.Rule
+		want error
+	}{
+		{"sim-error", faultinject.Rule{Point: faultinject.OOOSim, Err: errBoom, After: 6}, errBoom},
+		{"cancel", faultinject.Rule{Point: faultinject.OOOSim, Cancel: true, After: 6}, context.Canceled},
+	}
+	for _, p := range passes {
+		for _, f := range faults {
+			t.Run(p.name+"/"+f.name, func(t *testing.T) {
+				leakcheck.Check(t)
+				e := New(Config{Workers: 1, BuildRetries: -1, BuildFailTTL: -1})
+				defer e.Close()
+				if p.warm {
+					if _, err := e.Warm(ctx, spec); err != nil {
+						t.Fatal(err)
+					}
+				}
+				faultinject.Enable(13, f.rule)
+				defer faultinject.Disable()
+
+				if _, err := e.Query(ctx, p.q); !errors.Is(err, f.want) {
+					t.Fatalf("faulted %s: %v, want %v", p.name, err, f.want)
+				}
+				if got := faultinject.Snapshot().Fired[faultinject.OOOSim]; got != 1 {
+					t.Fatalf("ooo.sim fired %d times, want 1", got)
+				}
+				faultinject.Disable()
+				resp, err := e.Query(ctx, p.q)
+				if err != nil {
+					t.Fatalf("%s after the fault: %v", p.name, err)
+				}
+				if !resp.Windowed || resp.Insts != spec.TraceLen {
+					t.Fatalf("degenerate response after recovery: windowed %v, insts %d", resp.Windowed, resp.Insts)
+				}
+			})
+		}
+	}
+}

@@ -73,6 +73,11 @@ var snapCRC = crc32.MakeTable(crc32.Castagnoli)
 // encodes to well under 1 MiB; 1 GiB is a generous corruption guard).
 const maxSnapPayload = 1 << 30
 
+// snapMinInstBytes is the smallest encoding of one graph instruction:
+// opcode, a one-byte SIdx varint, the flag, level and break bytes, and
+// one-byte varints for the two latencies and three references.
+const snapMinInstBytes = 1 + 1 + 4 + 2 + 3
+
 // SnapshotSession encodes the built session identified by key into w.
 // The session stays live — encoding only reads the graph, which is
 // immutable after build, so snapshots can be taken while queries run.
@@ -240,15 +245,20 @@ func readSnapshot(ctx context.Context, r io.Reader) (*session, error) {
 	if err != nil {
 		return nil, err
 	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(hr, payload); err != nil {
-		return nil, fmt.Errorf("engine: snapshot truncated: %w", err)
+	// The declared length is the sender's claim, not an allocation
+	// budget: the buffer grows only as payload bytes actually arrive.
+	payload, err := io.ReadAll(io.LimitReader(hr, int64(plen)))
+	if err != nil {
+		return nil, fmt.Errorf("engine: reading snapshot payload: %w", err)
+	}
+	if uint64(len(payload)) != plen {
+		return nil, errValidation("engine: snapshot truncated: %d of %d payload bytes", len(payload), plen)
 	}
 	if want, got := binary.LittleEndian.Uint32(crcb[:]), crc32.Checksum(payload, snapCRC); got != want {
 		return nil, &SnapshotChecksumError{Want: want, Got: got}
 	}
 
-	br := bufio.NewReader(bytes.NewReader(payload))
+	br := bytes.NewReader(payload)
 	var sp SessionSpec
 	if sp.Bench, err = getSnapString(br); err != nil {
 		return nil, err
@@ -318,6 +328,12 @@ func readSnapshot(ctx context.Context, r io.Reader) (*session, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("engine: snapshot graph config: %w", err)
 	}
+	// Size the graph only once the payload can hold it: a CRC-valid
+	// frame may still declare far more instructions than it carries.
+	if left := br.Len(); n > left/snapMinInstBytes {
+		return nil, errValidation("engine: snapshot declares %d instructions but carries %d bytes (%d per instruction at least)",
+			n, left, snapMinInstBytes)
+	}
 
 	g := depgraph.New(cfg, n)
 	for i := 0; i < n; i++ {
@@ -384,7 +400,7 @@ func readSnapshot(ctx context.Context, r io.Reader) (*session, error) {
 // readWindowedBody decodes a windowed (kind 1) payload body: run
 // shape plus the folded subset table. br must be positioned after the
 // kind byte and end exactly at the table's last entry.
-func readWindowedBody(br *bufio.Reader, key string, spec SessionSpec, built time.Duration, cycles int64) (*session, error) {
+func readWindowedBody(br *bytes.Reader, key string, spec SessionSpec, built time.Duration, cycles int64) (*session, error) {
 	insts, err := getSnapUv(br, 1<<40)
 	if err != nil {
 		return nil, err
@@ -612,7 +628,7 @@ func putSnapUv(w *bufio.Writer, v uint64) {
 	w.Write(buf[:n])
 }
 
-func getSnapUv(r *bufio.Reader, max uint64) (uint64, error) {
+func getSnapUv(r io.ByteReader, max uint64) (uint64, error) {
 	v, err := binary.ReadUvarint(r)
 	if err != nil {
 		return 0, fmt.Errorf("engine: reading snapshot varint: %w", err)
@@ -628,7 +644,7 @@ func putSnapString(w *bufio.Writer, s string) {
 	w.WriteString(s)
 }
 
-func getSnapString(r *bufio.Reader) (string, error) {
+func getSnapString(r *bytes.Reader) (string, error) {
 	n, err := getSnapUv(r, 1<<12)
 	if err != nil {
 		return "", err

@@ -15,6 +15,9 @@ package window
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"icost/internal/depgraph"
 	"icost/internal/ooo"
@@ -53,7 +56,8 @@ type Result struct {
 	Windows int
 	Insts   int64
 	// PeakBytes is the peak graph-analysis storage held resident:
-	// simulator rings, evaluator carry rings, and the emission block.
+	// simulator rings and emission block, every lane group's carry
+	// rings, and the block copies in flight to the fold workers.
 	// Bounded by configuration and window size, not trace length.
 	PeakBytes int64
 }
@@ -76,7 +80,56 @@ func Analyze(ctx context.Context, req Request, lanes []depgraph.Flags) (*Result,
 // every grid α with bit-identical semantics to a whole-graph walk.
 // Per-instruction idealizations are rejected (the stream holds no
 // per-instruction state across blocks).
+//
+// The pass uses up to GOMAXPROCS cores. The simulator runs on the
+// caller's goroutine and hands each emitted block to the fold, which
+// splits the lanes into min(GOMAXPROCS, lanes) contiguous groups, each
+// folded by its own worker goroutine. Lanes are independent columns of
+// the recurrence, so the split never changes an answer.
 func AnalyzeIdeals(ctx context.Context, req Request, lanes []depgraph.Ideal) (*Result, error) {
+	return analyzeIdeals(ctx, req, lanes, runtime.GOMAXPROCS(0))
+}
+
+// inflight is how many block copies rotate between the simulator and
+// the fold workers: one being filled while up to two wait or fold.
+const inflight = 3
+
+// block is one emitted window in flight; pending counts the lane
+// groups that have yet to fold it.
+type block struct {
+	win     depgraph.Window
+	pending atomic.Int32
+}
+
+// laneGroup is one contiguous run of lanes with its own evaluator and
+// work queue.
+type laneGroup struct {
+	we  *depgraph.WindowEval
+	in  chan *block
+	err error // first fold error, or ctx's once canceled; read after wg.Wait
+}
+
+// fold feeds each queued block to the group's evaluator and returns
+// the block to free once every group has folded it. After an error
+// (or cancellation) it keeps draining without folding, so the
+// simulator never waits on a buffer that will not come back.
+func (g *laneGroup) fold(ctx context.Context, free chan<- *block, wg *sync.WaitGroup) {
+	defer wg.Done()
+	for b := range g.in {
+		if g.err == nil {
+			if g.err = ctx.Err(); g.err == nil {
+				g.err = g.we.Feed(&b.win)
+			}
+		}
+		if b.pending.Add(-1) == 0 {
+			free <- b
+		}
+	}
+}
+
+// analyzeIdeals is AnalyzeIdeals with the lanes split into
+// min(procs, lanes) groups.
+func analyzeIdeals(ctx context.Context, req Request, lanes []depgraph.Ideal, procs int) (*Result, error) {
 	if len(lanes) == 0 {
 		return nil, fmt.Errorf("window: no idealization lanes")
 	}
@@ -101,9 +154,14 @@ func AnalyzeIdeals(ctx context.Context, req Request, lanes []depgraph.Ideal) (*R
 	if err != nil {
 		return nil, err
 	}
-	we, err := depgraph.NewWindowEvalIdeals(req.Sim.Graph, evalLanes)
-	if err != nil {
-		return nil, err
+	groups := make([]*laneGroup, min(procs, len(evalLanes)))
+	for k := range groups {
+		lo, hi := k*len(evalLanes)/len(groups), (k+1)*len(evalLanes)/len(groups)
+		we, err := depgraph.NewWindowEvalIdeals(req.Sim.Graph, evalLanes[lo:hi])
+		if err != nil {
+			return nil, err
+		}
+		groups[k] = &laneGroup{we: we, in: make(chan *block, inflight)}
 	}
 
 	ctx, cancel := context.WithCancel(ctx)
@@ -111,6 +169,17 @@ func AnalyzeIdeals(ctx context.Context, req Request, lanes []depgraph.Ideal) (*R
 	st, err := w.ExecuteStream(ctx, req.Warmup+req.TraceLen, req.Seed+1, 0)
 	if err != nil {
 		return nil, err
+	}
+	free := make(chan *block, inflight)
+	bufs := make([]*block, inflight)
+	for k := range bufs {
+		bufs[k] = &block{}
+		free <- bufs[k]
+	}
+	var wg sync.WaitGroup
+	for _, g := range groups {
+		wg.Add(1)
+		go g.fold(ctx, free, &wg)
 	}
 	var windows int
 	var peakBlock int64
@@ -120,13 +189,43 @@ func AnalyzeIdeals(ctx context.Context, req Request, lanes []depgraph.Ideal) (*R
 			if b := win.Bytes(); b > peakBlock {
 				peakBlock = b
 			}
-			return we.Feed(win)
+			var b *block
+			select {
+			case b = <-free:
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+			b.win.CopyFrom(win)
+			b.pending.Store(int32(len(groups)))
+			// Never blocks: a group's queue holds only blocks taken
+			// from free, and there are inflight of them.
+			for _, g := range groups {
+				g.in <- b
+			}
+			return nil
 		})
+	for _, g := range groups {
+		close(g.in)
+	}
+	wg.Wait()
 	if err != nil {
 		return nil, err
 	}
 
-	times := we.ExecTimes()
+	// Every group's rings and every block buffer are resident for the
+	// whole pass, on top of the simulator's rings and its own block.
+	peak := ooo.WindowedFootprint(&req.Sim.Graph, req.WindowInsts) + peakBlock
+	for _, b := range bufs {
+		peak += b.win.Bytes()
+	}
+	times := make([]int64, 0, len(evalLanes))
+	for _, g := range groups {
+		if g.err != nil {
+			return nil, g.err
+		}
+		times = append(times, g.we.ExecTimes()...)
+		peak += g.we.RingBytes()
+	}
 	// The windowed exactness invariant, checked on every analysis:
 	// the fold of the un-idealized lane must reproduce the simulated
 	// cycle count exactly — the streaming analogue of the whole-graph
@@ -147,7 +246,7 @@ func AnalyzeIdeals(ctx context.Context, req Request, lanes []depgraph.Ideal) (*R
 		Cycles:    res.Cycles,
 		Stats:     res.Stats,
 		Windows:   windows,
-		Insts:     we.Insts(),
-		PeakBytes: ooo.WindowedFootprint(&req.Sim.Graph, req.WindowInsts) + we.RingBytes() + peakBlock,
+		Insts:     groups[0].we.Insts(),
+		PeakBytes: peak,
 	}, nil
 }

@@ -293,3 +293,108 @@ func TestLongTraceBoundedMemory(t *testing.T) {
 		}
 	}
 }
+
+// mixedLanes draws n deterministic lanes that mix binary and scaled
+// idealizations. Lane sets of 17 and more carry the base lane in the
+// middle, so it lands inside a lane group rather than at its edge;
+// smaller sets leave it out, so the self-check lane is prepended.
+func mixedLanes(n int) []depgraph.Ideal {
+	rng := uint64(0x2545f4914f6cdd1d) + uint64(n)
+	next := func() uint64 {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return rng
+	}
+	ids := make([]depgraph.Ideal, n)
+	for k := range ids {
+		f := depgraph.Flags(next()) & depgraph.AllFlags
+		if f == 0 {
+			f = depgraph.IdealWindow
+		}
+		ids[k].Global = f
+		if k%2 == 1 {
+			ids[k].Scale = depgraph.ScaleUniform(f, depgraph.Alpha(next()%uint64(depgraph.AlphaOne+1)))
+		}
+	}
+	if n >= 17 {
+		ids[n/2] = depgraph.Ideal{}
+	}
+	return ids
+}
+
+// TestAnalyzeIdealsGroupCountInvariant: splitting the lanes across
+// fold workers never changes an answer. With one, two and three lane
+// groups, and with more groups asked for than there are lanes, the
+// pipeline returns identical times, cycles, instruction and window
+// counts and peak bytes, and every lane matches the whole-graph walk.
+func TestAnalyzeIdealsGroupCountInvariant(t *testing.T) {
+	ctx := context.Background()
+	req := Request{
+		Bench: "parser", Seed: 4,
+		TraceLen: 1500, Warmup: 200,
+		Sim: ooo.DefaultConfig(),
+	}
+	for _, n := range []int{1, 2, 17, 256} {
+		ids := mixedLanes(n)
+		want := fullTimesIdeals(t, req, ids)
+		for _, win := range []int{1, 63, 4096} {
+			req.WindowInsts = win
+			var ref *Result
+			for _, procs := range []int{1, 2, 3, n + 3} {
+				res, err := analyzeIdeals(ctx, req, ids, procs)
+				if err != nil {
+					t.Fatalf("%d lanes, window %d, %d procs: %v", n, win, procs, err)
+				}
+				if ref == nil {
+					ref = res
+					for k := range ids {
+						if res.Times[k] != want[k] {
+							t.Fatalf("%d lanes, window %d: lane %d windowed %d, whole-graph %d", n, win, k, res.Times[k], want[k])
+						}
+					}
+					continue
+				}
+				if res.Cycles != ref.Cycles || res.Insts != ref.Insts || res.Windows != ref.Windows || res.PeakBytes != ref.PeakBytes {
+					t.Fatalf("%d lanes, window %d, %d procs: cycles/insts/windows/peak %d/%d/%d/%d, one group %d/%d/%d/%d",
+						n, win, procs, res.Cycles, res.Insts, res.Windows, res.PeakBytes, ref.Cycles, ref.Insts, ref.Windows, ref.PeakBytes)
+				}
+				for k := range ids {
+					if res.Times[k] != ref.Times[k] {
+						t.Fatalf("%d lanes, window %d, %d procs: lane %d time %d, one group %d", n, win, procs, k, res.Times[k], ref.Times[k])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPeakBytesCountsEveryBuffer pins the footprint accounting of the
+// pipelined fold: the simulator's rings and block, every block copy in
+// flight, and the carry rings of every lane group, whatever the group
+// count.
+func TestPeakBytesCountsEveryBuffer(t *testing.T) {
+	req := Request{
+		Bench: "gzip", Seed: 2,
+		TraceLen: 5000, Warmup: 100,
+		WindowInsts: 512,
+		Sim:         ooo.DefaultConfig(),
+	}
+	ids := mixedLanes(17)
+	var blk depgraph.Window
+	blk.Resize(0, req.WindowInsts)
+	we, err := depgraph.NewWindowEvalIdeals(req.Sim.Graph, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ooo.WindowedFootprint(&req.Sim.Graph, req.WindowInsts) + (inflight+1)*blk.Bytes() + we.RingBytes()
+	for _, procs := range []int{1, 3} {
+		res, err := analyzeIdeals(context.Background(), req, ids, procs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.PeakBytes != want {
+			t.Fatalf("%d procs: peak bytes %d, want %d", procs, res.PeakBytes, want)
+		}
+	}
+}
