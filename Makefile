@@ -120,6 +120,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadSamples -fuzztime=$(FUZZTIME) ./internal/profiler/
 	$(GO) test -run='^$$' -fuzz=FuzzWindowFold -fuzztime=$(FUZZTIME) ./internal/window/
 	$(GO) test -run='^$$' -fuzz=FuzzReadSnapshot -fuzztime=$(FUZZTIME) ./internal/engine/
+	$(GO) test -run='^$$' -fuzz=FuzzReadStream -fuzztime=$(FUZZTIME) ./internal/fleet/
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -203,3 +203,48 @@ func TestRestoreRejectsLyingLengths(t *testing.T) {
 		t.Fatalf("rejected snapshots left %d live sessions", m.SessionsLive)
 	}
 }
+
+// malformedStreams hand-encodes four ICFS bodies, each well framed up
+// to its one bad field: a batch with a bad sample magic, a batch whose
+// detailed sample has opcode 255, a batch whose instruction-count
+// varint exceeds its bound, and a header whose seed varint overflows
+// 64 bits.
+func malformedStreams() map[string][]byte {
+	str := func(b []byte, s string) []byte {
+		return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+	}
+	header := func(seed []byte) []byte {
+		b := append(str([]byte("ICFS\x01"), "gzip"), seed...)
+		return str(str(b, "prod"), "h")
+	}
+	batch := func(payload []byte) []byte {
+		b := append(header(binary.AppendUvarint(nil, 42)), 'B')
+		b = append(binary.AppendUvarint(b, uint64(len(payload))), payload...)
+		return binary.AppendUvarint(append(b, 'E'), 1)
+	}
+	// 0 instructions, 0 signature samples, 1 detailed sample: its PC,
+	// then its opcode.
+	opcode := append([]byte("ICSP\x01\x00\x00\x01"), make([]byte, 8)...)
+	return map[string][]byte{
+		"bad sample magic": batch([]byte("XXXX\x01")),
+		"opcode 255":       batch(append(opcode, 255)),
+		"varint bound":     batch(binary.AppendUvarint([]byte("ICSP\x01"), 1<<32)),
+		"seed overflow":    header(bytes.Repeat([]byte{0xff}, binary.MaxVarintLen64)),
+	}
+}
+
+// TestIngestRejectsMalformedBytes: an /ingest body that decodes to
+// nonsense is the client's error (400), not the server's (500).
+func TestIngestRejectsMalformedBytes(t *testing.T) {
+	leakcheck.Check(t)
+	e := engine.New(engine.Config{Workers: 1})
+	defer e.Close()
+	h := NewHandler(e, fleet.NewAggregator(fleet.Config{}), Options{})
+	for name, raw := range malformedStreams() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ingest", bytes.NewReader(raw)))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400: %s", name, rec.Code, rec.Body)
+		}
+	}
+}

@@ -37,12 +37,10 @@ func NewPooled(cfg Config, n int) *Graph {
 	// Pre-carve the flat-table columns; buildTables fills every
 	// element on first walk, so no clearing is needed here.
 	g.flat = flatTables{
-		epBase:   a.i32s(n),
-		epDL1:    a.i32s(n),
+		epLat:    a.i32s(n),
 		epDMiss:  a.i32s(n),
-		epShort:  a.i32s(n),
-		epLong:   a.i32s(n),
 		icache:   a.i32s(n),
+		epClass:  a.u8s(n),
 		mispPrev: a.u8s(n),
 	}
 	for i := 0; i < n; i++ {

@@ -140,8 +140,8 @@ func (g *Graph) EvalBatch(ctx context.Context, ids []Ideal) ([]int64, error) {
 }
 
 // evalChunk evaluates up to width lanes with one graph walk. Short
-// chunks are padded with copies of the first lane so the kernels
-// always run at the full width — the lane loop's trip count is
+// chunks are padded with copies of the first lane so the kernel
+// always runs at the full width — the lane loop's trip count is
 // uniform across the walk — at the price of some redundant work on
 // the final chunk. The only heap allocation is the pad slice for a
 // short final chunk; full chunks run entirely on pooled scratch.
@@ -160,25 +160,7 @@ func (g *Graph) evalChunk(ctx context.Context, width int, ids []Ideal, out []int
 		}
 		lanes = pad
 	}
-	global, scaled := true, false
-	for k := range lanes {
-		if lanes[k].PerInst != nil {
-			global = false
-		}
-		if !lanes[k].Scale.IsZero() {
-			scaled = true
-		}
-	}
-	var err error
-	switch {
-	case scaled:
-		err = g.evalLanesScaled(ctx, lanes, sc)
-	case global:
-		err = g.evalLanesGlobal(ctx, lanes, sc)
-	default:
-		err = g.evalLanesGeneric(ctx, lanes, sc)
-	}
-	if err != nil {
+	if err := g.evalLanes(ctx, lanes, sc); err != nil {
 		return err
 	}
 	for w := range ids {
@@ -187,42 +169,26 @@ func (g *Graph) evalChunk(ctx context.Context, width int, ids []Ideal, out []int
 	return nil
 }
 
-// laneConsts caches one lane's flag-derived constants for the
-// global-only kernels: every condition the scalar walk re-tests per
-// instruction is constant across the walk when the idealization has
-// no per-instruction mask.
-type laneConsts struct {
-	bw, ic, dl1, dm, sh, lg bool // category NOT idealized (edge active)
-	bm                      bool // branch recovery active
-	win                     int  // effective window size
+// batchLane is one lane of a batch walk. A global lane's multipliers
+// are resolved once; a lane with a per-instruction mask looks each
+// instruction's lane up in tabs[tab], the lane table it shares with
+// every masked lane of the same scale vector.
+type batchLane struct {
+	scaledLane
+	glob Flags
+	per  []Flags
+	tab  int
 }
 
-func laneOf(cfg *Config, f Flags) laneConsts {
-	l := laneConsts{
-		bw:  f&IdealBW == 0,
-		ic:  f&IdealICache == 0,
-		dl1: f&IdealDL1 == 0,
-		dm:  f&IdealDMiss == 0,
-		sh:  f&IdealShortALU == 0,
-		lg:  f&IdealLongALU == 0,
-		bm:  f&IdealBMisp == 0,
-		win: cfg.Window,
-	}
-	if f&IdealWindow != 0 {
-		l.win *= cfg.WindowIdealFactor
-	}
-	return l
-}
-
-// evalLanesGlobal is the fast path: every lane is a Global-only
-// idealization, so all flag tests hoist out of the instruction loop.
-// The lane rows are resliced to exactly W elements per instruction,
-// so the inner loop's bounds are known and its trip count uniform
-// (evalChunk pads short batches). Budget: the per-lane constant and
-// window-offset tables, sized by chunk width, not graph length.
+// evalLanes is the batch kernel: one walk over the graph, a
+// fixed-width inner loop over the lanes. The lane rows are resliced to
+// exactly W elements per instruction, so the inner loop's bounds are
+// known and its trip count uniform (evalChunk pads short batches).
+// Budget: the per-lane constants and the masked lanes' tables, sized
+// by chunk width, not graph length.
 //
 //lint:hotpath allocs=2
-func (g *Graph) evalLanesGlobal(ctx context.Context, ids []Ideal, sc *laneScratch) error {
+func (g *Graph) evalLanes(ctx context.Context, ids []Ideal, sc *laneScratch) error {
 	W := len(ids)
 	n := g.Len()
 	D, P, C := sc.d, sc.p, sc.c
@@ -235,15 +201,26 @@ func (g *Graph) evalLanesGlobal(ctx context.Context, ids []Ideal, sc *laneScratc
 	ddB, reL, ccL := g.DDBreak, g.RELat, g.CCLat
 	pr1, pr2, ld := g.Prod1, g.Prod2, g.PPLeader
 	ft := g.tables()
-	epB, epD1, epDm, epSh, epLg, icc, mp :=
-		ft.epBase, ft.epDL1, ft.epDMiss, ft.epShort, ft.epLong, ft.icache, ft.mispPrev
+	epL, epC, epDm, icc, mp := ft.epLat, ft.epClass, ft.epDMiss, ft.icache, ft.mispPrev
 
-	lanes := make([]laneConsts, W)
-	winOff := make([]int, W)
-	for w := range lanes {
-		lanes[w] = laneOf(cfg, ids[w].Global)
-		winOff[w] = lanes[w].win * W
+	lanes := make([]batchLane, W)
+	var tabs []laneTable
+	for w := range ids {
+		id := &ids[w]
+		lanes[w] = batchLane{scaledLane: scaledLaneOf(cfg, id.Global, id.Scale), glob: id.Global, per: id.PerInst}
+		if id.PerInst == nil {
+			continue
+		}
+		k := 0
+		for k < len(tabs) && tabs[k].s != id.Scale {
+			k++
+		}
+		if k == len(tabs) {
+			tabs = append(tabs, laneTable{cfg: cfg, s: id.Scale})
+		}
+		lanes[w].tab = k
 	}
+	anyPer := len(tabs) > 0
 
 	for i := 0; i < n; i++ {
 		if i%ctxCheckStride == 0 && ctx.Err() != nil {
@@ -253,11 +230,9 @@ func (g *Graph) evalLanesGlobal(ctx context.Context, ids []Ideal, sc *laneScratc
 		icLat := int64(icc[i])
 		reLat := int64(reL[i])
 		ccLat := int64(ccL[i])
-		base0 := int64(epB[i])
-		dl1L := int64(epD1[i])
+		epLat := int64(epL[i])
+		cls := epC[i] & (numEPClasses - 1)
 		dmL := int64(epDm[i])
-		shL := int64(epSh[i])
-		lgL := int64(epLg[i])
 		// Producer indices of -1 scale to negative offsets, so the
 		// per-lane guards below stay a sign test.
 		p1Row, p2Row, leadRow := int(pr1[i])*W, int(pr2[i])*W, int(ld[i])*W
@@ -269,173 +244,29 @@ func (g *Graph) evalLanesGlobal(ctx context.Context, ids []Ideal, sc *laneScratc
 		pRow := P[base : base+W]
 		cRow := C[base : base+W]
 		for w := 0; w < W; w++ {
-			ln := &lanes[w]
-			var dd int64
-			if ln.bw {
-				dd = ddBreak
+			ln := &lanes[w].scaledLane
+			// The PD edge is gated and scaled by the branch's (i-1's)
+			// effective flags; instruction 0 is never misp.
+			recM := ln.recM
+			if anyPer {
+				if bl := &lanes[w]; bl.per != nil {
+					tab := &tabs[bl.tab]
+					ln = tab.of(bl.glob | bl.per[i])
+					if misp {
+						recM = tab.of(bl.glob | bl.per[i-1]).recM
+					}
+				}
 			}
-			if ln.ic {
-				dd += icLat
-			}
-			d := dd
+			d := scaleLat(ddBreak, ln.bwM) + scaleLat(icLat, ln.icM)
 			if i > 0 {
 				d += D[prev+w]
-				if misp && ln.bm {
-					if v := P[prev+w] + rec; v > d {
+				if misp && recM > 0 {
+					if v := P[prev+w] + scaleLat(rec, recM); v > d {
 						d = v
 					}
 				}
 			}
-			if ln.bw && fbwRow >= 0 {
-				if v := D[fbwRow+w] + 1; v > d {
-					d = v
-				}
-			}
-			if wr := base - winOff[w]; wr >= 0 {
-				if v := C[wr+w]; v > d {
-					d = v
-				}
-			}
-			dRow[w] = d
-
-			r := d + dr
-			if p1Row >= 0 {
-				if v := P[p1Row+w] + wake; v > r {
-					r = v
-				}
-			}
-			if p2Row >= 0 {
-				if v := P[p2Row+w] + wake; v > r {
-					r = v
-				}
-			}
-
-			e := r
-			if ln.bw {
-				e += reLat
-			}
-
-			p := e + base0
-			if ln.dl1 {
-				p += dl1L
-			}
-			if ln.dm {
-				p += dmL
-			}
-			if ln.sh {
-				p += shL
-			}
-			if ln.lg {
-				p += lgL
-			}
-			if leadRow >= 0 && ln.dm {
-				if v := P[leadRow+w]; v > p {
-					p = v
-				}
-			}
-			pRow[w] = p
-
-			c := p + pc
-			if i > 0 {
-				cc := C[prev+w]
-				if ln.bw {
-					cc += ccLat
-				}
-				if cc > c {
-					c = cc
-				}
-			}
-			if ln.bw && cbwRow >= 0 {
-				if v := C[cbwRow+w] + 1; v > c {
-					c = v
-				}
-			}
-			cRow[w] = c
-		}
-	}
-	return nil
-}
-
-// evalLanesGeneric handles lanes with per-instruction masks: flags
-// are recomposed per lane per instruction, but the column loads still
-// amortize across the whole chunk. Budget: the split glob/per views
-// of the lane idealizations, sized by chunk width.
-//
-//lint:hotpath allocs=2
-func (g *Graph) evalLanesGeneric(ctx context.Context, ids []Ideal, sc *laneScratch) error {
-	W := len(ids)
-	n := g.Len()
-	D, P, C := sc.d, sc.p, sc.c
-	cfg := &g.Cfg
-	dr := int64(cfg.DispatchToReady)
-	pc := int64(cfg.CompleteToCommit)
-	rec := int64(cfg.BranchRecovery)
-	wake := int64(cfg.WakeupExtra)
-	fbw, cbw := cfg.FetchBW, cfg.CommitBW
-	ddB, reL, ccL := g.DDBreak, g.RELat, g.CCLat
-	pr1, pr2, ld := g.Prod1, g.Prod2, g.PPLeader
-	ft := g.tables()
-	epB, epD1, epDm, epSh, epLg, icc, mp :=
-		ft.epBase, ft.epDL1, ft.epDMiss, ft.epShort, ft.epLong, ft.icache, ft.mispPrev
-
-	glob := make([]Flags, W)
-	per := make([][]Flags, W)
-	for w := range ids {
-		glob[w], per[w] = ids[w].Global, ids[w].PerInst
-	}
-
-	for i := 0; i < n; i++ {
-		if i%ctxCheckStride == 0 && ctx.Err() != nil {
-			return ctx.Err()
-		}
-		ddBreak := int64(ddB[i])
-		icLat := int64(icc[i])
-		reLat := int64(reL[i])
-		ccLat := int64(ccL[i])
-		base0 := int64(epB[i])
-		dl1L := int64(epD1[i])
-		dmL := int64(epDm[i])
-		shL := int64(epSh[i])
-		lgL := int64(epLg[i])
-		p1Row, p2Row, leadRow := int(pr1[i])*W, int(pr2[i])*W, int(ld[i])*W
-		misp := mp[i] != 0
-		base := i * W
-		prev := base - W
-		fbwRow, cbwRow := base-fbw*W, base-cbw*W
-		dRow := D[base : base+W]
-		pRow := P[base : base+W]
-		cRow := C[base : base+W]
-		for w := 0; w < W; w++ {
-			f := glob[w]
-			if pv := per[w]; pv != nil {
-				f |= pv[i]
-			}
-			ln := laneOf(cfg, f)
-			var dd int64
-			if ln.bw {
-				dd = ddBreak
-			}
-			if ln.ic {
-				dd += icLat
-			}
-			d := dd
-			if i > 0 {
-				d += D[prev+w]
-				if misp {
-					// The PD edge is gated by the *branch's* (i-1's)
-					// flags, not the current instruction's.
-					fp := glob[w]
-					if pv := per[w]; pv != nil {
-						fp |= pv[i-1]
-					}
-					if fp&IdealBMisp == 0 {
-						if v := P[prev+w] + rec; v > d {
-							d = v
-						}
-					}
-				}
-			}
-			if ln.bw && fbwRow >= 0 {
+			if ln.bwM > 0 && fbwRow >= 0 {
 				if v := D[fbwRow+w] + 1; v > d {
 					d = v
 				}
@@ -459,25 +290,10 @@ func (g *Graph) evalLanesGeneric(ctx context.Context, ids []Ideal, sc *laneScrat
 				}
 			}
 
-			e := r
-			if ln.bw {
-				e += reLat
-			}
+			e := r + scaleLat(reLat, ln.bwM)
 
-			p := e + base0
-			if ln.dl1 {
-				p += dl1L
-			}
-			if ln.dm {
-				p += dmL
-			}
-			if ln.sh {
-				p += shL
-			}
-			if ln.lg {
-				p += lgL
-			}
-			if leadRow >= 0 && ln.dm {
+			p := e + scaleLat(epLat, ln.ep[cls]) + scaleLat(dmL, ln.dmM)
+			if leadRow >= 0 && ln.dmM > 0 {
 				if v := P[leadRow+w]; v > p {
 					p = v
 				}
@@ -486,15 +302,11 @@ func (g *Graph) evalLanesGeneric(ctx context.Context, ids []Ideal, sc *laneScrat
 
 			c := p + pc
 			if i > 0 {
-				cc := C[prev+w]
-				if ln.bw {
-					cc += ccLat
-				}
-				if cc > c {
+				if cc := C[prev+w] + scaleLat(ccLat, ln.bwM); cc > c {
 					c = cc
 				}
 			}
-			if ln.bw && cbwRow >= 0 {
+			if ln.bwM > 0 && cbwRow >= 0 {
 				if v := C[cbwRow+w] + 1; v > c {
 					c = v
 				}

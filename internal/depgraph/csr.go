@@ -9,9 +9,9 @@ package depgraph
 // re-derived from the InstInfo structs on every visit (a 16-byte
 // record plus opcode/level branching per instruction per
 // idealization). flatTables extends the CSR with that decomposition as
-// six more int32 columns plus the PD-edge gate, so the forward walk,
-// the backward walk and the batch kernels stream pure int32/int64
-// columns and never touch InstInfo.
+// three more int32 columns, a latency-class byte and the PD-edge gate,
+// so the forward walk, the backward walk and the batch kernel stream
+// pure integer columns and never touch InstInfo.
 //
 // The tables are built once per graph on first walk and shared by
 // every subsequent walk and batch. Like the batch tables they replace,
@@ -20,14 +20,31 @@ package depgraph
 // columns RELat/CCLat/DDBreak and the producer columns are read
 // directly and stay mutable for what-if analyses).
 type flatTables struct {
-	// EPLat(i, f) == epBase + epDL1·[f∌IdealDL1] + epDMiss·[f∌IdealDMiss]
-	// + epShort·[f∌IdealShortALU] + epLong·[f∌IdealLongALU]; the icache
-	// component of DDLat(i, f) is icache·[f∌IdealICache].
-	epBase, epDL1, epDMiss, epShort, epLong, icache []int32
+	// The EP-edge latency splits into a miss component epDMiss, which
+	// dmiss scales, and the rest, epLat, which the category named by
+	// epClass scales: a memory op's L1 hit (dl1), a one-cycle integer
+	// op (shalu), a multi-cycle op (lgalu), or a latency no category
+	// touches (epClassFixed). The icache component of the DD edge is
+	// icache.
+	epLat, epDMiss, icache []int32
+	epClass                []uint8
 	// mispPrev[i] != 0 marks instruction i-1 as a mispredicted branch
 	// (the PD-edge gate, hoisted out of InstInfo).
 	mispPrev []uint8
 }
+
+// The EP latency classes: which category's multiplier scales an
+// instruction's epLat. A lane holds one multiplier per class. The
+// class count is a power of two, so the kernels mask a class with
+// numEPClasses-1 and index a lane's multipliers without a bounds
+// check.
+const (
+	epClassDL1 = iota
+	epClassShort
+	epClassLong
+	epClassFixed
+	numEPClasses
+)
 
 // tables returns the flat CSR tables, building them on first use.
 func (g *Graph) tables() *flatTables {
@@ -38,25 +55,24 @@ func (g *Graph) tables() *flatTables {
 // flatI32PerInst and flatU8PerInst are the per-instruction element
 // counts a graph arena reserves for the flat tables (see NewPooled).
 const (
-	flatI32PerInst = 6
-	flatU8PerInst  = 1
+	flatI32PerInst = 3
+	flatU8PerInst  = 2
 )
 
 func (g *Graph) buildTables() {
 	n := g.Len()
 	ft := &g.flat
-	if ft.epBase == nil {
-		// Heap graph (New, WithConfig, snapshot restore): one slab for
-		// the six columns. Pooled graphs pre-carve these from the
-		// graph arena in NewPooled.
+	if ft.epLat == nil {
+		// Heap graph (New, WithConfig, snapshot restore): one slab per
+		// element class. Pooled graphs pre-carve these from the graph
+		// arena in NewPooled.
 		i32 := make([]int32, flatI32PerInst*n)
-		ft.epBase = i32[0*n : 1*n : 1*n]
-		ft.epDL1 = i32[1*n : 2*n : 2*n]
-		ft.epDMiss = i32[2*n : 3*n : 3*n]
-		ft.epShort = i32[3*n : 4*n : 4*n]
-		ft.epLong = i32[4*n : 5*n : 5*n]
-		ft.icache = i32[5*n : 6*n : 6*n]
-		ft.mispPrev = make([]uint8, n)
+		ft.epLat = i32[0*n : 1*n : 1*n]
+		ft.epDMiss = i32[1*n : 2*n : 2*n]
+		ft.icache = i32[2*n : 3*n : 3*n]
+		u8 := make([]uint8, flatU8PerInst*n)
+		ft.epClass = u8[0*n : 1*n : 1*n]
+		ft.mispPrev = u8[1*n : 2*n : 2*n]
 	}
 	cfg := &g.Cfg
 	dl1 := int64(cfg.DL1Latency)
@@ -68,12 +84,10 @@ func (g *Graph) buildTables() {
 		// for the per-instruction decomposition; the window evaluator
 		// calls the same code, so whole-graph and windowed folds agree
 		// by construction.
-		base, d1, dm, sh, lg, ic := decomposeLat(&g.Info[i], dl1, l2, mem, tlb)
-		ft.epBase[i] = int32(base)
-		ft.epDL1[i] = int32(d1)
+		ep, class, dm, ic := decomposeLat(&g.Info[i], dl1, l2, mem, tlb)
+		ft.epLat[i] = int32(ep)
+		ft.epClass[i] = class
 		ft.epDMiss[i] = int32(dm)
-		ft.epShort[i] = int32(sh)
-		ft.epLong[i] = int32(lg)
 		ft.icache[i] = int32(ic)
 		var mp uint8
 		if i > 0 && g.Info[i-1].Mispredict {

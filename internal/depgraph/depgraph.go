@@ -474,10 +474,12 @@ func (g *Graph) runCtx(ctx context.Context, id Ideal) (*Times, error) {
 // (the simulator computes these same maxima while arbitrating). The
 // pass aborts with ctx.Err() if ctx is done.
 //
-// Both kernels stream the flat CSR columns (csr.go): the latency
-// decomposition is selected by flag instead of re-derived from
-// InstInfo, and a global-only idealization additionally hoists every
-// flag test out of the instruction loop.
+// The kernel streams the flat CSR columns (csr.go) and scales each
+// latency component by its lane multiplier (scale.go). A global
+// idealization resolves its lane once; a per-instruction mask looks
+// each instruction's lane up in a stack table by effective flags.
+//
+//lint:hotpath
 func (g *Graph) runInto(ctx context.Context, id Ideal, t *Times) error {
 	// Fault hook: fires only on cancellable walks (ctx with a Done
 	// channel); the infallible background-context wrappers are exempt
@@ -487,60 +489,51 @@ func (g *Graph) runInto(ctx context.Context, id Ideal, t *Times) error {
 			return err
 		}
 	}
-	if !id.Scale.IsZero() {
-		return g.runScaled(ctx, id, t)
-	}
-	if id.PerInst == nil {
-		return g.runGlobal(ctx, id.Global, t)
-	}
-	return g.runGeneric(ctx, id, t)
-}
-
-// runGlobal is the scalar forward walk for a global-only
-// idealization: flag-derived constants hoist out of the loop and the
-// body reads only flat int32/int64 columns.
-//
-//lint:hotpath
-func (g *Graph) runGlobal(ctx context.Context, f Flags, t *Times) error {
 	n := g.Len()
 	ft := g.tables()
 	cfg := &g.Cfg
-	ln := laneOf(cfg, f)
 	dr := int64(cfg.DispatchToReady)
 	pc := int64(cfg.CompleteToCommit)
 	rec := int64(cfg.BranchRecovery)
 	wake := int64(cfg.WakeupExtra)
-	fbw, cbw, win := cfg.FetchBW, cfg.CommitBW, ln.win
+	fbw, cbw := cfg.FetchBW, cfg.CommitBW
 	ddB, reL, ccL := g.DDBreak, g.RELat, g.CCLat
 	pr1, pr2, ld := g.Prod1, g.Prod2, g.PPLeader
-	epB, epD1, epDm, epSh, epLg, ic, mp :=
-		ft.epBase, ft.epDL1, ft.epDMiss, ft.epShort, ft.epLong, ft.icache, ft.mispPrev
+	epL, epC, epDm, ic, mp := ft.epLat, ft.epClass, ft.epDMiss, ft.icache, ft.mispPrev
 	tD, tR, tE, tP, tC := t.D, t.R, t.E, t.P, t.C
+	lt := laneTable{cfg: cfg, s: id.Scale}
+	glob, per := id.Global, id.PerInst
+	ln := lt.of(glob)
 
 	for i := 0; i < n; i++ {
 		if i%ctxCheckStride == 0 && ctx.Err() != nil {
 			return ctx.Err()
 		}
+		if per != nil {
+			ln = lt.of(glob | per[i])
+		}
 
 		// --- D node (DD, PD, FBW, CD edges) ---
-		var d int64
-		if ln.bw {
-			d = int64(ddB[i])
-		}
-		if ln.ic {
-			d += int64(ic[i])
-		}
+		d := scaleLat(int64(ddB[i]), ln.bwM) + scaleLat(int64(ic[i]), ln.icM)
 		if i > 0 {
 			d += tD[i-1]
-			if mp[i] != 0 && ln.bm {
-				d = max(d, tP[i-1]+rec)
+			if mp[i] != 0 {
+				// The PD edge is gated and scaled by the *branch's*
+				// (i-1's) effective flags.
+				recM := ln.recM
+				if per != nil {
+					recM = lt.of(glob | per[i-1]).recM
+				}
+				if recM > 0 {
+					d = max(d, tP[i-1]+scaleLat(rec, recM))
+				}
 			}
 		}
-		if ln.bw && i >= fbw {
+		if ln.bwM > 0 && i >= fbw {
 			d = max(d, tD[i-fbw]+1)
 		}
-		if i >= win {
-			d = max(d, tC[i-win])
+		if i >= ln.win {
+			d = max(d, tC[i-ln.win])
 		}
 		tD[i] = d
 
@@ -555,27 +548,13 @@ func (g *Graph) runGlobal(ctx context.Context, f Flags, t *Times) error {
 		tR[i] = r
 
 		// --- E node (RE edge) ---
-		e := r
-		if ln.bw {
-			e += int64(reL[i])
-		}
+		e := r + scaleLat(int64(reL[i]), ln.bwM)
 		tE[i] = e
 
 		// --- P node (EP, PP edges) ---
-		p := e + int64(epB[i])
-		if ln.dl1 {
-			p += int64(epD1[i])
-		}
-		if ln.dm {
-			p += int64(epDm[i])
-		}
-		if ln.sh {
-			p += int64(epSh[i])
-		}
-		if ln.lg {
-			p += int64(epLg[i])
-		}
-		if l := ld[i]; l >= 0 && ln.dm {
+		p := e + scaleLat(int64(epL[i]), ln.ep[epC[i]&(numEPClasses-1)]) +
+			scaleLat(int64(epDm[i]), ln.dmM)
+		if l := ld[i]; l >= 0 && ln.dmM > 0 {
 			p = max(p, tP[l])
 		}
 		tP[i] = p
@@ -583,121 +562,12 @@ func (g *Graph) runGlobal(ctx context.Context, f Flags, t *Times) error {
 		// --- C node (PC, CC, CBW edges) ---
 		c := p + pc
 		if i > 0 {
-			cc := tC[i-1]
-			if ln.bw {
-				cc += int64(ccL[i])
-			}
-			c = max(c, cc)
+			c = max(c, tC[i-1]+scaleLat(int64(ccL[i]), ln.bwM))
 		}
-		if ln.bw && i >= cbw {
+		if ln.bwM > 0 && i >= cbw {
 			c = max(c, tC[i-cbw]+1)
 		}
 		tC[i] = c
-	}
-	return nil
-}
-
-// runGeneric handles idealizations with a per-instruction mask: flags
-// are recomposed per instruction, but the body still streams the flat
-// columns instead of re-deriving latencies from InstInfo.
-//
-//lint:hotpath
-func (g *Graph) runGeneric(ctx context.Context, id Ideal, t *Times) error {
-	n := g.Len()
-	ft := g.tables()
-	cfg := &g.Cfg
-	dr := int64(cfg.DispatchToReady)
-	pc := int64(cfg.CompleteToCommit)
-	rec := int64(cfg.BranchRecovery)
-	wake := int64(cfg.WakeupExtra)
-	fbw, cbw := cfg.FetchBW, cfg.CommitBW
-	ddB, reL, ccL := g.DDBreak, g.RELat, g.CCLat
-	pr1, pr2, ld := g.Prod1, g.Prod2, g.PPLeader
-	epB, epD1, epDm, epSh, epLg, ic, mp :=
-		ft.epBase, ft.epDL1, ft.epDMiss, ft.epShort, ft.epLong, ft.icache, ft.mispPrev
-
-	for i := 0; i < n; i++ {
-		if i%ctxCheckStride == 0 && ctx.Err() != nil {
-			return ctx.Err()
-		}
-		f := id.Of(i)
-
-		// --- D node ---
-		var d int64
-		if f&IdealBW == 0 {
-			d = int64(ddB[i])
-		}
-		if f&IdealICache == 0 {
-			d += int64(ic[i])
-		}
-		if i > 0 {
-			d += t.D[i-1]
-			// PD edge (branch recovery), gated by the branch's flags.
-			if mp[i] != 0 && id.Of(i-1)&IdealBMisp == 0 {
-				d = max(d, t.P[i-1]+rec)
-			}
-		}
-		if f&IdealBW == 0 && i >= fbw {
-			d = max(d, t.D[i-fbw]+1)
-		}
-		w := cfg.Window
-		if f&IdealWindow != 0 {
-			w *= cfg.WindowIdealFactor
-		}
-		if i >= w {
-			d = max(d, t.C[i-w])
-		}
-		t.D[i] = d
-
-		// --- R node ---
-		r := d + dr
-		if p := pr1[i]; p >= 0 {
-			r = max(r, t.P[p]+wake)
-		}
-		if p := pr2[i]; p >= 0 {
-			r = max(r, t.P[p]+wake)
-		}
-		t.R[i] = r
-
-		// --- E node ---
-		e := r
-		if f&IdealBW == 0 {
-			e += int64(reL[i])
-		}
-		t.E[i] = e
-
-		// --- P node ---
-		p := e + int64(epB[i])
-		if f&IdealDL1 == 0 {
-			p += int64(epD1[i])
-		}
-		if f&IdealDMiss == 0 {
-			p += int64(epDm[i])
-		}
-		if f&IdealShortALU == 0 {
-			p += int64(epSh[i])
-		}
-		if f&IdealLongALU == 0 {
-			p += int64(epLg[i])
-		}
-		if l := ld[i]; l >= 0 && f&IdealDMiss == 0 {
-			p = max(p, t.P[l])
-		}
-		t.P[i] = p
-
-		// --- C node ---
-		c := p + pc
-		if i > 0 {
-			cc := t.C[i-1]
-			if f&IdealBW == 0 {
-				cc += int64(ccL[i])
-			}
-			c = max(c, cc)
-		}
-		if f&IdealBW == 0 && i >= cbw {
-			c = max(c, t.C[i-cbw]+1)
-		}
-		t.C[i] = c
 	}
 	return nil
 }

@@ -89,30 +89,30 @@ func (e Edge) String() string {
 
 // InEdges enumerates every edge into the five nodes of instruction i
 // under the given idealization. The enumeration matches exactly the
-// constraints evaluated by ExecTime.
+// constraints evaluated by ExecTime, latency for latency (so
+// CriticalPath binds against the forward walk's node times).
 func (g *Graph) InEdges(i int, id Ideal) []Edge {
-	if !id.Scale.IsZero() {
-		return g.inEdgesScaled(i, id)
-	}
-	f := id.Of(i)
 	cfg := &g.Cfg
+	ft := g.tables()
+	ln := scaledLaneOf(cfg, id.Of(i), id.Scale)
 	var out []Edge
 	// Into D.
 	if i > 0 {
-		out = append(out, Edge{EdgeDD, i - 1, NodeD, i, NodeD, g.DDLat(i, f)})
-		if g.Info[i-1].Mispredict && id.Of(i-1)&IdealBMisp == 0 {
-			out = append(out, Edge{EdgePD, i - 1, NodeP, i, NodeD, int64(cfg.BranchRecovery)})
+		dd := scaleLat(int64(g.DDBreak[i]), ln.bwM) + scaleLat(int64(ft.icache[i]), ln.icM)
+		out = append(out, Edge{EdgeDD, i - 1, NodeD, i, NodeD, dd})
+		if g.Info[i-1].Mispredict {
+			// Gated and scaled by the branch's (i-1's) effective flags.
+			if recM := scaledLaneOf(cfg, id.Of(i-1), id.Scale).recM; recM > 0 {
+				out = append(out, Edge{EdgePD, i - 1, NodeP, i, NodeD,
+					scaleLat(int64(cfg.BranchRecovery), recM)})
+			}
 		}
 	}
-	if f&IdealBW == 0 && i >= cfg.FetchBW {
+	if ln.bwM > 0 && i >= cfg.FetchBW {
 		out = append(out, Edge{EdgeFBW, i - cfg.FetchBW, NodeD, i, NodeD, 1})
 	}
-	w := cfg.Window
-	if f&IdealWindow != 0 {
-		w *= cfg.WindowIdealFactor
-	}
-	if i >= w {
-		out = append(out, Edge{EdgeCD, i - w, NodeC, i, NodeD, 0})
+	if i >= ln.win {
+		out = append(out, Edge{EdgeCD, i - ln.win, NodeC, i, NodeD, 0})
 	}
 	// Into R.
 	out = append(out, Edge{EdgeDR, i, NodeD, i, NodeR, int64(cfg.DispatchToReady)})
@@ -123,26 +123,19 @@ func (g *Graph) InEdges(i int, id Ideal) []Edge {
 		out = append(out, Edge{EdgePR, int(p), NodeP, i, NodeR, int64(cfg.WakeupExtra)})
 	}
 	// Into E.
-	re := int64(0)
-	if f&IdealBW == 0 {
-		re = int64(g.RELat[i])
-	}
-	out = append(out, Edge{EdgeRE, i, NodeR, i, NodeE, re})
+	out = append(out, Edge{EdgeRE, i, NodeR, i, NodeE, scaleLat(int64(g.RELat[i]), ln.bwM)})
 	// Into P.
-	out = append(out, Edge{EdgeEP, i, NodeE, i, NodeP, g.EPLat(i, f)})
-	if l := g.PPLeader[i]; l >= 0 && f&IdealDMiss == 0 {
+	ep := scaleLat(int64(ft.epLat[i]), ln.ep[ft.epClass[i]]) + scaleLat(int64(ft.epDMiss[i]), ln.dmM)
+	out = append(out, Edge{EdgeEP, i, NodeE, i, NodeP, ep})
+	if l := g.PPLeader[i]; l >= 0 && ln.dmM > 0 {
 		out = append(out, Edge{EdgePP, int(l), NodeP, i, NodeP, 0})
 	}
 	// Into C.
 	out = append(out, Edge{EdgePC, i, NodeP, i, NodeC, int64(cfg.CompleteToCommit)})
 	if i > 0 {
-		cc := int64(0)
-		if f&IdealBW == 0 {
-			cc = int64(g.CCLat[i])
-		}
-		out = append(out, Edge{EdgeCC, i - 1, NodeC, i, NodeC, cc})
+		out = append(out, Edge{EdgeCC, i - 1, NodeC, i, NodeC, scaleLat(int64(g.CCLat[i]), ln.bwM)})
 	}
-	if f&IdealBW == 0 && i >= cfg.CommitBW {
+	if ln.bwM > 0 && i >= cfg.CommitBW {
 		out = append(out, Edge{EdgeCBW, i - cfg.CommitBW, NodeC, i, NodeC, 1})
 	}
 	return out

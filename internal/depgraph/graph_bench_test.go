@@ -15,6 +15,7 @@ import (
 
 	"icost/internal/depgraph"
 	"icost/internal/ooo"
+	"icost/internal/rng"
 	"icost/internal/workload"
 )
 
@@ -60,6 +61,22 @@ func batchIdeals() []depgraph.Ideal {
 	return out
 }
 
+// perInstMask is a seeded per-instruction mask shaped like the
+// property tests': a quarter of the instructions idealize a random
+// category set, so the effective flags change at about every other
+// instruction — the worst case for resolving a lane's multipliers per
+// flag change rather than per instruction.
+func perInstMask(n int, seed uint64) []depgraph.Flags {
+	r := rng.New(seed)
+	per := make([]depgraph.Flags, n)
+	for i := range per {
+		if r.Bool(0.25) {
+			per[i] = depgraph.Flags(r.Uint64()) & depgraph.AllFlags
+		}
+	}
+	return per
+}
+
 func BenchmarkForwardWalk(b *testing.B) {
 	g := benchGraph(b)
 	id := depgraph.Ideal{Global: depgraph.IdealDMiss}
@@ -75,6 +92,15 @@ func BenchmarkForwardWalk(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if g.ExecTime(id) == 0 {
+				b.Fatal("zero time")
+			}
+		}
+	})
+	per := depgraph.Ideal{Global: depgraph.IdealDMiss, PerInst: perInstMask(g.Len(), 1)}
+	b.Run("perinst", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if g.ExecTime(per) == 0 {
 				b.Fatal("zero time")
 			}
 		}
@@ -127,6 +153,21 @@ func BenchmarkBatchEval(b *testing.B) {
 			}
 		})
 	}
+	per := batchIdeals()
+	for k := range per {
+		per[k].PerInst = perInstMask(g.Len(), uint64(k+1))
+	}
+	cfg := g.Cfg
+	cfg.Lanes = 16
+	gw := g.WithConfig(cfg)
+	b.Run("perinst16", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := gw.EvalBatch(ctx, per); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // timeIt reports the best-of-reps wall time of reps runs of fn —

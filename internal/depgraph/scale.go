@@ -1,15 +1,13 @@
 package depgraph
 
-import "context"
-
 // Parametric (scale-by-α) idealization. The paper's idealizations are
 // binary: an event class is either fully present or fully removed
 // (latency → 0, Table 1). The sensitivity line of related work
 // instead measures *response curves* — scale a resource's latency by
-// a factor α and watch execution time respond. This file adds that
-// middle ground: every flagged category carries a scale factor
-// α ∈ [0,1], where α=0 reproduces the zero-out flags bit for bit and
-// α=1 reproduces the unidealized machine bit for bit.
+// a factor α and watch execution time respond. Here every flagged
+// category carries a scale factor α ∈ [0,1]: α=1 is the unidealized
+// machine and α=0 is the binary zero-out, so removing an event is just
+// one endpoint of its response curve.
 //
 // Representation. α is fixed-point with an 8-bit fraction (Alpha,
 // denominator AlphaOne=256), so scaled latencies are integers, walks
@@ -32,11 +30,15 @@ import "context"
 //     dropped at α=0 ("the branch predicts correctly"), again matching
 //     the binary endpoint.
 //
-// The scaled kernels below mirror the binary ones (runGlobal /
-// runGeneric, evalLanesGlobal / evalLanesGeneric, WindowEval.Feed,
-// latestInto) with flag tests replaced by multiplier arithmetic. An
-// all-zero scale vector routes to the binary kernels, so existing
-// workloads never pay the multiplies.
+// Every walk — forward (runInto), batched lanes (evalLanes), backward
+// (latestInto), edge enumeration (InEdges) and the windowed fold
+// (WindowEval.fold) — has one kernel, written in multiplier form. A
+// flag resolves to a multiplier once per lane (scaledLaneOf): AlphaOne
+// when the category is not selected, its α — 0 unless a scale says
+// otherwise — when it is. A per-instruction mask resolves once per
+// distinct effective flag value (laneTable). Because scaleLat is exact
+// at both endpoints, binary idealizations run through the same
+// arithmetic bit-identically.
 
 // alphaBits is the fixed-point fraction width of Alpha; alphaHalf the
 // rounding term of scaleLat.
@@ -89,7 +91,7 @@ func scaleLat(lat, m int64) int64 {
 }
 
 // ScaleLatency returns round(lat·α) with the same fixed-point
-// rounding the scaled kernels use, so callers deriving machine
+// rounding the walk kernels use, so callers deriving machine
 // configurations from an α (the refutation harness, sweeps) land on
 // exactly the latency the graph model assumes.
 func ScaleLatency(lat int, a Alpha) int {
@@ -103,7 +105,7 @@ func ScaleLatency(lat int, a Alpha) int {
 type ScaleVec [NumFlags]Alpha
 
 // IsZero reports whether every entry is zero, i.e. the idealization
-// is the binary zero-out and the binary kernels apply.
+// is the binary zero-out.
 func (s ScaleVec) IsZero() bool { return s == ScaleVec{} }
 
 // ScaleUniform builds a vector assigning α to every category in f.
@@ -146,12 +148,14 @@ func (c *Config) EffWindow(a Alpha) int {
 
 // scaledLane caches one lane's scale-derived constants: a multiplier
 // per latency component (AlphaOne for unselected categories, the
-// lane's α for selected ones) and the interpolated window. Edge gates
+// lane's α for selected ones) and the interpolated window. ep holds
+// the EP latency's multiplier per latency class (csr.go). Edge gates
 // derive from the multipliers: a structural edge tied to a category
 // is active iff its multiplier is nonzero.
 type scaledLane struct {
-	bwM, icM, dl1M, dmM, shM, lgM, recM int64
-	win                                 int
+	bwM, icM, dmM, recM int64
+	ep                  [numEPClasses]int64
+	win                 int
 }
 
 // scaledLaneOf resolves the multipliers of one (flags, scale) lane.
@@ -163,14 +167,17 @@ func scaledLaneOf(cfg *Config, f Flags, s ScaleVec) scaledLane {
 		return s[b].mult()
 	}
 	l := scaledLane{
-		dl1M: m(IdealDL1, 0),
 		dmM:  m(IdealDMiss, 1),
 		icM:  m(IdealICache, 2),
 		recM: m(IdealBMisp, 3),
 		bwM:  m(IdealBW, 5),
-		shM:  m(IdealShortALU, 6),
-		lgM:  m(IdealLongALU, 7),
-		win:  cfg.Window,
+		ep: [numEPClasses]int64{
+			epClassDL1:   m(IdealDL1, 0),
+			epClassShort: m(IdealShortALU, 6),
+			epClassLong:  m(IdealLongALU, 7),
+			epClassFixed: int64(AlphaOne),
+		},
+		win: cfg.Window,
 	}
 	if f&IdealWindow != 0 {
 		l.win = cfg.EffWindow(s[4])
@@ -178,525 +185,35 @@ func scaledLaneOf(cfg *Config, f Flags, s ScaleVec) scaledLane {
 	return l
 }
 
-// runScaled is the scalar walk for parametric idealizations: the
-// binary kernels' flag tests become multiplier arithmetic. With no
-// per-instruction mask the lane constants hoist out of the loop;
-// with one they are recomposed per instruction, like runGeneric.
-func (g *Graph) runScaled(ctx context.Context, id Ideal, t *Times) error {
-	n := g.Len()
-	ft := g.tables()
-	cfg := &g.Cfg
-	dr := int64(cfg.DispatchToReady)
-	pc := int64(cfg.CompleteToCommit)
-	rec := int64(cfg.BranchRecovery)
-	wake := int64(cfg.WakeupExtra)
-	fbw, cbw := cfg.FetchBW, cfg.CommitBW
-	ddB, reL, ccL := g.DDBreak, g.RELat, g.CCLat
-	pr1, pr2, ld := g.Prod1, g.Prod2, g.PPLeader
-	epB, epD1, epDm, epSh, epLg, ic, mp :=
-		ft.epBase, ft.epDL1, ft.epDMiss, ft.epShort, ft.epLong, ft.icache, ft.mispPrev
-	ln := scaledLaneOf(cfg, id.Global, id.Scale)
-	perInst := id.PerInst != nil
-
-	for i := 0; i < n; i++ {
-		if i%ctxCheckStride == 0 && ctx.Err() != nil {
-			return ctx.Err()
-		}
-		if perInst {
-			ln = scaledLaneOf(cfg, id.Of(i), id.Scale)
-		}
-
-		// --- D node (DD, PD, FBW, CD edges) ---
-		d := scaleLat(int64(ddB[i]), ln.bwM) + scaleLat(int64(ic[i]), ln.icM)
-		if i > 0 {
-			d += t.D[i-1]
-			if mp[i] != 0 {
-				// The PD edge is gated and scaled by the *branch's*
-				// (i-1's) effective flags.
-				recM := ln.recM
-				if perInst {
-					recM = scaledLaneOf(cfg, id.Of(i-1), id.Scale).recM
-				}
-				if recM > 0 {
-					d = max(d, t.P[i-1]+scaleLat(rec, recM))
-				}
-			}
-		}
-		if ln.bwM > 0 && i >= fbw {
-			d = max(d, t.D[i-fbw]+1)
-		}
-		if i >= ln.win {
-			d = max(d, t.C[i-ln.win])
-		}
-		t.D[i] = d
-
-		// --- R node (DR, PR edges) ---
-		r := d + dr
-		if p := pr1[i]; p >= 0 {
-			r = max(r, t.P[p]+wake)
-		}
-		if p := pr2[i]; p >= 0 {
-			r = max(r, t.P[p]+wake)
-		}
-		t.R[i] = r
-
-		// --- E node (RE edge) ---
-		e := r + scaleLat(int64(reL[i]), ln.bwM)
-		t.E[i] = e
-
-		// --- P node (EP, PP edges) ---
-		p := e + int64(epB[i]) +
-			scaleLat(int64(epD1[i]), ln.dl1M) +
-			scaleLat(int64(epDm[i]), ln.dmM) +
-			scaleLat(int64(epSh[i]), ln.shM) +
-			scaleLat(int64(epLg[i]), ln.lgM)
-		if l := ld[i]; l >= 0 && ln.dmM > 0 {
-			p = max(p, t.P[l])
-		}
-		t.P[i] = p
-
-		// --- C node (PC, CC, CBW edges) ---
-		c := p + pc
-		if i > 0 {
-			c = max(c, t.C[i-1]+scaleLat(int64(ccL[i]), ln.bwM))
-		}
-		if ln.bwM > 0 && i >= cbw {
-			c = max(c, t.C[i-cbw]+1)
-		}
-		t.C[i] = c
-	}
-	return nil
+// laneTable resolves lanes of one scale vector by effective flags:
+// entry f holds scaledLaneOf(cfg, f, s), filled on first use (a zero
+// win marks an empty entry; every resolved window is at least 1). A
+// walk with a per-instruction mask thus resolves each distinct flag
+// value once, however often the mask switches between them. The
+// scalar walks keep their table on the stack, so they stay
+// allocation-free; the batch kernel shares one among the masked lanes
+// of each scale vector.
+type laneTable struct {
+	cfg *Config
+	s   ScaleVec
+	tab [AllFlags + 1]scaledLane
 }
 
-// evalLanesScaled is the batch kernel for chunks holding at least one
-// scaled lane: every lane runs in multiplier form (binary lanes get
-// endpoint multipliers, which scaleLat reproduces exactly), so mixed
-// chunks stay bit-exact with the scalar walks lane by lane.
-func (g *Graph) evalLanesScaled(ctx context.Context, ids []Ideal, sc *laneScratch) error {
-	W := len(ids)
-	n := g.Len()
-	D, P, C := sc.d, sc.p, sc.c
-	cfg := &g.Cfg
-	dr := int64(cfg.DispatchToReady)
-	pc := int64(cfg.CompleteToCommit)
-	rec := int64(cfg.BranchRecovery)
-	wake := int64(cfg.WakeupExtra)
-	fbw, cbw := cfg.FetchBW, cfg.CommitBW
-	ddB, reL, ccL := g.DDBreak, g.RELat, g.CCLat
-	pr1, pr2, ld := g.Prod1, g.Prod2, g.PPLeader
-	ft := g.tables()
-	epB, epD1, epDm, epSh, epLg, icc, mp :=
-		ft.epBase, ft.epDL1, ft.epDMiss, ft.epShort, ft.epLong, ft.icache, ft.mispPrev
-
-	lanes := make([]scaledLane, W)
-	anyPer := false
-	for w := range ids {
-		lanes[w] = scaledLaneOf(cfg, ids[w].Global, ids[w].Scale)
-		if ids[w].PerInst != nil {
-			anyPer = true
-		}
+// of returns the lane of effective flags f. Flag bits beyond the eight
+// categories select nothing, so they are dropped from the index.
+func (lt *laneTable) of(f Flags) *scaledLane {
+	if ln := &lt.tab[uint8(f)]; ln.win != 0 {
+		return ln
 	}
-
-	for i := 0; i < n; i++ {
-		if i%ctxCheckStride == 0 && ctx.Err() != nil {
-			return ctx.Err()
-		}
-		ddBreak := int64(ddB[i])
-		icLat := int64(icc[i])
-		reLat := int64(reL[i])
-		ccLat := int64(ccL[i])
-		base0 := int64(epB[i])
-		dl1L := int64(epD1[i])
-		dmL := int64(epDm[i])
-		shL := int64(epSh[i])
-		lgL := int64(epLg[i])
-		p1Row, p2Row, leadRow := int(pr1[i])*W, int(pr2[i])*W, int(ld[i])*W
-		misp := mp[i] != 0
-		base := i * W
-		prev := base - W
-		fbwRow, cbwRow := base-fbw*W, base-cbw*W
-		dRow := D[base : base+W]
-		pRow := P[base : base+W]
-		cRow := C[base : base+W]
-		for w := 0; w < W; w++ {
-			ln := lanes[w]
-			if anyPer && ids[w].PerInst != nil {
-				ln = scaledLaneOf(cfg, ids[w].Of(i), ids[w].Scale)
-			}
-			d := scaleLat(ddBreak, ln.bwM) + scaleLat(icLat, ln.icM)
-			if i > 0 {
-				d += D[prev+w]
-				if misp {
-					recM := ln.recM
-					if anyPer && ids[w].PerInst != nil {
-						recM = scaledLaneOf(cfg, ids[w].Of(i-1), ids[w].Scale).recM
-					}
-					if recM > 0 {
-						if v := P[prev+w] + scaleLat(rec, recM); v > d {
-							d = v
-						}
-					}
-				}
-			}
-			if ln.bwM > 0 && fbwRow >= 0 {
-				if v := D[fbwRow+w] + 1; v > d {
-					d = v
-				}
-			}
-			if wr := base - ln.win*W; wr >= 0 {
-				if v := C[wr+w]; v > d {
-					d = v
-				}
-			}
-			dRow[w] = d
-
-			r := d + dr
-			if p1Row >= 0 {
-				if v := P[p1Row+w] + wake; v > r {
-					r = v
-				}
-			}
-			if p2Row >= 0 {
-				if v := P[p2Row+w] + wake; v > r {
-					r = v
-				}
-			}
-
-			e := r + scaleLat(reLat, ln.bwM)
-
-			p := e + base0 +
-				scaleLat(dl1L, ln.dl1M) +
-				scaleLat(dmL, ln.dmM) +
-				scaleLat(shL, ln.shM) +
-				scaleLat(lgL, ln.lgM)
-			if leadRow >= 0 && ln.dmM > 0 {
-				if v := P[leadRow+w]; v > p {
-					p = v
-				}
-			}
-			pRow[w] = p
-
-			c := p + pc
-			if i > 0 {
-				if cc := C[prev+w] + scaleLat(ccLat, ln.bwM); cc > c {
-					c = cc
-				}
-			}
-			if ln.bwM > 0 && cbwRow >= 0 {
-				if v := C[cbwRow+w] + 1; v > c {
-					c = v
-				}
-			}
-			cRow[w] = c
-		}
-	}
-	return nil
+	return lt.fill(f)
 }
 
-// latestIntoScaled is the backward (latest-time) pass for parametric
-// idealizations, the multiplier mirror of latestInto. Forward times t
-// must come from the same idealization.
-func (g *Graph) latestIntoScaled(ctx context.Context, id Ideal, t *Times, l *Latest) error {
-	n := g.Len()
-	lD, lR, lE, lP, lC := l.D, l.R, l.E, l.P, l.C
-	for i := 0; i < n; i++ {
-		lD[i], lR[i], lE[i], lP[i], lC[i] = inf, inf, inf, inf, inf
-	}
-	if n == 0 {
-		return nil
-	}
-	ft := g.tables()
-	cfg := &g.Cfg
-	dr := int64(cfg.DispatchToReady)
-	pc := int64(cfg.CompleteToCommit)
-	rec := int64(cfg.BranchRecovery)
-	wake := int64(cfg.WakeupExtra)
-	fbw, cbw := cfg.FetchBW, cfg.CommitBW
-	ddB, reL, ccL := g.DDBreak, g.RELat, g.CCLat
-	pr1, pr2, ld := g.Prod1, g.Prod2, g.PPLeader
-	epB, epD1, epDm, epSh, epLg, ic, mp :=
-		ft.epBase, ft.epDL1, ft.epDMiss, ft.epShort, ft.epLong, ft.icache, ft.mispPrev
-	ln := scaledLaneOf(cfg, id.Global, id.Scale)
-	perInst := id.PerInst != nil
-
-	lC[n-1] = t.C[n-1]
-	for i := n - 1; i >= 0; i-- {
-		if i%ctxCheckStride == 0 && ctx.Err() != nil {
-			return ctx.Err()
-		}
-		if perInst {
-			ln = scaledLaneOf(cfg, id.Of(i), id.Scale)
-		}
-
-		// --- C node; in-edges PC, CC, CBW ---
-		toC := lC[i]
-		if toC == inf {
-			toC = t.C[i]
-			lC[i] = toC
-		}
-		if v := toC - pc; v < lP[i] {
-			lP[i] = v
-		}
-		if i > 0 {
-			if cc := toC - scaleLat(int64(ccL[i]), ln.bwM); cc < lC[i-1] {
-				lC[i-1] = cc
-			}
-		}
-		if ln.bwM > 0 && i >= cbw {
-			if v := toC - 1; v < lC[i-cbw] {
-				lC[i-cbw] = v
-			}
-		}
-
-		// --- P node; in-edges EP, PP ---
-		toP := lP[i]
-		if toP == inf {
-			toP = t.P[i]
-			lP[i] = toP
-		}
-		ep := int64(epB[i]) +
-			scaleLat(int64(epD1[i]), ln.dl1M) +
-			scaleLat(int64(epDm[i]), ln.dmM) +
-			scaleLat(int64(epSh[i]), ln.shM) +
-			scaleLat(int64(epLg[i]), ln.lgM)
-		if v := toP - ep; v < lE[i] {
-			lE[i] = v
-		}
-		if lead := ld[i]; lead >= 0 && ln.dmM > 0 {
-			if toP < lP[lead] {
-				lP[lead] = toP
-			}
-		}
-
-		// --- E node; in-edge RE ---
-		toE := lE[i]
-		if toE == inf {
-			toE = t.E[i]
-			lE[i] = toE
-		}
-		if re := toE - scaleLat(int64(reL[i]), ln.bwM); re < lR[i] {
-			lR[i] = re
-		}
-
-		// --- R node; in-edges DR, PR ---
-		toR := lR[i]
-		if toR == inf {
-			toR = t.R[i]
-			lR[i] = toR
-		}
-		if v := toR - dr; v < lD[i] {
-			lD[i] = v
-		}
-		if p := pr1[i]; p >= 0 {
-			if v := toR - wake; v < lP[p] {
-				lP[p] = v
-			}
-		}
-		if p := pr2[i]; p >= 0 {
-			if v := toR - wake; v < lP[p] {
-				lP[p] = v
-			}
-		}
-
-		// --- D node; in-edges DD, PD, FBW, CD ---
-		toD := lD[i]
-		if toD == inf {
-			toD = t.D[i]
-			lD[i] = toD
-		}
-		if i > 0 {
-			dd := scaleLat(int64(ddB[i]), ln.bwM) + scaleLat(int64(ic[i]), ln.icM)
-			if v := toD - dd; v < lD[i-1] {
-				lD[i-1] = v
-			}
-			if mp[i] != 0 {
-				recM := ln.recM
-				if perInst {
-					recM = scaledLaneOf(cfg, id.Of(i-1), id.Scale).recM
-				}
-				if recM > 0 {
-					if v := toD - scaleLat(rec, recM); v < lP[i-1] {
-						lP[i-1] = v
-					}
-				}
-			}
-		}
-		if ln.bwM > 0 && i >= fbw {
-			if v := toD - 1; v < lD[i-fbw] {
-				lD[i-fbw] = v
-			}
-		}
-		if i >= ln.win {
-			if toD < lC[i-ln.win] {
-				lC[i-ln.win] = toD
-			}
-		}
-	}
-	return nil
-}
-
-// inEdgesScaled enumerates instruction i's in-edges under a
-// parametric idealization, matching the scaled kernels constraint for
-// constraint (so CriticalPath binds against runScaled's node times).
-func (g *Graph) inEdgesScaled(i int, id Ideal) []Edge {
-	cfg := &g.Cfg
-	ft := g.tables()
-	ln := scaledLaneOf(cfg, id.Of(i), id.Scale)
-	var out []Edge
-	// Into D.
-	if i > 0 {
-		dd := scaleLat(int64(g.DDBreak[i]), ln.bwM) + scaleLat(int64(ft.icache[i]), ln.icM)
-		out = append(out, Edge{EdgeDD, i - 1, NodeD, i, NodeD, dd})
-		if g.Info[i-1].Mispredict {
-			// Gated and scaled by the branch's (i-1's) effective flags.
-			if recM := scaledLaneOf(cfg, id.Of(i-1), id.Scale).recM; recM > 0 {
-				out = append(out, Edge{EdgePD, i - 1, NodeP, i, NodeD,
-					scaleLat(int64(cfg.BranchRecovery), recM)})
-			}
-		}
-	}
-	if ln.bwM > 0 && i >= cfg.FetchBW {
-		out = append(out, Edge{EdgeFBW, i - cfg.FetchBW, NodeD, i, NodeD, 1})
-	}
-	if i >= ln.win {
-		out = append(out, Edge{EdgeCD, i - ln.win, NodeC, i, NodeD, 0})
-	}
-	// Into R.
-	out = append(out, Edge{EdgeDR, i, NodeD, i, NodeR, int64(cfg.DispatchToReady)})
-	if p := g.Prod1[i]; p >= 0 {
-		out = append(out, Edge{EdgePR, int(p), NodeP, i, NodeR, int64(cfg.WakeupExtra)})
-	}
-	if p := g.Prod2[i]; p >= 0 {
-		out = append(out, Edge{EdgePR, int(p), NodeP, i, NodeR, int64(cfg.WakeupExtra)})
-	}
-	// Into E.
-	out = append(out, Edge{EdgeRE, i, NodeR, i, NodeE, scaleLat(int64(g.RELat[i]), ln.bwM)})
-	// Into P.
-	ep := int64(ft.epBase[i]) +
-		scaleLat(int64(ft.epDL1[i]), ln.dl1M) +
-		scaleLat(int64(ft.epDMiss[i]), ln.dmM) +
-		scaleLat(int64(ft.epShort[i]), ln.shM) +
-		scaleLat(int64(ft.epLong[i]), ln.lgM)
-	out = append(out, Edge{EdgeEP, i, NodeE, i, NodeP, ep})
-	if l := g.PPLeader[i]; l >= 0 && ln.dmM > 0 {
-		out = append(out, Edge{EdgePP, int(l), NodeP, i, NodeP, 0})
-	}
-	// Into C.
-	out = append(out, Edge{EdgePC, i, NodeP, i, NodeC, int64(cfg.CompleteToCommit)})
-	if i > 0 {
-		out = append(out, Edge{EdgeCC, i - 1, NodeC, i, NodeC, scaleLat(int64(g.CCLat[i]), ln.bwM)})
-	}
-	if ln.bwM > 0 && i >= cfg.CommitBW {
-		out = append(out, Edge{EdgeCBW, i - cfg.CommitBW, NodeC, i, NodeC, 1})
-	}
-	return out
-}
-
-// feedScaled is the windowed fold kernel for parametric lanes: the
-// multiplier mirror of feedBinary. The caller (Feed) has already
-// verified stream order and advances the fold count.
-func (we *WindowEval) feedScaled(win *Window) {
-	cfg := &we.cfg
-	L := int64(len(we.slanes))
-	D, P, C := we.d, we.p, we.c
-	rmask := we.rmask
-	dr := int64(cfg.DispatchToReady)
-	pc := int64(cfg.CompleteToCommit)
-	rec := int64(cfg.BranchRecovery)
-	wake := int64(cfg.WakeupExtra)
-	fbw, cbw := int64(cfg.FetchBW), int64(cfg.CommitBW)
-	dl1 := int64(cfg.DL1Latency)
-	l2 := int64(cfg.L2Latency)
-	mem := int64(cfg.L2Latency) + int64(cfg.MemLatency)
-	tlb := int64(cfg.TLBMissLatency)
-
-	for j := 0; j < win.N; j++ {
-		abs := win.Lo + int64(j)
-		base, d1L, dmL, shL, lgL, icL := decomposeLat(&win.Info[j], dl1, l2, mem, tlb)
-		ddBreak := int64(win.DDBreak[j])
-		reLat := int64(win.RELat[j])
-		ccLat := int64(win.CCLat[j])
-		misp := win.MispPrev[j] != 0
-
-		row := (abs & rmask) * L
-		prevRow, fbwRow, cbwRow := int64(-1), int64(-1), int64(-1)
-		if abs > 0 {
-			prevRow = ((abs - 1) & rmask) * L
-		}
-		if abs >= fbw {
-			fbwRow = ((abs - fbw) & rmask) * L
-		}
-		if abs >= cbw {
-			cbwRow = ((abs - cbw) & rmask) * L
-		}
-		p1Row := refRow(win.Prod1[j], win.Lo, rmask, L)
-		p2Row := refRow(win.Prod2[j], win.Lo, rmask, L)
-		leadRow := refRow(win.PPLeader[j], win.Lo, rmask, L)
-
-		dRow := D[row : row+L]
-		pRow := P[row : row+L]
-		cRow := C[row : row+L]
-		for w := int64(0); w < L; w++ {
-			ln := &we.slanes[w]
-			d := scaleLat(ddBreak, ln.bwM) + scaleLat(icL, ln.icM)
-			if prevRow >= 0 {
-				d += D[prevRow+w]
-				if misp && ln.recM > 0 {
-					if v := P[prevRow+w] + scaleLat(rec, ln.recM); v > d {
-						d = v
-					}
-				}
-			}
-			if ln.bwM > 0 && fbwRow >= 0 {
-				if v := D[fbwRow+w] + 1; v > d {
-					d = v
-				}
-			}
-			if win := int64(ln.win); abs >= win {
-				if v := C[((abs-win)&rmask)*L+w]; v > d {
-					d = v
-				}
-			}
-			dRow[w] = d
-
-			r := d + dr
-			if p1Row >= 0 {
-				if v := P[p1Row+w] + wake; v > r {
-					r = v
-				}
-			}
-			if p2Row >= 0 {
-				if v := P[p2Row+w] + wake; v > r {
-					r = v
-				}
-			}
-
-			e := r + scaleLat(reLat, ln.bwM)
-
-			p := e + base +
-				scaleLat(d1L, ln.dl1M) +
-				scaleLat(dmL, ln.dmM) +
-				scaleLat(shL, ln.shM) +
-				scaleLat(lgL, ln.lgM)
-			if leadRow >= 0 && ln.dmM > 0 {
-				if v := P[leadRow+w]; v > p {
-					p = v
-				}
-			}
-			pRow[w] = p
-
-			c := p + pc
-			if prevRow >= 0 {
-				if cc := C[prevRow+w] + scaleLat(ccLat, ln.bwM); cc > c {
-					c = cc
-				}
-			}
-			if ln.bwM > 0 && cbwRow >= 0 {
-				if v := C[cbwRow+w] + 1; v > c {
-					c = v
-				}
-			}
-			cRow[w] = c
-		}
-	}
+// fill resolves the empty entry of flags f. It stays out of line so
+// that the lookup in of inlines into the kernels.
+//
+//go:noinline
+func (lt *laneTable) fill(f Flags) *scaledLane {
+	ln := &lt.tab[uint8(f)]
+	*ln = scaledLaneOf(lt.cfg, f, lt.s)
+	return ln
 }

@@ -88,11 +88,11 @@ func randomScale(r *rng.Rand) ScaleVec {
 	return s
 }
 
-// TestScaledAlphaZeroBitExact drives the scaled kernels — scalar,
-// batch and backward — through the public API with every selected
-// category at α=0 and checks bit-exactness against the binary zero-out
-// flags. Routing to the scaled kernels is forced by a nonzero scale
-// entry on an *unselected* category, which the semantics ignore.
+// TestScaledAlphaZeroBitExact drives the walks — scalar, batch and
+// backward — through the public API with every selected category at
+// α=0 and checks bit-exactness against the binary zero-out flags. The
+// compared idealization also carries a nonzero scale entry on an
+// *unselected* category, which the semantics ignore.
 func TestScaledAlphaZeroBitExact(t *testing.T) {
 	ctx := context.Background()
 	for seed := uint64(1); seed <= 40; seed++ {
@@ -101,7 +101,7 @@ func TestScaledAlphaZeroBitExact(t *testing.T) {
 		g := randomGraph(r.Derive("graph"), n)
 		g.Cfg = randomCfg(r.Derive("cfg"))
 		id := randomIdeal(r, n)
-		// The forcing entry must sit on a category no instruction
+		// The ignored entry must sit on a category no instruction
 		// selects — globally or through the per-instruction mask.
 		used := id.Global
 		for _, pf := range id.PerInst {
@@ -124,7 +124,7 @@ func TestScaledAlphaZeroBitExact(t *testing.T) {
 		forced := id
 		forced.Scale[free] = AlphaOne // ignored: category not selected
 		if forced.Scale.IsZero() {
-			t.Fatal("forcing vector is zero")
+			t.Fatal("scale vector is zero")
 		}
 
 		want := g.ExecTime(id)
@@ -256,7 +256,7 @@ func TestScaledMonotoneInAlpha(t *testing.T) {
 }
 
 // TestScaledCriticalPathBinds: on scaled idealizations the edge
-// enumeration (inEdgesScaled) must agree with the kernels — every
+// enumeration (InEdges) must agree with the kernels — every
 // critical-path edge binds exactly, and the path reaches the last
 // commit.
 func TestScaledCriticalPathBinds(t *testing.T) {
@@ -339,8 +339,7 @@ func graphWindows(g *Graph, block, carry int) []*Window {
 
 // TestScaledWindowedMatchesWholeGraph: the windowed fold over scaled
 // lanes must be bit-identical to the whole-graph scaled walk at every
-// grid point, including mixed binary/scaled lane sets (which all run
-// through feedScaled once any lane is scaled).
+// grid point, including mixed binary/scaled lane sets.
 func TestScaledWindowedMatchesWholeGraph(t *testing.T) {
 	for seed := uint64(1); seed <= 25; seed++ {
 		r := rng.New(seed)
@@ -351,7 +350,7 @@ func TestScaledWindowedMatchesWholeGraph(t *testing.T) {
 			g.Cfg.WakeupExtra = 0 // windowed-exactness precondition
 		}
 		lanes := []Ideal{
-			{}, // binary baseline lane through the scaled kernel
+			{}, // binary baseline lane
 			{Global: randomFlags(r)},
 			{Global: randomFlags(r) | IdealDMiss, Scale: randomScale(r)},
 			{Global: AllFlags, Scale: ScaleUniform(AllFlags, Alpha(r.Intn(257)))},
@@ -359,9 +358,6 @@ func TestScaledWindowedMatchesWholeGraph(t *testing.T) {
 		we, err := NewWindowEvalIdeals(g.Cfg, lanes)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if !we.scaled {
-			t.Fatalf("seed %d: evaluator not scaled", seed)
 		}
 		block := 1 + r.Intn(60)
 		for _, win := range graphWindows(g, block, we.CarryDepth()) {
@@ -388,13 +384,5 @@ func TestWindowEvalIdealsRejectsPerInst(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("want error for per-instruction lane")
-	}
-	// Binary-only lane sets stay on the binary kernel.
-	we, err := NewWindowEvalIdeals(DefaultConfig(), []Ideal{{Global: IdealDL1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if we.scaled {
-		t.Fatal("binary lanes should not route to the scaled kernel")
 	}
 }

@@ -107,9 +107,6 @@ func (g *Graph) latestInto(ctx context.Context, id Ideal, t *Times, l *Latest) e
 			return err
 		}
 	}
-	if !id.Scale.IsZero() {
-		return g.latestIntoScaled(ctx, id, t, l)
-	}
 	n := g.Len()
 	lD, lR, lE, lP, lC := l.D, l.R, l.E, l.P, l.C
 	for i := 0; i < n; i++ {
@@ -127,16 +124,19 @@ func (g *Graph) latestInto(ctx context.Context, id Ideal, t *Times, l *Latest) e
 	fbw, cbw := cfg.FetchBW, cfg.CommitBW
 	ddB, reL, ccL := g.DDBreak, g.RELat, g.CCLat
 	pr1, pr2, ld := g.Prod1, g.Prod2, g.PPLeader
-	epB, epD1, epDm, epSh, epLg, ic, mp :=
-		ft.epBase, ft.epDL1, ft.epDMiss, ft.epShort, ft.epLong, ft.icache, ft.mispPrev
+	epL, epC, epDm, ic, mp := ft.epLat, ft.epClass, ft.epDMiss, ft.icache, ft.mispPrev
+	lt := laneTable{cfg: cfg, s: id.Scale}
+	glob, per := id.Global, id.PerInst
+	ln := lt.of(glob)
 
 	lC[n-1] = t.C[n-1]
 	for i := n - 1; i >= 0; i-- {
 		if i%ctxCheckStride == 0 && ctx.Err() != nil {
 			return ctx.Err()
 		}
-		f := id.Of(i)
-		bw := f&IdealBW == 0
+		if per != nil {
+			ln = lt.of(glob | per[i])
+		}
 
 		// --- C node; in-edges PC, CC, CBW ---
 		toC := lC[i]
@@ -147,16 +147,12 @@ func (g *Graph) latestInto(ctx context.Context, id Ideal, t *Times, l *Latest) e
 		if v := toC - pc; v < lP[i] { // PC: P(i) -> C(i)
 			lP[i] = v
 		}
-		if i > 0 {
-			cc := toC // CC: C(i-1) -> C(i)
-			if bw {
-				cc -= int64(ccL[i])
-			}
-			if cc < lC[i-1] {
+		if i > 0 { // CC: C(i-1) -> C(i)
+			if cc := toC - scaleLat(int64(ccL[i]), ln.bwM); cc < lC[i-1] {
 				lC[i-1] = cc
 			}
 		}
-		if bw && i >= cbw { // CBW: C(i-cbw) -> C(i), lat 1
+		if ln.bwM > 0 && i >= cbw { // CBW: C(i-cbw) -> C(i), lat 1
 			if v := toC - 1; v < lC[i-cbw] {
 				lC[i-cbw] = v
 			}
@@ -168,24 +164,12 @@ func (g *Graph) latestInto(ctx context.Context, id Ideal, t *Times, l *Latest) e
 			toP = t.P[i]
 			lP[i] = toP
 		}
-		ep := int64(epB[i]) // EP: E(i) -> P(i)
-		if f&IdealDL1 == 0 {
-			ep += int64(epD1[i])
-		}
-		dm := f&IdealDMiss == 0
-		if dm {
-			ep += int64(epDm[i])
-		}
-		if f&IdealShortALU == 0 {
-			ep += int64(epSh[i])
-		}
-		if f&IdealLongALU == 0 {
-			ep += int64(epLg[i])
-		}
+		ep := scaleLat(int64(epL[i]), ln.ep[epC[i]&(numEPClasses-1)]) + // EP: E(i) -> P(i)
+			scaleLat(int64(epDm[i]), ln.dmM)
 		if v := toP - ep; v < lE[i] {
 			lE[i] = v
 		}
-		if lead := ld[i]; lead >= 0 && dm { // PP: P(leader) -> P(i), lat 0
+		if lead := ld[i]; lead >= 0 && ln.dmM > 0 { // PP: P(leader) -> P(i), lat 0
 			if toP < lP[lead] {
 				lP[lead] = toP
 			}
@@ -197,11 +181,7 @@ func (g *Graph) latestInto(ctx context.Context, id Ideal, t *Times, l *Latest) e
 			toE = t.E[i]
 			lE[i] = toE
 		}
-		re := toE // RE: R(i) -> E(i)
-		if bw {
-			re -= int64(reL[i])
-		}
-		if re < lR[i] {
+		if re := toE - scaleLat(int64(reL[i]), ln.bwM); re < lR[i] { // RE: R(i) -> E(i)
 			lR[i] = re
 		}
 
@@ -232,35 +212,32 @@ func (g *Graph) latestInto(ctx context.Context, id Ideal, t *Times, l *Latest) e
 			lD[i] = toD
 		}
 		if i > 0 {
-			var dd int64 // DD: D(i-1) -> D(i), icache + fetch break
-			if bw {
-				dd = int64(ddB[i])
-			}
-			if f&IdealICache == 0 {
-				dd += int64(ic[i])
-			}
+			// DD: D(i-1) -> D(i), icache + fetch break
+			dd := scaleLat(int64(ddB[i]), ln.bwM) + scaleLat(int64(ic[i]), ln.icM)
 			if v := toD - dd; v < lD[i-1] {
 				lD[i-1] = v
 			}
-			// PD: P(i-1) -> D(i), gated by the branch's flags.
-			if mp[i] != 0 && id.Of(i-1)&IdealBMisp == 0 {
-				if v := toD - rec; v < lP[i-1] {
-					lP[i-1] = v
+			// PD: P(i-1) -> D(i), gated and scaled by the branch's flags.
+			if mp[i] != 0 {
+				recM := ln.recM
+				if per != nil {
+					recM = lt.of(glob | per[i-1]).recM
+				}
+				if recM > 0 {
+					if v := toD - scaleLat(rec, recM); v < lP[i-1] {
+						lP[i-1] = v
+					}
 				}
 			}
 		}
-		if bw && i >= fbw { // FBW: D(i-fbw) -> D(i), lat 1
+		if ln.bwM > 0 && i >= fbw { // FBW: D(i-fbw) -> D(i), lat 1
 			if v := toD - 1; v < lD[i-fbw] {
 				lD[i-fbw] = v
 			}
 		}
-		w := cfg.Window
-		if f&IdealWindow != 0 {
-			w *= cfg.WindowIdealFactor
-		}
-		if i >= w { // CD: C(i-w) -> D(i), lat 0
-			if toD < lC[i-w] {
-				lC[i-w] = toD
+		if i >= ln.win { // CD: C(i-w) -> D(i), lat 0
+			if toD < lC[i-ln.win] {
+				lC[i-ln.win] = toD
 			}
 		}
 	}

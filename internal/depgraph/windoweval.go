@@ -151,20 +151,13 @@ func (c *Config) ValidateWindowed() error {
 // WindowEval folds Window blocks into execution times under a fixed
 // set of global idealizations, holding only carry-deep node-time
 // rings: memory is O(CarryDepth × lanes), independent of trace
-// length. Blocks must be fed in stream order.
+// length. Blocks must be fed in stream order. Every lane's effective
+// window stays within [Window, Window×WindowIdealFactor], whatever its
+// scale, so the carry depth and the exactness argument above hold for
+// parametric lanes too.
 type WindowEval struct {
 	cfg   Config
-	flags []Flags
-	lanes []laneConsts
-
-	// scaled marks an evaluator built from parametric lanes
-	// (NewWindowEvalIdeals with a nonzero scale somewhere): Feed then
-	// runs the multiplier kernel over slanes instead of the binary
-	// kernel over lanes. Every scaled effective window stays within
-	// [Window, Window×WindowIdealFactor], so the carry depth and the
-	// exactness argument above hold unchanged.
-	scaled bool
-	slanes []scaledLane
+	lanes []scaledLane
 
 	carry int   // K: emission clamp horizon, ring history depth
 	rmask int64 // ring index mask (ring size - 1, power of two)
@@ -176,64 +169,36 @@ type WindowEval struct {
 	n int64 // instructions folded so far
 }
 
-// NewWindowEval builds an evaluator for the given configuration and
-// global idealization lanes.
-func NewWindowEval(cfg Config, flags []Flags) (*WindowEval, error) {
+// NewWindowEvalIdeals builds an evaluator for the given configuration
+// and idealization lanes, which may carry parametric scale factors.
+// Lanes must be global: windowed folds have no per-instruction
+// identity to apply a mask against.
+func NewWindowEvalIdeals(cfg Config, ids []Ideal) (*WindowEval, error) {
 	if err := cfg.ValidateWindowed(); err != nil {
 		return nil, err
 	}
-	if len(flags) == 0 {
+	if len(ids) == 0 {
 		return nil, fmt.Errorf("depgraph: windowed evaluation needs at least one idealization lane")
 	}
-	we := &WindowEval{cfg: cfg, flags: append([]Flags(nil), flags...)}
+	we := &WindowEval{cfg: cfg, lanes: make([]scaledLane, len(ids))}
+	for k := range ids {
+		if ids[k].PerInst != nil {
+			return nil, fmt.Errorf("depgraph: windowed evaluation lanes must be global (lane %d has a per-instruction mask)", k)
+		}
+		we.lanes[k] = scaledLaneOf(&we.cfg, ids[k].Global, ids[k].Scale)
+	}
 	we.carry = cfg.CarryDepth()
 	ring := int64(1)
 	for ring < int64(we.carry)+1 {
 		ring <<= 1
 	}
 	we.rmask = ring - 1
-	L := len(flags)
-	we.lanes = make([]laneConsts, L)
-	for w, f := range we.flags {
-		we.lanes[w] = laneOf(&cfg, f)
-	}
-	we.d = make([]int64, ring*int64(L))
-	we.p = make([]int64, ring*int64(L))
-	we.c = make([]int64, ring*int64(L))
+	L := int64(len(ids))
+	we.d = make([]int64, ring*L)
+	we.p = make([]int64, ring*L)
+	we.c = make([]int64, ring*L)
 	return we, nil
 }
-
-// NewWindowEvalIdeals builds an evaluator whose lanes may carry
-// parametric scale factors. Lanes must be global: windowed folds have
-// no per-instruction identity to apply a mask against.
-func NewWindowEvalIdeals(cfg Config, ids []Ideal) (*WindowEval, error) {
-	flags := make([]Flags, len(ids))
-	scaled := false
-	for k := range ids {
-		if ids[k].PerInst != nil {
-			return nil, fmt.Errorf("depgraph: windowed evaluation lanes must be global (lane %d has a per-instruction mask)", k)
-		}
-		flags[k] = ids[k].Global
-		if !ids[k].Scale.IsZero() {
-			scaled = true
-		}
-	}
-	we, err := NewWindowEval(cfg, flags)
-	if err != nil {
-		return nil, err
-	}
-	if scaled {
-		we.scaled = true
-		we.slanes = make([]scaledLane, len(ids))
-		for k := range ids {
-			we.slanes[k] = scaledLaneOf(&we.cfg, ids[k].Global, ids[k].Scale)
-		}
-	}
-	return we, nil
-}
-
-// Lanes returns the evaluator's idealization lanes in order.
-func (we *WindowEval) Lanes() []Flags { return we.flags }
 
 // Insts returns how many instructions have been folded.
 func (we *WindowEval) Insts() int64 { return we.n }
@@ -254,17 +219,16 @@ func (we *WindowEval) Feed(win *Window) error {
 	if win.Lo != we.n {
 		return fmt.Errorf("depgraph: window starts at %d, evaluator at %d", win.Lo, we.n)
 	}
-	if we.scaled {
-		we.feedScaled(win)
-	} else {
-		we.feedBinary(win)
-	}
+	we.fold(win)
 	we.n += int64(win.N)
 	return nil
 }
 
-// feedBinary is the fold kernel for binary (zero-out) lanes.
-func (we *WindowEval) feedBinary(win *Window) {
+// fold is the windowed fold kernel: the batch kernel's recurrence over
+// ring rows instead of whole-graph lanes.
+//
+//lint:hotpath
+func (we *WindowEval) fold(win *Window) {
 	cfg := &we.cfg
 	L := int64(len(we.lanes))
 	D, P, C := we.d, we.p, we.c
@@ -283,7 +247,8 @@ func (we *WindowEval) feedBinary(win *Window) {
 		abs := win.Lo + int64(j)
 		// Decompose this instruction's latencies once; the cost
 		// amortizes over every lane.
-		base, d1L, dmL, shL, lgL, icL := decomposeLat(&win.Info[j], dl1, l2, mem, tlb)
+		epL, cls, dmL, icL := decomposeLat(&win.Info[j], dl1, l2, mem, tlb)
+		cls &= numEPClasses - 1
 		ddBreak := int64(win.DDBreak[j])
 		reLat := int64(win.RELat[j])
 		ccLat := int64(win.CCLat[j])
@@ -291,7 +256,7 @@ func (we *WindowEval) feedBinary(win *Window) {
 
 		// Ring rows. Relative references resolve against Lo; NoRef
 		// (clamped or absent) scales far negative and is caught by
-		// the row sign test, exactly like the batch kernels' -1.
+		// the row sign test, exactly like the batch kernel's -1.
 		row := (abs & rmask) * L
 		prevRow, fbwRow, cbwRow := int64(-1), int64(-1), int64(-1)
 		if abs > 0 {
@@ -312,23 +277,16 @@ func (we *WindowEval) feedBinary(win *Window) {
 		cRow := C[row : row+L]
 		for w := int64(0); w < L; w++ {
 			ln := &we.lanes[w]
-			var dd int64
-			if ln.bw {
-				dd = ddBreak
-			}
-			if ln.ic {
-				dd += icL
-			}
-			d := dd
+			d := scaleLat(ddBreak, ln.bwM) + scaleLat(icL, ln.icM)
 			if prevRow >= 0 {
 				d += D[prevRow+w]
-				if misp && ln.bm {
-					if v := P[prevRow+w] + rec; v > d {
+				if misp && ln.recM > 0 {
+					if v := P[prevRow+w] + scaleLat(rec, ln.recM); v > d {
 						d = v
 					}
 				}
 			}
-			if ln.bw && fbwRow >= 0 {
+			if ln.bwM > 0 && fbwRow >= 0 {
 				if v := D[fbwRow+w] + 1; v > d {
 					d = v
 				}
@@ -352,25 +310,10 @@ func (we *WindowEval) feedBinary(win *Window) {
 				}
 			}
 
-			e := r
-			if ln.bw {
-				e += reLat
-			}
+			e := r + scaleLat(reLat, ln.bwM)
 
-			p := e + base
-			if ln.dl1 {
-				p += d1L
-			}
-			if ln.dm {
-				p += dmL
-			}
-			if ln.sh {
-				p += shL
-			}
-			if ln.lg {
-				p += lgL
-			}
-			if leadRow >= 0 && ln.dm {
+			p := e + scaleLat(epL, ln.ep[cls]) + scaleLat(dmL, ln.dmM)
+			if leadRow >= 0 && ln.dmM > 0 {
 				if v := P[leadRow+w]; v > p {
 					p = v
 				}
@@ -379,15 +322,11 @@ func (we *WindowEval) feedBinary(win *Window) {
 
 			c := p + pc
 			if prevRow >= 0 {
-				cc := C[prevRow+w]
-				if ln.bw {
-					cc += ccLat
-				}
-				if cc > c {
+				if cc := C[prevRow+w] + scaleLat(ccLat, ln.bwM); cc > c {
 					c = cc
 				}
 			}
-			if ln.bw && cbwRow >= 0 {
+			if ln.bwM > 0 && cbwRow >= 0 {
 				if v := C[cbwRow+w] + 1; v > c {
 					c = v
 				}
@@ -413,12 +352,14 @@ func refRow(rel int32, lo int64, rmask, lanes int64) int64 {
 
 // decomposeLat is the shared per-instruction latency decomposition
 // (csr.go's buildTables and the window evaluator agree by
-// construction: both call this shape of code with the same inputs).
-func decomposeLat(info *InstInfo, dl1, l2, mem, tlb int64) (base, d1, dm, sh, lg, ic int64) {
+// construction: both call it with the same inputs). The EP latency is
+// ep, scaled by the category of class, plus the miss component dm;
+// ic is the icache component of the DD edge.
+func decomposeLat(info *InstInfo, dl1, l2, mem, tlb int64) (ep int64, class uint8, dm, ic int64) {
 	op := info.Op
 	switch {
 	case op.IsMem():
-		d1 = dl1
+		ep, class = dl1, epClassDL1
 		if info.DTLBMiss {
 			dm += tlb
 		}
@@ -429,11 +370,11 @@ func decomposeLat(info *InstInfo, dl1, l2, mem, tlb int64) (base, d1, dm, sh, lg
 			dm += mem
 		}
 	case op.IsShortALU():
-		sh = 1
+		ep, class = 1, epClassShort
 	case op.IsLongALU():
-		lg = BaseExecLat(op)
+		ep, class = BaseExecLat(op), epClassLong
 	default:
-		base = BaseExecLat(op)
+		ep, class = BaseExecLat(op), epClassFixed
 	}
 	if info.ITLBMiss {
 		ic = tlb

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 
@@ -156,9 +157,10 @@ func WriteStream(w io.Writer, h Header, batches []*profiler.Samples) error {
 // stream is never buffered). It returns the header, the number of
 // complete batches delivered, and the first error: a fn error aborts
 // the stream, a truncation after at least one whole batch is reported
-// alongside the batches already delivered. The header is valid
-// whenever err is nil or the failure happened after the header
-// parsed.
+// alongside the batches already delivered. Malformed bytes fail with
+// a *ValidationError; a truncation carries io.EOF or
+// io.ErrUnexpectedEOF. The header is valid whenever err is nil or the
+// failure happened after the header parsed.
 func ReadStream(r io.Reader, fn func(Header, *profiler.Samples) error) (Header, int, error) {
 	br := bufio.NewReader(r)
 	h, err := readHeader(br)
@@ -181,7 +183,7 @@ func ReadStream(r io.Reader, fn func(Header, *profiler.Samples) error) (Header, 
 			lr := io.LimitReader(br, int64(plen))
 			s, err := profiler.ReadSamples(lr)
 			if err != nil {
-				return h, n, fmt.Errorf("fleet: batch %d: %w", n, err)
+				return h, n, malformed(err, "fleet: batch %d", n)
 			}
 			// Realign to the frame boundary: the decoder's internal
 			// buffering may leave frame bytes unconsumed in lr.
@@ -300,10 +302,24 @@ func putUvarint(w *bufio.Writer, v uint64) {
 func getUvarint(r *bufio.Reader, max uint64) (uint64, error) {
 	v, err := binary.ReadUvarint(r)
 	if err != nil {
-		return 0, fmt.Errorf("fleet: reading varint: %w", err)
+		return 0, malformed(err, "fleet: reading varint")
 	}
 	if v > max {
 		return 0, errValidation("fleet: field %d exceeds bound %d", v, max)
 	}
 	return v, nil
+}
+
+// malformed classifies a failure to decode stream bytes. A truncation
+// keeps its io.EOF or io.ErrUnexpectedEOF chain, so a reader can tell a
+// stream cut short from one that arrived whole; anything else — a bad
+// sample magic, an unknown opcode, a field past its bound, a varint
+// overflowing 64 bits — is the sender's malformed input, a
+// *ValidationError.
+func malformed(err error, format string, args ...any) error {
+	msg := fmt.Sprintf(format, args...)
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return fmt.Errorf("%s: %w", msg, err)
+	}
+	return errValidation("%s: %v", msg, err)
 }

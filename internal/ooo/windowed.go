@@ -65,7 +65,7 @@ func windowedRingSize(gcfg *depgraph.Config, winInsts int) int {
 func WindowedFootprint(gcfg *depgraph.Config, winInsts int) int64 {
 	ring := int64(windowedRingSize(gcfg, winInsts))
 	const instInfoBytes = 16
-	recBytes := int64(instInfoBytes + 1 + 5*4 + 6*4 + 1) // Info, DDBreak, int32 records, flat tables
+	recBytes := int64(instInfoBytes + 1 + 5*4 + 3*4 + 2) // Info, DDBreak, int32 records, flat tables
 	return ring*recBytes + ring*5*8                      // + five node-time columns
 }
 

@@ -57,7 +57,7 @@ func TestWindowedGolden(t *testing.T) {
 				t.Fatalf("%s: batch: %v", name, err)
 			}
 
-			we, err := depgraph.NewWindowEval(cfg.Graph, lanes)
+			we, err := depgraph.NewWindowEvalIdeals(cfg.Graph, ids)
 			if err != nil {
 				t.Fatalf("%s: evaluator: %v", name, err)
 			}

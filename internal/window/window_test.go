@@ -158,7 +158,7 @@ func TestAnalyzeIdealsParametricMatchesWholeGraph(t *testing.T) {
 // emission block is far smaller than the evaluator's carry depth: the
 // carry rings span blocks, so exactness must not depend on a window
 // covering the clamp horizon. A parametric lane rides along to cover
-// the scaled kernel too.
+// an interior α too.
 func TestWindowSmallerThanCarryDepth(t *testing.T) {
 	req := Request{
 		Bench: "gzip", Seed: 9,
