@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-batch bench-cold bench-fleet bench-graph bench-sens bench-shard chaos fuzz fmt vet lint ci
+.PHONY: build test race bench bench-batch bench-cold bench-fleet bench-graph bench-sens bench-shard bench-smoke chaos fuzz fmt vet lint ci
 
 # Seconds-per-target budget for the fuzz smoke; CI uses the default.
 FUZZTIME ?= 5s
@@ -100,6 +100,19 @@ SHARD_DURATION ?= 2s
 bench-shard:
 	$(GO) run ./cmd/icostload -duration $(SHARD_DURATION) -sweep 100,200,400,800 -rate 150 -json BENCH_shard.json
 	$(GO) test -run='TestShardBenchGuard' -count=1 ./cmd/icostload/
+	$(MAKE) bench-smoke
+
+# bench-smoke: the end-to-end benchmark harness (icostbench, its own
+# module, so `go build ./...` and `go test ./...` never compile it)
+# vetted and unit-tested, then both gated workloads run for two
+# seconds each. A run whose answers fail the output or shape checks
+# exits non-zero, and so does this target. Numbers from two-second
+# runs prove only that the pipeline works; measure with the
+# benchmark's own run length.
+bench-smoke:
+	cd icostbench && $(GO) vet ./... && $(GO) test ./...
+	bash icostbench/run.sh --workload warm-serve --seed 1 --seconds 2 --trace 0
+	bash icostbench/run.sh --workload long-trace --seed 1 --seconds 2 --trace 0
 
 # chaos: the fault-injection suite (internal/faultinject + every
 # TestChaos* test) under the race detector, once at GOMAXPROCS=1 and
@@ -145,3 +158,4 @@ ci: fmt lint build race chaos bench
 	$(MAKE) bench-graph GRAPH_BENCHTIME=1x
 	$(MAKE) bench-sens SENS_BENCHTIME=1x
 	$(GO) test -run='TestShardBenchGuard' -count=1 ./cmd/icostload/
+	$(MAKE) bench-smoke

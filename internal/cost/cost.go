@@ -32,6 +32,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math/bits"
 	"sync"
 
@@ -50,18 +51,20 @@ import (
 // walk instead of one scalar walk per term.
 //
 // The evaluation backend is pluggable: New evaluates idealizations on
-// a dependence graph (the paper's efficient method); NewFromFunc lets
-// package multisim evaluate them by re-running idealized simulations
-// (the paper's expensive baseline). Everything downstream — icosts,
-// breakdowns, experiments — is agnostic to the backend; batching
-// degrades to sequential evaluation on a function backend.
+// a dependence graph (the paper's efficient method); NewFromBatchFunc
+// takes any batch evaluator — package multisim re-runs idealized
+// simulations (the paper's expensive baseline), the engine re-folds a
+// windowed stream — and NewFromFunc a scalar one. Everything
+// downstream — icosts, breakdowns, experiments — is agnostic to the
+// backend; batching degrades to sequential evaluation on a scalar
+// function backend.
 type Analyzer struct {
 	g    *depgraph.Graph // nil for function-backed analyzers
 	eval func(context.Context, depgraph.Flags) (int64, error)
 	// evalBatch evaluates many flag sets in one call; PrewarmCtx
 	// routes through it when set. Graph-backed analyzers use the
-	// multi-lane graph walk; function-backed ones may supply their
-	// own (multisim fans re-simulations over a worker pool).
+	// multi-lane graph walk; NewFromBatchFunc supplies the caller's
+	// (multisim's worker pool, the engine's windowed re-fold).
 	evalBatch func(context.Context, []depgraph.Flags) ([]int64, error)
 
 	mu      sync.Mutex
@@ -127,21 +130,26 @@ func NewFromFunc(eval func(depgraph.Flags) int64) *Analyzer {
 	})
 }
 
-// NewFromBatchFunc is NewFromFunc plus a batch evaluator: PrewarmCtx
-// hands evalBatch the full list of missing flag sets in one call, so
-// a backend with internal parallelism (multisim's re-simulation
-// worker pool) can fan the evaluations out. evalBatch must return one
-// time per flag set, in order; the scalar eval remains the fallback
-// for one-off queries.
-func NewFromBatchFunc(eval func(depgraph.Flags) int64,
-	evalBatch func(context.Context, []depgraph.Flags) ([]int64, error)) *Analyzer {
+// NewFromBatchFunc builds an analyzer whose execution times come from
+// evalBatch, which must return one time per flag set, in order. Every
+// memo miss goes through it: PrewarmCtx hands it all missing flag sets
+// in one call, so a backend with a per-call cost (a windowed re-fold)
+// or internal parallelism (multisim's re-simulation worker pool) pays
+// once per batch, and a scalar miss is a batch of one. known seeds the
+// flags memo with times already evaluated (nil for none); those are
+// never re-evaluated. Event-set methods that need a graph (CostSet,
+// ICostSets) panic on such an analyzer.
+func NewFromBatchFunc(evalBatch func(context.Context, []depgraph.Flags) ([]int64, error),
+	known map[depgraph.Flags]int64) *Analyzer {
 	a := newAnalyzer(nil, func(ctx context.Context, f depgraph.Flags) (int64, error) {
-		if err := ctx.Err(); err != nil {
+		times, err := evalBatch(ctx, []depgraph.Flags{f})
+		if err != nil {
 			return 0, err
 		}
-		return eval(f), nil
+		return times[0], nil
 	})
 	a.evalBatch = evalBatch
+	maps.Copy(a.memo, known)
 	return a
 }
 
@@ -168,6 +176,14 @@ func (a *Analyzer) SetBatchObserver(fn func(lanes int)) {
 // Graph returns the underlying graph, or nil for a function-backed
 // analyzer.
 func (a *Analyzer) Graph() *depgraph.Graph { return a.g }
+
+// Known returns a copy of the flags memo: every whole-category
+// execution time evaluated or seeded so far, keyed by flags.
+func (a *Analyzer) Known() map[depgraph.Flags]int64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return maps.Clone(a.memo)
+}
 
 // BaseTime returns the unidealized execution time in cycles
 // (memoized after the first call).

@@ -2,6 +2,7 @@ package cost
 
 import (
 	"context"
+	"errors"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -461,5 +462,60 @@ func TestPrewarmDedup(t *testing.T) {
 	}
 	if n := calls.Load(); n != 3 {
 		t.Fatalf("re-prewarm ran %d extra evals", n-3)
+	}
+}
+
+// TestBatchFuncSeedsAndBatchesMisses: a batch-backed analyzer answers
+// its seeded entries without evaluating them, sends a prewarm's misses
+// to the evaluator in one call and a scalar miss as a batch of one,
+// memoizes nothing from a failed batch, and reports every entry it
+// holds through Known.
+func TestBatchFuncSeedsAndBatchesMisses(t *testing.T) {
+	var batches [][]depgraph.Flags
+	errFail := errors.New("batch failed")
+	fail := false
+	a := NewFromBatchFunc(func(ctx context.Context, flags []depgraph.Flags) ([]int64, error) {
+		batches = append(batches, append([]depgraph.Flags(nil), flags...))
+		if fail {
+			return nil, errFail
+		}
+		out := make([]int64, len(flags))
+		for i, f := range flags {
+			out[i] = 1000 - int64(f)
+		}
+		return out, nil
+	}, map[depgraph.Flags]int64{0: 1000, depgraph.IdealDL1: 7})
+
+	if got := a.Cost(depgraph.IdealDL1); got != 993 || len(batches) != 0 {
+		t.Fatalf("seeded cost = %d after %d batches, want 993 after none", got, len(batches))
+	}
+	masks := []depgraph.Flags{depgraph.IdealDL1, depgraph.IdealDMiss, depgraph.IdealWindow, depgraph.IdealDMiss}
+	if err := a.PrewarmCtx(context.Background(), masks); err != nil {
+		t.Fatal(err)
+	}
+	if len(batches) != 1 || len(batches[0]) != 2 {
+		t.Fatalf("prewarm issued batches %v, want one of the two misses", batches)
+	}
+	if got := a.ExecTime(depgraph.IdealBMisp); got != 1000-int64(depgraph.IdealBMisp) {
+		t.Fatalf("scalar miss = %d", got)
+	}
+	if len(batches) != 2 || len(batches[1]) != 1 {
+		t.Fatalf("scalar miss issued batches %v, want a batch of one", batches)
+	}
+
+	fail = true
+	if _, err := a.ExecTimeCtx(context.Background(), depgraph.IdealBW); !errors.Is(err, errFail) {
+		t.Fatalf("failed batch: %v", err)
+	}
+	known := a.Known()
+	if len(known) != 5 {
+		t.Fatalf("Known holds %d entries, want 5: %v", len(known), known)
+	}
+	if _, ok := known[depgraph.IdealBW]; ok {
+		t.Fatal("a failed batch was memoized")
+	}
+	known[depgraph.IdealBW] = 1
+	if _, ok := a.Known()[depgraph.IdealBW]; ok {
+		t.Fatal("Known returned the memo itself, not a copy")
 	}
 }

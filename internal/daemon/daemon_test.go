@@ -204,6 +204,71 @@ func TestRestoreRejectsLyingLengths(t *testing.T) {
 	}
 }
 
+// malformedSnapshots hand-encodes six /restore bodies that are not
+// snapshots: a wrong magic, a 2-byte body, and four checksum-valid
+// ICSS v2 frames whose payloads break the format — a spec with
+// window_insts 256 but the whole-graph kind byte, a windowed table of
+// 255 entries, a table whose base lane disagrees with the cycles, and
+// a well-formed windowed payload followed by one more byte.
+func malformedSnapshots() map[string][]byte {
+	const cycles = 5000
+	frame := func(p []byte) []byte {
+		f := []byte{'I', 'C', 'S', 'S', 2, 0, 0, 0, 0}
+		binary.LittleEndian.PutUint32(f[5:], crc32.Checksum(p, crc32.MakeTable(crc32.Castagnoli)))
+		return append(binary.AppendUvarint(f, uint64(len(p))), p...)
+	}
+	// kind follows the spec fields (bench gcc; seed, trace_len,
+	// warmup, dl1, window, wakeup, recovery, window_insts 256), the
+	// build ns and the cycles.
+	spec := func(kind byte) []byte {
+		p := append(binary.AppendUvarint(nil, 3), "gcc"...)
+		for _, v := range []uint64{1, 1000, 100, 2, 64, 0, 8, 256, 0, cycles} {
+			p = binary.AppendUvarint(p, v)
+		}
+		return append(p, kind)
+	}
+	// table is a windowed body: insts, windows and peak bytes, then
+	// n subset times, the first one base.
+	table := func(n int, base uint64) []byte {
+		p := spec(1)
+		for _, v := range []uint64{1000, 4, 0, uint64(n), base} {
+			p = binary.AppendUvarint(p, v)
+		}
+		for i := 1; i < n; i++ {
+			p = binary.AppendUvarint(p, cycles-uint64(i))
+		}
+		return p
+	}
+	return map[string][]byte{
+		"magic ICSX":            append([]byte("ICSX\x02"), make([]byte, 5)...),
+		"2-byte body":           []byte("IC"),
+		"window_insts, kind 0":  frame(spec(0)),
+		"255 table entries":     frame(table(255, cycles)),
+		"base lane != cycles":   frame(table(256, cycles+1)),
+		"trailing payload byte": frame(append(table(256, cycles), 0)),
+	}
+}
+
+// TestRestoreRejectsMalformedSnapshots: bytes that do not decode as a
+// snapshot are the client's error (400), whatever part of the frame
+// or payload is wrong, and install nothing.
+func TestRestoreRejectsMalformedSnapshots(t *testing.T) {
+	leakcheck.Check(t)
+	e := engine.New(engine.Config{Workers: 1})
+	defer e.Close()
+	h := NewHandler(e, fleet.NewAggregator(fleet.Config{}), Options{})
+	for name, raw := range malformedSnapshots() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/restore", bytes.NewReader(raw)))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400: %s", name, rec.Code, rec.Body)
+		}
+	}
+	if m := e.Metrics(); m.SessionsLive != 0 {
+		t.Fatalf("rejected snapshots left %d live sessions", m.SessionsLive)
+	}
+}
+
 // malformedStreams hand-encodes four ICFS bodies, each well framed up
 // to its one bad field: a batch with a bad sample magic, a batch whose
 // detailed sample has opcode 255, a batch whose instruction-count

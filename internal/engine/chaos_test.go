@@ -8,6 +8,7 @@ package engine
 // TestChaos name prefix is the suite's contract with the Makefile).
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"strings"
@@ -428,14 +429,18 @@ func TestChaosSeededStormReplays(t *testing.T) {
 // TestChaosWindowed drives faults through the windowed pipeline,
 // whose fold runs on worker goroutines behind the simulator: an
 // ooo.sim error and a mid-pass context cancellation, each during a
-// windowed build and during a windowed sensitivity re-fold. Every
-// faulted call returns a typed error, leaves no fold goroutine
-// behind, and the same spec then builds (or re-folds) cleanly.
+// windowed build, a windowed sensitivity re-fold, and the re-fold of
+// a memo miss outside the build's lattice. Every faulted call returns
+// a typed error, leaves no fold goroutine behind and memoizes
+// nothing, and the same query then answers exactly as the whole-graph
+// session does.
 func TestChaosWindowed(t *testing.T) {
 	ctx := context.Background()
 	// 1024-instruction trace segments: the fault fires at segment 7
 	// of 13, once some twenty 256-instruction blocks have been folded.
 	spec := SessionSpec{Bench: "gcc", Seed: 5, TraceLen: 12000, Warmup: 1000, WindowInsts: 256}
+	whole := spec
+	whole.WindowInsts = 0
 	passes := []struct {
 		name string
 		q    Query
@@ -443,6 +448,7 @@ func TestChaosWindowed(t *testing.T) {
 	}{
 		{"build", Query{Session: spec, Op: OpCost, Cats: []string{"dmiss"}}, false},
 		{"sensitivity", Query{Session: spec, Op: OpSensitivity, Cats: []string{"dl1", "win"}}, true},
+		{"miss", Query{Session: spec, Op: OpExecTime, Cats: []string{"dl1", "win", "bw"}}, true},
 	}
 	faults := []struct {
 		name string
@@ -458,10 +464,19 @@ func TestChaosWindowed(t *testing.T) {
 				leakcheck.Check(t)
 				e := New(Config{Workers: 1, BuildRetries: -1, BuildFailTTL: -1})
 				defer e.Close()
+				wq := p.q
+				wq.Session = whole
+				want, err := e.Query(ctx, wq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var known int
 				if p.warm {
-					if _, err := e.Warm(ctx, spec); err != nil {
+					key, err := e.Warm(ctx, spec)
+					if err != nil {
 						t.Fatal(err)
 					}
+					known = len(e.sessionByKey(key).analyzer.Known())
 				}
 				faultinject.Enable(13, f.rule)
 				defer faultinject.Disable()
@@ -472,6 +487,12 @@ func TestChaosWindowed(t *testing.T) {
 				if got := faultinject.Snapshot().Fired[faultinject.OOOSim]; got != 1 {
 					t.Fatalf("ooo.sim fired %d times, want 1", got)
 				}
+				if p.warm {
+					key, _ := spec.Key()
+					if got := len(e.sessionByKey(key).analyzer.Known()); got != known {
+						t.Fatalf("faulted %s memoized %d entries, want %d", p.name, got, known)
+					}
+				}
 				faultinject.Disable()
 				resp, err := e.Query(ctx, p.q)
 				if err != nil {
@@ -479,6 +500,9 @@ func TestChaosWindowed(t *testing.T) {
 				}
 				if !resp.Windowed || resp.Insts != spec.TraceLen {
 					t.Fatalf("degenerate response after recovery: windowed %v, insts %d", resp.Windowed, resp.Insts)
+				}
+				if g, w := answerOnly(t, resp), answerOnly(t, want); !bytes.Equal(g, w) {
+					t.Fatalf("%s after the fault diverged:\n  whole:    %s\n  windowed: %s", p.name, w, g)
 				}
 			})
 		}

@@ -458,9 +458,10 @@ func (e *Engine) sessionFor(ctx context.Context, key string, spec SessionSpec) (
 
 	if builder {
 		s, err := e.buildWithRetry(ctx, spec)
-		if err == nil {
+		if err == nil && !s.windowed {
 			// Attach before the session is published: every batched
-			// walk the analyzer issues feeds the size histogram.
+			// graph walk the analyzer issues feeds the size histogram.
+			// A windowed analyzer's batches are re-folds, counted apart.
 			s.analyzer.SetBatchObserver(e.met.recordBatch)
 		}
 		entry.sess, entry.err = s, err
@@ -546,6 +547,9 @@ func (e *Engine) Metrics() Snapshot {
 		BuildRetriesTotal:   e.met.buildRetries.Load(),
 		BuildFailuresTotal:  e.met.buildFailures.Load(),
 		WindowedBuildsTotal: e.met.windowedBuilds.Load(),
+
+		WindowedRefoldsTotal:     e.met.windowedRefolds.Load(),
+		WindowedRefoldLanesTotal: e.met.windowedRefoldLanes.Load(),
 
 		SnapshotsSavedTotal:     e.met.snapshotsSaved.Load(),
 		SnapshotsLoadedTotal:    e.met.snapshotsLoaded.Load(),

@@ -77,6 +77,11 @@ type metrics struct {
 	buildRetries    atomic.Int64
 	buildFailures   atomic.Int64
 	windowedBuilds  atomic.Int64
+	// windowedRefolds and windowedRefoldLanes count the windowed passes
+	// run after a session's build — analyzer memo misses and
+	// sensitivity curves — and the lanes they were asked to fold.
+	windowedRefolds     atomic.Int64
+	windowedRefoldLanes atomic.Int64
 
 	snapshotsSaved     atomic.Int64
 	snapshotsLoaded    atomic.Int64
@@ -141,6 +146,13 @@ type Snapshot struct {
 	// WindowedBuildsTotal counts sessions built through the windowed
 	// long-trace pipeline instead of a resident whole-trace graph.
 	WindowedBuildsTotal int64 `json:"windowed_builds_total"`
+	// WindowedRefoldsTotal counts the windowed passes run after a
+	// build: one per analyzer memo-miss batch and one per sensitivity
+	// query. WindowedRefoldLanesTotal sums the lanes they were asked
+	// to fold (a pass adds a base lane for its self-check when none
+	// was asked for; it is not counted).
+	WindowedRefoldsTotal     int64 `json:"windowed_refolds_total"`
+	WindowedRefoldLanesTotal int64 `json:"windowed_refold_lanes_total"`
 
 	// SnapshotsSavedTotal / SnapshotsLoadedTotal count sessions written
 	// to and restored from durable snapshots; SnapshotLoadErrorsTotal

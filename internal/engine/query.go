@@ -11,7 +11,6 @@ import (
 	"icost/internal/breakdown"
 	"icost/internal/cost"
 	"icost/internal/depgraph"
-	"icost/internal/window"
 )
 
 // Op names a query kind.
@@ -374,15 +373,7 @@ func (e *Engine) windowedSensitivity(ctx context.Context, s *session, cats []str
 			ids = append(ids, depgraph.Ideal{Global: f, Scale: depgraph.ScaleUniform(f, a)})
 		}
 	}
-	spec := s.spec
-	wres, err := window.AnalyzeIdeals(ctx, window.Request{
-		Bench:       spec.Bench,
-		Seed:        spec.Seed,
-		TraceLen:    spec.TraceLen,
-		Warmup:      spec.Warmup,
-		WindowInsts: spec.WindowInsts,
-		Sim:         spec.machine(e.cfg.Lanes),
-	}, ids)
+	times, err := s.refold(ctx, ids)
 	if err != nil {
 		return nil, err
 	}
@@ -392,7 +383,7 @@ func (e *Engine) windowedSensitivity(ctx context.Context, s *session, cats []str
 	for ci, f := range flags {
 		c := cost.Curve{Name: f.String(), Flags: f, Points: make([]cost.CurvePoint, len(grid))}
 		for gi, a := range grid {
-			t := wres.Times[li]
+			t := times[li]
 			li++
 			c.Points[gi] = cost.CurvePoint{Alpha: a.Float(), Time: t, Cost: base - t}
 		}

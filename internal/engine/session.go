@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"icost/internal/cost"
@@ -39,12 +40,14 @@ type SessionSpec struct {
 	BranchRecovery int    `json:"branch_recovery,omitempty"`
 	// WindowInsts, when nonzero, builds the session through the
 	// windowed long-trace pipeline: the trace streams through
-	// ring-storage simulation in WindowInsts-instruction blocks and
-	// the full 256-entry idealization-subset table is folded in one
-	// pass, so peak memory is bounded by the window budget instead of
-	// the trace length. Every cost/icost/breakdown query answers from
-	// the table with bit-identical results; only the slack query
-	// (which needs per-instruction node times) is unavailable.
+	// ring-storage simulation in WindowInsts-instruction blocks, so
+	// peak memory is bounded by the window budget instead of the trace
+	// length. The build pass folds the base, every single category and
+	// every pair (37 idealizations); a later query needing any other
+	// subset re-folds the stream once for all of its missing subsets.
+	// Every cost/icost/breakdown query answers with bit-identical
+	// results; only the slack query (which needs per-instruction node
+	// times) is unavailable.
 	WindowInsts int `json:"window_insts,omitempty"`
 }
 
@@ -129,9 +132,9 @@ func (s SessionSpec) machine(lanes int) ooo.Config {
 
 // session is one built artifact set. A whole-graph session holds
 // trace + simulation result (graph) + graph-backed analyzer; a
-// windowed session holds no graph at all — just the folded 256-entry
-// idealization-subset table wrapped in a function-backed analyzer,
-// plus the windowed run's shape for observability.
+// windowed session holds no graph at all — just an analyzer whose
+// flags memo holds the subsets folded so far and whose misses re-fold
+// the stream, plus the windowed run's shape for observability.
 type session struct {
 	key      string
 	spec     SessionSpec // normalized
@@ -141,14 +144,16 @@ type session struct {
 	built    time.Duration // wall time of the cold build
 	pooled   bool          // artifacts are pool-backed; release returns them
 
-	// Windowed-session state (spec.WindowInsts > 0): the folded
-	// 256-entry subset table (also the snapshot payload), insts folded,
-	// blocks emitted, and peak analysis bytes, from window.Analyze.
+	// Windowed-session state (spec.WindowInsts > 0): insts folded,
+	// blocks emitted, and peak analysis bytes, from the build's
+	// window.Analyze pass; the lane width and engine metrics every
+	// re-fold runs with (met is nil outside an engine).
 	windowed  bool
-	table     []int64
 	insts     int
 	windows   int
 	peakBytes int64
+	lanes     int
+	met       *metrics
 }
 
 // instCount is the session's timed instruction count, independent of
@@ -243,33 +248,44 @@ func build(ctx context.Context, spec SessionSpec, lanes int, met *metrics) (*ses
 	}, nil
 }
 
-// subsetTable returns every global-idealization subset in table
-// order: index == flag bits.
-func subsetTable() []depgraph.Flags {
-	lanes := make([]depgraph.Flags, 1<<depgraph.NumFlags)
-	for i := range lanes {
-		lanes[i] = depgraph.Flags(i)
+// foldLattice returns the subsets a windowed build folds, in flag
+// order: the base, every single category and every pair — the
+// second-order lattice that breakdowns (§2.3), pairwise icosts (§2.2),
+// matrices and single costs read. 1 + 8 + 28 = 37 lanes.
+func foldLattice() []depgraph.Flags {
+	var lanes []depgraph.Flags
+	for f := depgraph.Flags(0); f <= depgraph.AllFlags; f++ {
+		if bits.OnesCount(uint(f)) <= 2 {
+			lanes = append(lanes, f)
+		}
 	}
 	return lanes
 }
 
+// windowRequest describes one windowed pass over the session's
+// stream.
+func (s SessionSpec) windowRequest(lanes int) window.Request {
+	return window.Request{
+		Bench:       s.Bench,
+		Seed:        s.Seed,
+		TraceLen:    s.TraceLen,
+		Warmup:      s.Warmup,
+		WindowInsts: s.WindowInsts,
+		Sim:         s.machine(lanes),
+	}
+}
+
 // buildWindowed constructs a windowed session: one streaming pass of
-// ring-storage simulation folds the execution time of all 256
-// idealization subsets, and the analyzer answers every subsequent
-// query from that table. No trace, graph or node times are retained —
-// peak memory during the build and the session's resident size are
-// both bounded by the window budget, which is what lets a session
-// cover tens of millions of instructions.
+// ring-storage simulation folds the execution time of the lattice
+// (foldLattice), which seeds the analyzer's flags memo. No trace,
+// graph or node times are retained — peak memory during the build and
+// the session's resident size are both bounded by the window budget,
+// which is what lets a session cover tens of millions of
+// instructions.
 func buildWindowed(ctx context.Context, spec SessionSpec, lanes int, met *metrics, key string) (*session, error) {
 	start := time.Now()
-	wres, err := window.Analyze(ctx, window.Request{
-		Bench:       spec.Bench,
-		Seed:        spec.Seed,
-		TraceLen:    spec.TraceLen,
-		Warmup:      spec.Warmup,
-		WindowInsts: spec.WindowInsts,
-		Sim:         spec.machine(lanes),
-	}, subsetTable())
+	lattice := foldLattice()
+	wres, err := window.Analyze(ctx, spec.windowRequest(lanes), lattice)
 	if err != nil {
 		return nil, fmt.Errorf("engine: windowed build of %s: %w", spec.Bench, err)
 	}
@@ -278,30 +294,58 @@ func buildWindowed(ctx context.Context, spec SessionSpec, lanes int, met *metric
 		met.sessionBuild.record(built)
 		met.windowedBuilds.Add(1)
 	}
-	s := newWindowedSession(key, spec, wres.Times,
-		&ooo.Result{Cycles: wres.Cycles, Stats: wres.Stats}, built,
-		int(wres.Insts), wres.Windows, wres.PeakBytes)
-	return s, nil
+	known := make(map[depgraph.Flags]int64, len(lattice))
+	for i, f := range lattice {
+		known[f] = wres.Times[i]
+	}
+	return newWindowedSession(&session{
+		key:       key,
+		spec:      spec,
+		result:    &ooo.Result{Cycles: wres.Cycles, Stats: wres.Stats},
+		built:     built,
+		insts:     int(wres.Insts),
+		windows:   wres.Windows,
+		peakBytes: wres.PeakBytes,
+		lanes:     lanes,
+		met:       met,
+	}, known), nil
 }
 
-// newWindowedSession wraps a folded subset table (index == flag bits)
-// as a session. Shared by the cold build and snapshot restore.
-func newWindowedSession(key string, spec SessionSpec, table []int64, res *ooo.Result,
-	built time.Duration, insts, windows int, peakBytes int64) *session {
-	return &session{
-		key:  key,
-		spec: spec,
-		analyzer: cost.NewFromFunc(func(f depgraph.Flags) int64 {
-			return table[f&depgraph.AllFlags]
-		}),
-		result:    res,
-		built:     built,
-		windowed:  true,
-		table:     table,
-		insts:     insts,
-		windows:   windows,
-		peakBytes: peakBytes,
+// newWindowedSession completes s — identity, result, run shape, lane
+// width and metrics already set — as a windowed session: its analyzer
+// starts from the subset times folded so far (flags → cycles; known[0]
+// is the base) and re-folds the stream for every memo miss. Shared by
+// the cold build and snapshot restore.
+func newWindowedSession(s *session, known map[depgraph.Flags]int64) *session {
+	s.windowed = true
+	s.analyzer = cost.NewFromBatchFunc(func(ctx context.Context, flags []depgraph.Flags) ([]int64, error) {
+		ids := make([]depgraph.Ideal, len(flags))
+		for i, f := range flags {
+			ids[i] = depgraph.Ideal{Global: f}
+		}
+		return s.refold(ctx, ids)
+	}, known)
+	return s
+}
+
+// refold folds a windowed session's stream once more, for the given
+// idealizations only. The replay is deterministic, so its simulated
+// cycles must equal the session's; a pass that disagrees answers
+// nothing.
+func (s *session) refold(ctx context.Context, ids []depgraph.Ideal) ([]int64, error) {
+	wres, err := window.AnalyzeIdeals(ctx, s.spec.windowRequest(s.lanes), ids)
+	if err != nil {
+		return nil, fmt.Errorf("engine: windowed re-fold of %s: %w", s.spec.Bench, err)
 	}
+	if wres.Cycles != s.result.Cycles {
+		return nil, fmt.Errorf("engine: windowed re-fold of %s simulated %d cycles, session has %d",
+			s.spec.Bench, wres.Cycles, s.result.Cycles)
+	}
+	if s.met != nil {
+		s.met.windowedRefolds.Add(1)
+		s.met.windowedRefoldLanes.Add(int64(len(ids)))
+	}
+	return wres.Times, nil
 }
 
 // sessionStore is an LRU-bounded map of built sessions with

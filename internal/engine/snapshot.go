@@ -10,6 +10,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"icost/internal/cache"
@@ -33,11 +34,14 @@ import (
 //	payload  normalized spec, build wall time, simulated cycles, a
 //	         kind byte, then the kind-specific body: kind 0 (whole
 //	         graph) is graph config + per-instruction records
-//	         (varints); kind 1 (windowed) is the folded 256-entry
-//	         idealization-subset table plus the windowed run's shape
+//	         (varints); kind 1 (windowed) is the windowed run's shape
+//	         plus every (flags, time) entry the session has folded so
+//	         far, in increasing flag order, the base entry among them
 //
 // Version 2 added the spec's window_insts field and the kind byte;
-// version-1 snapshots (whole-graph only) still load. The encoding is
+// version 3 replaced the windowed body's dense 256-entry subset table
+// with the sparse entries. Version-1 (whole-graph only) and version-2
+// snapshots still load. The encoding is
 // canonical: the same session always produces the same bytes, so a
 // snapshot of a restored session is bit-identical to the snapshot it
 // came from (property-tested in snapshot_test.go). The checksum makes
@@ -52,7 +56,8 @@ import (
 const (
 	snapVersion1       = 1 // whole-graph payloads only, no kind byte
 	snapVersion2       = 2 // adds spec window_insts and the kind byte
-	snapVersionCurrent = snapVersion2
+	snapVersion3       = 3 // windowed bodies carry sparse (flags, time) entries
+	snapVersionCurrent = snapVersion3
 )
 
 // snapMagic is the header every written snapshot starts with: the
@@ -131,9 +136,16 @@ func writeSnapshot(ctx context.Context, w io.Writer, s *session) error {
 		putSnapUv(bw, uint64(s.insts))
 		putSnapUv(bw, uint64(s.windows))
 		putSnapUv(bw, uint64(s.peakBytes))
-		putSnapUv(bw, uint64(len(s.table)))
-		for _, t := range s.table {
-			putSnapUv(bw, uint64(t))
+		known := s.analyzer.Known()
+		flags := make([]depgraph.Flags, 0, len(known))
+		for f := range known {
+			flags = append(flags, f)
+		}
+		slices.Sort(flags)
+		putSnapUv(bw, uint64(len(flags)))
+		for _, f := range flags {
+			putSnapUv(bw, uint64(f))
+			putSnapUv(bw, uint64(known[f]))
 		}
 		if err := bw.Flush(); err != nil {
 			return err
@@ -207,7 +219,7 @@ func snapCfgFields(c depgraph.Config) []int {
 // already live (or building) under the same key wins: the snapshot is
 // decoded and discarded, and the live key is returned.
 func (e *Engine) RestoreSession(ctx context.Context, r io.Reader) (string, error) {
-	s, err := readSnapshot(ctx, r)
+	s, err := readSnapshot(ctx, r, e.cfg.Lanes, &e.met)
 	if err != nil {
 		return "", err
 	}
@@ -215,31 +227,63 @@ func (e *Engine) RestoreSession(ctx context.Context, r io.Reader) (string, error
 	return s.key, nil
 }
 
-// readSnapshot decodes one framed snapshot, dispatching on the
-// version byte: every declared snapVersion* constant has a case.
-//
-//lint:codec-decode icss
-func readSnapshot(ctx context.Context, r io.Reader) (*session, error) {
+// readSnapshot decodes one framed snapshot from r; lanes and met are
+// the engine's, for a windowed session's re-folds. Bytes that end
+// early or do not decode are the sender's malformed input and fail as
+// a *ValidationError, an undecodable version as a
+// *SnapshotVersionError, and a payload failing its checksum as a
+// *SnapshotChecksumError; a reader that fails outright reports its
+// own error.
+func readSnapshot(ctx context.Context, r io.Reader, lanes int, met *metrics) (*session, error) {
 	if err := faultinject.Hit(ctx, faultinject.FleetSnapshot); err != nil {
 		return nil, err
 	}
+	src := &snapSource{r: r}
+	s, err := decodeSnapshot(src, lanes, met)
+	if err != nil && src.err != nil {
+		return nil, fmt.Errorf("engine: reading snapshot: %w", src.err)
+	}
+	return s, err
+}
+
+// snapSource remembers the first failure of the reader a snapshot
+// arrives on, so a dropped connection is not mistaken for bytes that
+// ended early.
+type snapSource struct {
+	r   io.Reader
+	err error
+}
+
+func (s *snapSource) Read(p []byte) (int, error) {
+	n, err := s.r.Read(p)
+	if err != nil && err != io.EOF && s.err == nil {
+		s.err = err
+	}
+	return n, err
+}
+
+// decodeSnapshot decodes one framed snapshot, dispatching on the
+// version byte: every declared snapVersion* constant has a case.
+//
+//lint:codec-decode icss
+func decodeSnapshot(r io.Reader, lanes int, met *metrics) (*session, error) {
 	hr := bufio.NewReader(r)
 	var magic [5]byte
 	if _, err := io.ReadFull(hr, magic[:]); err != nil {
-		return nil, fmt.Errorf("engine: reading snapshot magic: %w", err)
+		return nil, errValidation("engine: reading snapshot magic: %v", err)
 	}
 	if [4]byte{magic[0], magic[1], magic[2], magic[3]} != [4]byte{'I', 'C', 'S', 'S'} {
-		return nil, fmt.Errorf("engine: bad snapshot magic %q", magic[:4])
+		return nil, errValidation("engine: bad snapshot magic %q", magic[:4])
 	}
 	version := magic[4]
 	switch version {
-	case snapVersion1, snapVersion2:
+	case snapVersion1, snapVersion2, snapVersion3:
 	default:
 		return nil, &SnapshotVersionError{Version: version}
 	}
 	var crcb [4]byte
 	if _, err := io.ReadFull(hr, crcb[:]); err != nil {
-		return nil, fmt.Errorf("engine: reading snapshot checksum: %w", err)
+		return nil, errValidation("engine: reading snapshot checksum: %v", err)
 	}
 	plen, err := getSnapUv(hr, maxSnapPayload)
 	if err != nil {
@@ -288,24 +332,24 @@ func readSnapshot(ctx context.Context, r io.Reader) (*session, error) {
 
 	spec, err := sp.normalize()
 	if err != nil {
-		return nil, fmt.Errorf("engine: snapshot spec: %w", err)
+		return nil, errValidation("engine: snapshot spec: %v", err)
 	}
 	key, _ := spec.Key()
 
 	kind := byte(snapKindGraph)
 	if version >= snapVersion2 {
 		if kind, err = br.ReadByte(); err != nil {
-			return nil, fmt.Errorf("engine: reading snapshot kind: %w", err)
+			return nil, errValidation("engine: reading snapshot kind: %v", err)
 		}
 	}
 	if windowed := spec.WindowInsts > 0; windowed != (kind == snapKindWindowed) {
-		return nil, fmt.Errorf("engine: snapshot kind %d disagrees with spec window_insts %d", kind, spec.WindowInsts)
+		return nil, errValidation("engine: snapshot kind %d disagrees with spec window_insts %d", kind, spec.WindowInsts)
 	}
 	if kind == snapKindWindowed {
-		return readWindowedBody(br, key, spec, time.Duration(builtNS), int64(cycles))
+		return readWindowedBody(br, version, key, spec, time.Duration(builtNS), int64(cycles), lanes, met)
 	}
 	if kind != snapKindGraph {
-		return nil, fmt.Errorf("engine: unknown snapshot kind %d", kind)
+		return nil, errValidation("engine: unknown snapshot kind %d", kind)
 	}
 
 	n64, err := getSnapUv(br, 1<<24)
@@ -314,7 +358,7 @@ func readSnapshot(ctx context.Context, r io.Reader) (*session, error) {
 	}
 	n := int(n64)
 	if n != spec.TraceLen {
-		return nil, fmt.Errorf("engine: snapshot graph has %d instructions, spec says %d", n, spec.TraceLen)
+		return nil, errValidation("engine: snapshot graph has %d instructions, spec says %d", n, spec.TraceLen)
 	}
 	var cfg depgraph.Config
 	cfgDst := snapCfgFieldPtrs(&cfg)
@@ -326,7 +370,7 @@ func readSnapshot(ctx context.Context, r io.Reader) (*session, error) {
 		*dst = int(v)
 	}
 	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("engine: snapshot graph config: %w", err)
+		return nil, errValidation("engine: snapshot graph config: %v", err)
 	}
 	// Size the graph only once the payload can hold it: a CRC-valid
 	// frame may still declare far more instructions than it carries.
@@ -339,10 +383,10 @@ func readSnapshot(ctx context.Context, r io.Reader) (*session, error) {
 	for i := 0; i < n; i++ {
 		var hdr [5]byte
 		if _, err := io.ReadFull(br, hdr[:1]); err != nil {
-			return nil, fmt.Errorf("engine: snapshot truncated at instruction %d: %w", i, err)
+			return nil, errValidation("engine: snapshot truncated at instruction %d: %v", i, err)
 		}
 		if isa.Op(hdr[0]) >= isa.NumOps {
-			return nil, fmt.Errorf("engine: snapshot has invalid opcode %d", hdr[0])
+			return nil, errValidation("engine: snapshot has invalid opcode %d", hdr[0])
 		}
 		g.Info[i].Op = isa.Op(hdr[0])
 		sidx, err := getSnapUv(br, 1<<31)
@@ -351,17 +395,17 @@ func readSnapshot(ctx context.Context, r io.Reader) (*session, error) {
 		}
 		g.Info[i].SIdx = int32(sidx) - 1
 		if _, err := io.ReadFull(br, hdr[1:]); err != nil {
-			return nil, fmt.Errorf("engine: snapshot truncated at instruction %d: %w", i, err)
+			return nil, errValidation("engine: snapshot truncated at instruction %d: %v", i, err)
 		}
 		flags := hdr[1]
 		if flags > 7 {
-			return nil, fmt.Errorf("engine: snapshot has invalid flag byte %#x", flags)
+			return nil, errValidation("engine: snapshot has invalid flag byte %#x", flags)
 		}
 		g.Info[i].Mispredict = flags&1 != 0
 		g.Info[i].DTLBMiss = flags&2 != 0
 		g.Info[i].ITLBMiss = flags&4 != 0
 		if hdr[2] > byte(cache.LevelMem) || hdr[3] > byte(cache.LevelMem) {
-			return nil, fmt.Errorf("engine: snapshot has invalid cache level")
+			return nil, errValidation("engine: snapshot has invalid cache level")
 		}
 		g.Info[i].DataLevel = cache.Level(hdr[2])
 		g.Info[i].ILevel = cache.Level(hdr[3])
@@ -384,7 +428,7 @@ func readSnapshot(ctx context.Context, r io.Reader) (*session, error) {
 		}
 	}
 	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("engine: snapshot has trailing payload bytes")
+		return nil, errValidation("engine: snapshot has trailing payload bytes")
 	}
 
 	return &session{
@@ -397,16 +441,20 @@ func readSnapshot(ctx context.Context, r io.Reader) (*session, error) {
 	}, nil
 }
 
-// readWindowedBody decodes a windowed (kind 1) payload body: run
-// shape plus the folded subset table. br must be positioned after the
-// kind byte and end exactly at the table's last entry.
-func readWindowedBody(br *bytes.Reader, key string, spec SessionSpec, built time.Duration, cycles int64) (*session, error) {
+// readWindowedBody decodes a windowed (kind 1) payload body: the run
+// shape, then the folded subset times — version 2's dense table of all
+// 256 subsets (index == flags), or version 3's (flags, time) entries
+// in strictly increasing flag order. Either way the base entry must be
+// present and equal the simulated cycles. br must be positioned after
+// the kind byte and end exactly at the last entry.
+func readWindowedBody(br *bytes.Reader, version byte, key string, spec SessionSpec, built time.Duration,
+	cycles int64, lanes int, met *metrics) (*session, error) {
 	insts, err := getSnapUv(br, 1<<40)
 	if err != nil {
 		return nil, err
 	}
 	if int64(insts) != int64(spec.TraceLen) {
-		return nil, fmt.Errorf("engine: snapshot folded %d instructions, spec says %d", insts, spec.TraceLen)
+		return nil, errValidation("engine: snapshot folded %d instructions, spec says %d", insts, spec.TraceLen)
 	}
 	windows, err := getSnapUv(br, 1<<40)
 	if err != nil {
@@ -416,32 +464,56 @@ func readWindowedBody(br *bytes.Reader, key string, spec SessionSpec, built time
 	if err != nil {
 		return nil, err
 	}
-	tlen, err := getSnapUv(br, 1<<depgraph.NumFlags)
+	entries, err := getSnapUv(br, 1<<depgraph.NumFlags)
 	if err != nil {
 		return nil, err
 	}
-	if tlen != 1<<depgraph.NumFlags {
-		return nil, fmt.Errorf("engine: snapshot subset table has %d entries, want %d", tlen, 1<<depgraph.NumFlags)
+	if version == snapVersion2 && entries != 1<<depgraph.NumFlags {
+		return nil, errValidation("engine: snapshot subset table has %d entries, want %d", entries, 1<<depgraph.NumFlags)
 	}
-	table := make([]int64, tlen)
-	for i := range table {
-		v, err := getSnapUv(br, 1<<62)
+	known := make(map[depgraph.Flags]int64, entries)
+	var prev uint64
+	for i := uint64(0); i < entries; i++ {
+		f := i
+		if version >= snapVersion3 {
+			if f, err = getSnapUv(br, uint64(depgraph.AllFlags)); err != nil {
+				return nil, err
+			}
+			if i > 0 && f <= prev {
+				return nil, errValidation("engine: snapshot entry flags %d follow %d: not strictly increasing", f, prev)
+			}
+		}
+		t, err := getSnapUv(br, 1<<62)
 		if err != nil {
 			return nil, err
 		}
-		table[i] = int64(v)
+		known[depgraph.Flags(f)] = int64(t)
+		prev = f
 	}
 	// The base lane is the simulated cycle count by the windowed
 	// pipeline's self-check; re-verify so a corrupted-but-CRC-valid
-	// table (or a hand-edited one) cannot answer queries.
-	if table[0] != cycles {
-		return nil, fmt.Errorf("engine: snapshot base lane %d != cycles %d", table[0], cycles)
+	// body (or a hand-edited one) cannot answer queries.
+	base, ok := known[0]
+	if !ok {
+		return nil, errValidation("engine: snapshot has no base entry")
+	}
+	if base != cycles {
+		return nil, errValidation("engine: snapshot base lane %d != cycles %d", base, cycles)
 	}
 	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("engine: snapshot has trailing payload bytes")
+		return nil, errValidation("engine: snapshot has trailing payload bytes")
 	}
-	return newWindowedSession(key, spec, table, &ooo.Result{Cycles: cycles},
-		built, int(insts), int(windows), int64(peakBytes)), nil
+	return newWindowedSession(&session{
+		key:       key,
+		spec:      spec,
+		result:    &ooo.Result{Cycles: cycles},
+		built:     built,
+		insts:     int(insts),
+		windows:   int(windows),
+		peakBytes: int64(peakBytes),
+		lanes:     lanes,
+		met:       met,
+	}, known), nil
 }
 
 // snapCfgFieldPtrs mirrors snapCfgFields for decoding.
@@ -458,7 +530,9 @@ func snapCfgFieldPtrs(c *depgraph.Config) []*int {
 // or building, the restored copy is discarded (the store's version is
 // at least as fresh). Returns whether the session was installed.
 func (e *Engine) installSession(s *session) bool {
-	s.analyzer.SetBatchObserver(e.met.recordBatch)
+	if !s.windowed {
+		s.analyzer.SetBatchObserver(e.met.recordBatch)
+	}
 	e.storeMu.Lock()
 	defer e.storeMu.Unlock()
 	entry, builder := e.store.entry(s.key, time.Now())
@@ -610,7 +684,7 @@ func (e *Engine) loadOne(ctx context.Context, path string) bool {
 		return false
 	}
 	defer f.Close()
-	s, err := readSnapshot(ctx, f)
+	s, err := readSnapshot(ctx, f, e.cfg.Lanes, &e.met)
 	if err != nil {
 		e.met.snapshotLoadErrors.Add(1)
 		return false
@@ -631,10 +705,10 @@ func putSnapUv(w *bufio.Writer, v uint64) {
 func getSnapUv(r io.ByteReader, max uint64) (uint64, error) {
 	v, err := binary.ReadUvarint(r)
 	if err != nil {
-		return 0, fmt.Errorf("engine: reading snapshot varint: %w", err)
+		return 0, errValidation("engine: reading snapshot varint: %v", err)
 	}
 	if v > max {
-		return 0, fmt.Errorf("engine: snapshot field %d exceeds bound %d", v, max)
+		return 0, errValidation("engine: snapshot field %d exceeds bound %d", v, max)
 	}
 	return v, nil
 }
@@ -651,7 +725,7 @@ func getSnapString(r *bytes.Reader) (string, error) {
 	}
 	b := make([]byte, n)
 	if _, err := io.ReadFull(r, b); err != nil {
-		return "", fmt.Errorf("engine: reading snapshot string: %w", err)
+		return "", errValidation("engine: reading snapshot string: %v", err)
 	}
 	return string(b), nil
 }

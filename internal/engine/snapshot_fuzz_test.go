@@ -6,8 +6,10 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"io"
 	"runtime"
 	"testing"
+	"testing/iotest"
 
 	"icost/internal/ooo"
 )
@@ -69,7 +71,7 @@ func TestReadSnapshotBoundsDeclaredLengths(t *testing.T) {
 		raw  []byte
 	}{{"payload length", hugeLen}, {"instruction count", hugeGraph}} {
 		var err error
-		alloc := allocBytes(func() { _, err = readSnapshot(context.Background(), bytes.NewReader(tc.raw)) })
+		alloc := allocBytes(func() { _, err = readSnapshot(context.Background(), bytes.NewReader(tc.raw), 0, nil) })
 		var verr *ValidationError
 		if !errors.As(err, &verr) {
 			t.Fatalf("%s (%d bytes): err %v, want a *ValidationError", tc.name, len(tc.raw), err)
@@ -77,6 +79,20 @@ func TestReadSnapshotBoundsDeclaredLengths(t *testing.T) {
 		if alloc >= 1<<20 {
 			t.Fatalf("%s (%d bytes): decoder allocated %d bytes", tc.name, len(tc.raw), alloc)
 		}
+	}
+}
+
+// TestReadSnapshotReaderFailure: a reader that fails partway through
+// a frame reports its own error, not a *ValidationError — a dropped
+// connection is not malformed bytes.
+func TestReadSnapshotReaderFailure(t *testing.T) {
+	hugeLen, _ := craftedSnapshots()
+	errDrop := errors.New("connection dropped")
+	r := io.MultiReader(bytes.NewReader(hugeLen[:7]), iotest.ErrReader(errDrop))
+	_, err := readSnapshot(context.Background(), r, 0, nil)
+	var verr *ValidationError
+	if !errors.Is(err, errDrop) || errors.As(err, &verr) {
+		t.Fatalf("got %v, want the reader's own error", err)
 	}
 }
 
@@ -88,12 +104,13 @@ func snapPayload(frame []byte) []byte {
 }
 
 // FuzzReadSnapshot fuzzes the ICSS decoder behind POST /restore: for
-// any input it must return a session or an error without panicking,
-// and allocate no more than snapAllocPerByte bytes per input byte plus
-// snapAllocConst, whatever lengths the bytes declare. Each input is
-// decoded twice: as a whole frame, and as a payload framed with its
-// true checksum, so mutations reach the body decoder instead of
-// stopping at the CRC.
+// any input it must return a session or one of the three typed decode
+// errors (*ValidationError, *SnapshotVersionError,
+// *SnapshotChecksumError) without panicking, and allocate no more than
+// snapAllocPerByte bytes per input byte plus snapAllocConst, whatever
+// lengths the bytes declare. Each input is decoded twice: as a whole
+// frame, and as a payload framed with its true checksum, so mutations
+// reach the body decoder instead of stopping at the CRC.
 func FuzzReadSnapshot(f *testing.F) {
 	ctx := context.Background()
 	e := New(Config{Workers: 1})
@@ -112,6 +129,11 @@ func FuzzReadSnapshot(f *testing.F) {
 		}
 		f.Add(snap.Bytes())
 		f.Add(snapPayload(snap.Bytes()))
+		if spec.WindowInsts > 0 {
+			v2 := denseV2Frame(e.sessionByKey(key), denseTable(f, spec))
+			f.Add(v2)
+			f.Add(snapPayload(v2))
+		}
 	}
 	hugeLen, hugeGraph := craftedSnapshots()
 	f.Add(hugeLen)
@@ -123,9 +145,16 @@ func FuzzReadSnapshot(f *testing.F) {
 			t.Fatal(err)
 		}
 		for _, in := range [][]byte{data, framed.Bytes()} {
-			alloc := allocBytes(func() { _, _ = readSnapshot(ctx, bytes.NewReader(in)) })
+			var err error
+			alloc := allocBytes(func() { _, err = readSnapshot(ctx, bytes.NewReader(in), 0, nil) })
 			if limit := snapAllocPerByte*uint64(len(in)) + snapAllocConst; alloc > limit {
 				t.Fatalf("decoding %d bytes allocated %d, limit %d", len(in), alloc, limit)
+			}
+			var bad *ValidationError
+			var ver *SnapshotVersionError
+			var crc *SnapshotChecksumError
+			if err != nil && !errors.As(err, &bad) && !errors.As(err, &ver) && !errors.As(err, &crc) {
+				t.Fatalf("decoding %d bytes: untyped error %T: %v", len(in), err, err)
 			}
 		}
 	})

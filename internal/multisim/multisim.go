@@ -95,5 +95,5 @@ func NewWorkers(tr *trace.Trace, cfg ooo.Config, warmup, workers int) (*cost.Ana
 		}
 		return out, nil
 	}
-	return cost.NewFromBatchFunc(eval, evalBatch), nil
+	return cost.NewFromBatchFunc(evalBatch, nil), nil
 }
