@@ -120,15 +120,26 @@ func TestNaiveChargesLatencies(t *testing.T) {
 	}
 }
 
+// constEval is a non-graph backend that times every idealization at t.
+func constEval(t int64) cost.Eval {
+	return func(ctx context.Context, ids []depgraph.Ideal) ([]int64, error) {
+		out := make([]int64, len(ids))
+		for i := range out {
+			out[i] = t
+		}
+		return out, nil
+	}
+}
+
 func TestNaiveRequiresGraph(t *testing.T) {
-	a := cost.NewFromFunc(func(depgraph.Flags) int64 { return 100 })
+	a := cost.NewFromEval(constEval(100), nil)
 	if _, err := ComputeNaive(a, BaseCategories(), "x"); err == nil {
-		t.Fatal("naive accepted function-backed analyzer")
+		t.Fatal("naive accepted a non-graph analyzer")
 	}
 }
 
 func TestMatrixEmptyExecution(t *testing.T) {
-	a := cost.NewFromFunc(func(depgraph.Flags) int64 { return 0 })
+	a := cost.NewFromEval(constEval(0), nil)
 	if _, err := ComputeMatrix(a, BaseCategories(), "x"); err == nil {
 		t.Fatal("matrix accepted empty execution")
 	}

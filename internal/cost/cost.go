@@ -32,7 +32,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"maps"
 	"math/bits"
 	"sync"
 
@@ -40,131 +39,130 @@ import (
 	"icost/internal/isa"
 )
 
-// Analyzer computes costs over one microexecution, memoizing
-// whole-category queries (the working set of a breakdown is the
-// power set of eight flags, so memoization turns the 2^n cost
-// queries of a full accounting into at most 256 evaluations).
-// Concurrent misses for the same flags are single-flighted: one
-// goroutine evaluates, the rest wait on its result. Power-set
-// workloads (ICostCtx, breakdowns, matrices) collect their uncached
-// terms and evaluate them through the graph's batched multi-lane
-// walk instead of one scalar walk per term.
+// Eval is the one signature every execution-time backend implements:
+// it returns t(S) for each idealization in ids, in order. The graph
+// walk (New), a windowed session's re-fold of its stream and idealized
+// re-simulation (package multisim) all plug in through it, so every
+// query below — and every later cross-check between backends — asks
+// each of them the same question. A backend that cannot express one of
+// the idealizations fails the whole call with an error.
+type Eval func(ctx context.Context, ids []depgraph.Ideal) ([]int64, error)
+
+// Analyzer computes costs over one microexecution through one memo of
+// execution times, keyed by canonical idealization (memoKey). Every
+// query — a whole-category time, a power-set prewarm, the Möbius terms
+// of an icost, a sensitivity grid, an arbitrary event set — reads
+// through it under one lock and sends its misses to the backend in one
+// call, so a breakdown's 2^n cost queries cost at most 256
+// evaluations, a repeated query is pure memo arithmetic, and a backend
+// with a per-call cost (a windowed re-fold) or internal parallelism
+// (the multi-lane graph walk, multisim's worker pool) pays once per
+// batch. Concurrent misses of one idealization are single-flighted:
+// one goroutine evaluates, the rest wait on its result.
 //
-// The evaluation backend is pluggable: New evaluates idealizations on
-// a dependence graph (the paper's efficient method); NewFromBatchFunc
-// takes any batch evaluator — package multisim re-runs idealized
-// simulations (the paper's expensive baseline), the engine re-folds a
-// windowed stream — and NewFromFunc a scalar one. Everything
-// downstream — icosts, breakdowns, experiments — is agnostic to the
-// backend; batching degrades to sequential evaluation on a scalar
-// function backend.
+// Everything downstream — icosts, breakdowns, sensitivity curves,
+// experiments — is agnostic to the backend. The event-set methods
+// (CostSet, ICostSets) key per-instruction sets by the graph's length,
+// so they need a graph-backed analyzer.
 type Analyzer struct {
-	g    *depgraph.Graph // nil for function-backed analyzers
-	eval func(context.Context, depgraph.Flags) (int64, error)
-	// evalBatch evaluates many flag sets in one call; PrewarmCtx
-	// routes through it when set. Graph-backed analyzers use the
-	// multi-lane graph walk; NewFromBatchFunc supplies the caller's
-	// (multisim's worker pool, the engine's windowed re-fold).
-	evalBatch func(context.Context, []depgraph.Flags) ([]int64, error)
+	g    *depgraph.Graph // nil for non-graph backends
+	eval Eval
 
 	mu      sync.Mutex
-	memo    map[depgraph.Flags]int64
-	flight  map[depgraph.Flags]*evalFlight
-	setMemo map[[sha256.Size]byte]int64
-	// scaledMemo memoizes global parametric idealizations by flags
-	// plus canonical scale vector — the α-aware sibling of memo.
-	// Misses are batch-evaluated (SensitivityCtx) or evaluated inline
-	// (execTimeSet); concurrent misses may duplicate a walk but always
-	// store identical values, so no flight tracking is needed.
-	scaledMemo map[scaledKey]int64
-	onBatch    func(lanes int)
+	memo    map[memoKey]int64
+	flight  map[memoKey]*evalFlight
+	onBatch func(lanes int)
 }
 
-// scaledKey is the memo identity of a global parametric idealization:
-// the selected categories plus the canonical scale vector (entries of
-// unselected categories zeroed, values clamped), so two idealizations
-// differing only in scale never collide and two differing only on
-// ignored entries always coincide.
-type scaledKey struct {
-	f depgraph.Flags
-	s depgraph.ScaleVec
+// memoKey is the canonical identity of an idealization. A
+// whole-category one is its flags and scale vector with the entries of
+// unselected categories zeroed and every category at α=1 dropped — each
+// kernel treats it as unselected — so idealizations differing only in
+// ignored entries share one entry, and a binary one (scale all zero) is
+// its flags alone. A per-instruction one is the digest of its effective
+// vector (setKey), with flags and scale zero.
+type memoKey struct {
+	f   depgraph.Flags
+	s   depgraph.ScaleVec
+	set [sha256.Size]byte
+}
+
+// globalKey is the canonical key of a whole-category idealization.
+func globalKey(f depgraph.Flags, s depgraph.ScaleVec) memoKey {
+	s = depgraph.CanonScale(f, s)
+	for b, al := range s {
+		if al == depgraph.AlphaOne {
+			f &^= 1 << b
+			s[b] = 0
+		}
+	}
+	return memoKey{f: f, s: s}
+}
+
+// keyOf returns the canonical key of id.
+func (a *Analyzer) keyOf(id depgraph.Ideal) memoKey {
+	if id.PerInst == nil {
+		return globalKey(id.Global, id.Scale)
+	}
+	return memoKey{set: a.setKey(id)}
 }
 
 // evalFlight is one in-progress evaluation shared by every goroutine
-// that missed the memo for the same flags.
+// that missed the memo for the same key.
 type evalFlight struct {
 	done chan struct{}
 	t    int64
 	err  error
 }
 
-// New builds a graph-backed analyzer. The base (unidealized) time is
-// evaluated lazily — flags 0 is an ordinary memo entry, so when the
-// first query is a power-set prewarm the base rides the same batched
-// walk as the other subset unions instead of costing a scalar walk
-// up front.
+// New builds a graph-backed analyzer. A batch of misses runs as one
+// multi-lane walk (EvalBatch); a single miss runs the scalar walk,
+// which a one-lane batch would only pad to the full lane width. The
+// base time is an ordinary memo entry evaluated lazily, so when the
+// first query is a power-set prewarm the base rides the same walk as
+// the other subset unions.
 func New(g *depgraph.Graph) *Analyzer {
-	a := newAnalyzer(g, func(ctx context.Context, f depgraph.Flags) (int64, error) {
-		return g.ExecTimeCtx(ctx, depgraph.Ideal{Global: f})
-	})
-	a.evalBatch = func(ctx context.Context, flags []depgraph.Flags) ([]int64, error) {
-		ids := make([]depgraph.Ideal, len(flags))
-		for i, f := range flags {
-			ids[i] = depgraph.Ideal{Global: f}
+	a := NewFromEval(nil, nil)
+	a.g = g
+	a.eval = func(ctx context.Context, ids []depgraph.Ideal) ([]int64, error) {
+		if len(ids) == 1 {
+			t, err := g.ExecTimeCtx(ctx, ids[0])
+			if err != nil {
+				return nil, err
+			}
+			return []int64{t}, nil
 		}
-		return g.EvalBatch(ctx, ids)
+		times, err := g.EvalBatch(ctx, ids)
+		a.mu.Lock()
+		onBatch := a.onBatch
+		a.mu.Unlock()
+		if onBatch != nil {
+			onBatch(len(ids))
+		}
+		return times, err
 	}
 	return a
 }
 
-// NewFromFunc builds an analyzer whose execution times come from
-// eval — e.g. idealized re-simulation. Event-set methods that need a
-// graph (CostSet, ICostSets) panic on such an analyzer. Cancellation
-// is checked between evaluations but cannot interrupt eval itself.
-func NewFromFunc(eval func(depgraph.Flags) int64) *Analyzer {
-	return newAnalyzer(nil, func(ctx context.Context, f depgraph.Flags) (int64, error) {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		return eval(f), nil
-	})
-}
-
-// NewFromBatchFunc builds an analyzer whose execution times come from
-// evalBatch, which must return one time per flag set, in order. Every
-// memo miss goes through it: PrewarmCtx hands it all missing flag sets
-// in one call, so a backend with a per-call cost (a windowed re-fold)
-// or internal parallelism (multisim's re-simulation worker pool) pays
-// once per batch, and a scalar miss is a batch of one. known seeds the
-// flags memo with times already evaluated (nil for none); those are
-// never re-evaluated. Event-set methods that need a graph (CostSet,
-// ICostSets) panic on such an analyzer.
-func NewFromBatchFunc(evalBatch func(context.Context, []depgraph.Flags) ([]int64, error),
-	known map[depgraph.Flags]int64) *Analyzer {
-	a := newAnalyzer(nil, func(ctx context.Context, f depgraph.Flags) (int64, error) {
-		times, err := evalBatch(ctx, []depgraph.Flags{f})
-		if err != nil {
-			return 0, err
-		}
-		return times[0], nil
-	})
-	a.evalBatch = evalBatch
-	maps.Copy(a.memo, known)
-	return a
-}
-
-func newAnalyzer(g *depgraph.Graph, eval func(context.Context, depgraph.Flags) (int64, error)) *Analyzer {
-	return &Analyzer{
-		g: g, eval: eval,
-		memo:       map[depgraph.Flags]int64{},
-		flight:     map[depgraph.Flags]*evalFlight{},
-		setMemo:    map[[sha256.Size]byte]int64{},
-		scaledMemo: map[scaledKey]int64{},
+// NewFromEval builds an analyzer over any backend — multisim's
+// re-simulation, the engine's windowed re-fold. known seeds the memo
+// with whole-category times already evaluated (nil for none); those
+// are never re-evaluated. Event-set methods that need a graph
+// (CostSet, ICostSets) panic on such an analyzer.
+func NewFromEval(eval Eval, known map[depgraph.Flags]int64) *Analyzer {
+	a := &Analyzer{
+		eval:   eval,
+		memo:   make(map[memoKey]int64, len(known)),
+		flight: map[memoKey]*evalFlight{},
 	}
+	for f, t := range known {
+		a.memo[memoKey{f: f}] = t
+	}
+	return a
 }
 
 // SetBatchObserver installs a hook invoked with the lane count of
-// every batched graph evaluation the analyzer issues — the engine
+// every batched graph walk a graph-backed analyzer runs — the engine
 // uses it to export a batch-size distribution. Install it before the
 // analyzer is shared between goroutines.
 func (a *Analyzer) SetBatchObserver(fn func(lanes int)) {
@@ -173,16 +171,129 @@ func (a *Analyzer) SetBatchObserver(fn func(lanes int)) {
 	a.mu.Unlock()
 }
 
-// Graph returns the underlying graph, or nil for a function-backed
-// analyzer.
+// Graph returns the underlying graph, or nil for a non-graph backend.
 func (a *Analyzer) Graph() *depgraph.Graph { return a.g }
 
-// Known returns a copy of the flags memo: every whole-category
-// execution time evaluated or seeded so far, keyed by flags.
+// Known returns the binary entries of the memo: every whole-category
+// execution time evaluated or seeded so far, keyed by flags. Scaled
+// and per-instruction entries are left out.
 func (a *Analyzer) Known() map[depgraph.Flags]int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return maps.Clone(a.memo)
+	out := make(map[depgraph.Flags]int64, len(a.memo))
+	for k, t := range a.memo {
+		if k.s.IsZero() && k.set == ([sha256.Size]byte{}) {
+			out[k.f] = t
+		}
+	}
+	return out
+}
+
+// resolve reads n execution times through the memo. key(i) is the
+// i-th idealization's canonical key; set(i) supplies the idealization
+// behind a per-instruction key, which cannot be inverted (nil when the
+// call has none); put(i, t) receives each time (nil to only fill the
+// memo). Under one lock resolve takes every hit and claims a flight
+// for every miss no one else is evaluating, so a call that hits
+// throughout locks once and allocates nothing; put runs under that
+// lock for hits and must not call back into the analyzer. The claimed
+// misses go to the backend in one call. A key in flight elsewhere, or
+// listed twice, waits on its flight; if that flight's leader failed
+// (typically its own cancellation), the waiter retries with its own
+// ctx. Only successful evaluations are memoized, so a cancelled query
+// never poisons the memo.
+func (a *Analyzer) resolve(ctx context.Context, n int, key func(int) memoKey,
+	set func(int) depgraph.Ideal, put func(int, int64)) error {
+	var retry []int // indices whose leader failed; nil: every index
+	for {
+		todo := n
+		if retry != nil {
+			todo = len(retry)
+		}
+		var lead, wait []int
+		var leadFl, waitFl []*evalFlight
+		a.mu.Lock()
+		for j := 0; j < todo; j++ {
+			i := j
+			if retry != nil {
+				i = retry[j]
+			}
+			k := key(i)
+			if t, ok := a.memo[k]; ok {
+				if put != nil {
+					put(i, t)
+				}
+				continue
+			}
+			if fl, ok := a.flight[k]; ok {
+				wait, waitFl = append(wait, i), append(waitFl, fl)
+				continue
+			}
+			fl := &evalFlight{done: make(chan struct{})}
+			a.flight[k] = fl
+			lead, leadFl = append(lead, i), append(leadFl, fl)
+		}
+		a.mu.Unlock()
+
+		if len(lead) > 0 {
+			ids := make([]depgraph.Ideal, len(lead))
+			for j, i := range lead {
+				if k := key(i); k.set == ([sha256.Size]byte{}) {
+					ids[j] = depgraph.Ideal{Global: k.f, Scale: k.s}
+				} else {
+					ids[j] = set(i)
+				}
+			}
+			times, err := a.eval(ctx, ids)
+			if err == nil && len(times) != len(ids) {
+				err = fmt.Errorf("cost: backend returned %d times for %d idealizations", len(times), len(ids))
+			}
+			a.mu.Lock()
+			for j, i := range lead {
+				k := key(i)
+				delete(a.flight, k)
+				if err == nil {
+					a.memo[k] = times[j]
+				}
+			}
+			a.mu.Unlock()
+			for j, fl := range leadFl {
+				if err == nil {
+					fl.t = times[j]
+					if put != nil {
+						put(lead[j], fl.t)
+					}
+				}
+				fl.err = err
+				close(fl.done)
+			}
+			if err != nil {
+				return err
+			}
+		}
+		retry = nil
+		for j, i := range wait {
+			fl := waitFl[j]
+			select {
+			case <-fl.done:
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+			if fl.err == nil {
+				if put != nil {
+					put(i, fl.t)
+				}
+				continue
+			}
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			retry = append(retry, i)
+		}
+		if retry == nil {
+			return nil
+		}
+	}
 }
 
 // BaseTime returns the unidealized execution time in cycles
@@ -199,123 +310,29 @@ func (a *Analyzer) ExecTime(f depgraph.Flags) int64 {
 }
 
 // ExecTimeCtx is ExecTime with cancellation: a graph-backed
-// evaluation aborts mid-walk when ctx is done. Only successful
-// evaluations are memoized, so a cancelled query never poisons the
-// cache for later callers. Concurrent misses for the same flags are
-// single-flighted: one goroutine runs the evaluation, the others
-// wait on it (a waiter whose own ctx expires first returns its
-// ctx.Err(); if the leader fails, each live waiter retries).
+// evaluation aborts mid-walk when ctx is done. A miss is a batch of
+// one, single-flighted with every concurrent miss of the same flags.
+// A hit — the hottest read, behind every BaseTime — is one locked map
+// read, without resolve's per-key calls (they double its cost).
 func (a *Analyzer) ExecTimeCtx(ctx context.Context, f depgraph.Flags) (int64, error) {
-	for {
-		a.mu.Lock()
-		if t, ok := a.memo[f]; ok {
-			a.mu.Unlock()
-			return t, nil
-		}
-		if fl, ok := a.flight[f]; ok {
-			a.mu.Unlock()
-			select {
-			case <-fl.done:
-			case <-ctx.Done():
-				return 0, ctx.Err()
-			}
-			if fl.err == nil {
-				return fl.t, nil
-			}
-			// The leader failed — typically its own cancellation.
-			// Retry with our ctx rather than inheriting the error.
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-			continue
-		}
-		fl := &evalFlight{done: make(chan struct{})}
-		a.flight[f] = fl
-		a.mu.Unlock()
-
-		t, err := a.eval(ctx, f)
-		a.mu.Lock()
-		delete(a.flight, f)
-		if err == nil {
-			a.memo[f] = t
-		}
-		a.mu.Unlock()
-		fl.t, fl.err = t, err
-		close(fl.done)
-		return t, err
+	a.mu.Lock()
+	t, ok := a.memo[memoKey{f: f}]
+	a.mu.Unlock()
+	if ok {
+		return t, nil
 	}
+	err := a.resolve(ctx, 1, func(int) memoKey { return memoKey{f: f} }, nil,
+		func(_ int, v int64) { t = v })
+	return t, err
 }
 
 // PrewarmCtx memoizes every listed mask, evaluating the not-yet-known
-// ones in one batched multi-lane graph walk (2-8x fewer passes over
-// the graph metadata than mask-by-mask scalar walks). Duplicates are
-// collapsed; masks already memoized or in flight elsewhere are not
-// re-evaluated. On a function-backed analyzer without a batch
-// evaluator it degrades to sequential evaluation.
+// ones in one backend call — on a graph, one batched multi-lane walk
+// (2-8x fewer passes over the graph metadata than mask-by-mask scalar
+// walks). Duplicates are collapsed; masks already memoized or in
+// flight elsewhere are not re-evaluated.
 func (a *Analyzer) PrewarmCtx(ctx context.Context, masks []depgraph.Flags) error {
-	if a.evalBatch == nil {
-		for _, f := range masks {
-			if _, err := a.ExecTimeCtx(ctx, f); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	a.mu.Lock()
-	onBatch := a.onBatch
-	seen := make(map[depgraph.Flags]bool, len(masks))
-	var lead []depgraph.Flags // masks this call evaluates
-	var flights []*evalFlight // their flight entries, same order
-	var wait []depgraph.Flags // masks some other goroutine is evaluating
-	for _, f := range masks {
-		if seen[f] {
-			continue
-		}
-		seen[f] = true
-		if _, ok := a.memo[f]; ok {
-			continue
-		}
-		if _, ok := a.flight[f]; ok {
-			wait = append(wait, f)
-			continue
-		}
-		fl := &evalFlight{done: make(chan struct{})}
-		a.flight[f] = fl
-		lead = append(lead, f)
-		flights = append(flights, fl)
-	}
-	a.mu.Unlock()
-
-	if len(lead) > 0 {
-		times, err := a.evalBatch(ctx, lead)
-		if onBatch != nil {
-			onBatch(len(lead))
-		}
-		a.mu.Lock()
-		for i, f := range lead {
-			delete(a.flight, f)
-			if err == nil {
-				a.memo[f] = times[i]
-			}
-		}
-		a.mu.Unlock()
-		for i, fl := range flights {
-			if err == nil {
-				fl.t = times[i]
-			}
-			fl.err = err
-			close(fl.done)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	for _, f := range wait {
-		if _, err := a.ExecTimeCtx(ctx, f); err != nil {
-			return err
-		}
-	}
-	return nil
+	return a.resolve(ctx, len(masks), func(i int) memoKey { return memoKey{f: masks[i]} }, nil, nil)
 }
 
 // Cost returns cost(f) = t - t(f) for a union of whole categories.
@@ -323,7 +340,9 @@ func (a *Analyzer) Cost(f depgraph.Flags) int64 {
 	return a.BaseTime() - a.ExecTime(f)
 }
 
-// CostCtx is Cost with cancellation.
+// CostCtx is Cost with cancellation. The base and t(f) are two reads,
+// so on a cold graph each miss is a scalar walk rather than a padded
+// two-lane batch.
 func (a *Analyzer) CostCtx(ctx context.Context, f depgraph.Flags) (int64, error) {
 	base, err := a.ExecTimeCtx(ctx, 0)
 	if err != nil {
@@ -346,10 +365,22 @@ func (a *Analyzer) ICost(sets ...depgraph.Flags) (int64, error) {
 	return a.ICostCtx(context.Background(), sets...)
 }
 
+// mobius adds subset m's term of a k-set Möbius sum, given t(m), to
+// *total. Over all subsets the signs (-1)^{k-|m|} sum to zero for
+// k >= 1, so the base time cancels out of Σ ±(t - t(m)) and the sum
+// is -Σ (-1)^{k-|m|} t(m), with t(∅) = t among the terms.
+func mobius(total *int64, k, m int, t int64) {
+	if (k-bits.OnesCount(uint(m)))%2 == 1 {
+		*total += t
+	} else {
+		*total -= t
+	}
+}
+
 // ICostCtx is ICost with cancellation; the 2^k cost evaluations abort
-// as soon as ctx is done. All uncached subset unions of the Möbius
-// sum are collected first and evaluated in one batched graph walk,
-// then the sum is assembled from the memo.
+// as soon as ctx is done. Every subset union of the Möbius sum, the
+// base included, is read through the memo in one call, its misses
+// evaluated in one backend call.
 func (a *Analyzer) ICostCtx(ctx context.Context, sets ...depgraph.Flags) (int64, error) {
 	k := len(sets)
 	if k == 0 {
@@ -365,30 +396,18 @@ func (a *Analyzer) ICostCtx(ctx context.Context, sets ...depgraph.Flags) (int64,
 		}
 		seen |= s
 	}
-	unions := make([]depgraph.Flags, 1<<k)
-	for m := 1; m < 1<<k; m++ {
+	var total int64
+	err := a.resolve(ctx, 1<<k, func(m int) memoKey {
 		var union depgraph.Flags
-		for j := 0; j < k; j++ {
+		for j, s := range sets {
 			if m&(1<<j) != 0 {
-				union |= sets[j]
+				union |= s
 			}
 		}
-		unions[m] = union
-	}
-	if err := a.PrewarmCtx(ctx, unions); err != nil {
+		return memoKey{f: union}
+	}, nil, func(m int, t int64) { mobius(&total, k, m, t) })
+	if err != nil {
 		return 0, err
-	}
-	// Möbius sum over subsets of {1..k}; every term is a memo hit.
-	var total int64
-	for m := 0; m < 1<<k; m++ {
-		term, err := a.CostCtx(ctx, unions[m])
-		if err != nil {
-			return 0, err
-		}
-		if (k-bits.OnesCount(uint(m)))%2 == 1 {
-			term = -term
-		}
-		total += term
 	}
 	return total, nil
 }
@@ -426,59 +445,23 @@ func (a *Analyzer) setKey(id depgraph.Ideal) [sha256.Size]byte {
 	return sha256.Sum256(buf)
 }
 
-// execTimeSet returns the memoized execution time of an arbitrary
-// event set. Global binary sets share the whole-category memo, global
-// parametric sets the scaled memo; per-instruction sets are memoized
-// by their effective-vector hash (which covers the scale).
-func (a *Analyzer) execTimeSet(id depgraph.Ideal) int64 {
-	if id.PerInst == nil {
-		canon := depgraph.CanonScale(id.Global, id.Scale)
-		if canon.IsZero() {
-			return a.ExecTime(id.Global)
-		}
-		key := scaledKey{f: id.Global, s: canon}
-		a.mu.Lock()
-		t, ok := a.scaledMemo[key]
-		a.mu.Unlock()
-		if ok {
-			return t
-		}
-		t = a.g.ExecTime(depgraph.Ideal{Global: id.Global, Scale: canon})
-		a.mu.Lock()
-		a.scaledMemo[key] = t
-		a.mu.Unlock()
-		return t
-	}
-	key := a.setKey(id)
-	a.mu.Lock()
-	t, ok := a.setMemo[key]
-	a.mu.Unlock()
-	if ok {
-		return t
-	}
-	t = a.g.ExecTime(id)
-	a.mu.Lock()
-	a.setMemo[key] = t
-	a.mu.Unlock()
-	return t
-}
-
 // CostSet returns the cost of an arbitrary event set expressed as an
-// idealization (possibly per-instruction), memoized by the set's
-// effective flag vector. Panics on a function-backed analyzer, which
-// has no graph to evaluate.
+// idealization (possibly per-instruction, possibly scaled) — the
+// one-set case of ICostSets. Panics on a non-graph analyzer.
 func (a *Analyzer) CostSet(id depgraph.Ideal) int64 {
-	if a.g == nil {
-		panic("cost: CostSet requires a graph-backed analyzer")
-	}
-	return a.BaseTime() - a.execTimeSet(id)
+	return a.ICostSets(id)
 }
 
 // ICostSets returns the interaction cost of arbitrary event sets.
 // The union of sets is the OR of their masks. The 2^k subset unions
-// are built up front, the uncached ones evaluated in one batched
-// graph walk, and every term memoized by its effective-vector hash;
-// intended for small k (pairs and triples).
+// are built up front and read through the memo in one call — global
+// unions by their canonical flags and scale, per-instruction ones by
+// their effective-vector digest — with the misses evaluated in one
+// batched graph walk; intended for small k (pairs and triples).
+// Infallible by contract, and graph-only: panics on a non-graph
+// analyzer, which cannot key per-instruction sets.
+//
+//lint:ignore ctxflow infallible by contract: a background ctx cannot cancel, so a failure panics
 func (a *Analyzer) ICostSets(sets ...depgraph.Ideal) int64 {
 	if a.g == nil {
 		panic("cost: ICostSets requires a graph-backed analyzer")
@@ -489,7 +472,8 @@ func (a *Analyzer) ICostSets(sets ...depgraph.Ideal) int64 {
 	}
 	n := a.g.Len()
 	unions := make([]depgraph.Ideal, 1<<k)
-	for m := 1; m < 1<<k; m++ {
+	keys := make([]memoKey, 1<<k)
+	for m := range unions {
 		var id depgraph.Ideal
 		for j := 0; j < k; j++ {
 			if m&(1<<j) == 0 {
@@ -515,71 +499,16 @@ func (a *Analyzer) ICostSets(sets ...depgraph.Ideal) int64 {
 				}
 			}
 		}
-		unions[m] = id
+		unions[m], keys[m] = id, a.keyOf(id)
 	}
-	a.prewarmSets(unions)
-	base := a.BaseTime()
 	var total int64
-	for m := 0; m < 1<<k; m++ {
-		term := base - a.execTimeSet(unions[m])
-		if (k-bits.OnesCount(uint(m)))%2 == 1 {
-			term = -term
-		}
-		total += term
+	err := a.resolve(context.Background(), len(keys), func(m int) memoKey { return keys[m] },
+		func(m int) depgraph.Ideal { return unions[m] },
+		func(m int, t int64) { mobius(&total, k, m, t) })
+	if err != nil {
+		panic("cost: uncancellable batch failed: " + err.Error())
 	}
 	return total
-}
-
-// prewarmSets batch-evaluates the per-instruction unions whose
-// effective-vector hash is not yet memoized (global-only unions ride
-// the whole-category memo via PrewarmCtx instead).
-func (a *Analyzer) prewarmSets(unions []depgraph.Ideal) {
-	var globals []depgraph.Flags
-	var miss []depgraph.Ideal
-	var keys [][sha256.Size]byte
-	seen := make(map[[sha256.Size]byte]bool, len(unions))
-	a.mu.Lock()
-	onBatch := a.onBatch
-	for _, id := range unions {
-		if id.PerInst == nil {
-			globals = append(globals, id.Global)
-			continue
-		}
-		key := a.setKey(id)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		if _, ok := a.setMemo[key]; ok {
-			continue
-		}
-		miss = append(miss, id)
-		keys = append(keys, key)
-	}
-	a.mu.Unlock()
-	if len(miss) > 0 {
-		// Background context: ICostSets is infallible by contract, and
-		// an uncancellable batch cannot fail.
-		//lint:ignore ctxflow uncancellable-by-contract batch; a failure panics below
-		times, err := a.g.EvalBatch(context.Background(), miss)
-		if err != nil {
-			panic("cost: uncancellable batch failed: " + err.Error())
-		}
-		if onBatch != nil {
-			onBatch(len(miss))
-		}
-		a.mu.Lock()
-		for i, key := range keys {
-			a.setMemo[key] = times[i]
-		}
-		a.mu.Unlock()
-	}
-	if len(globals) > 0 {
-		//lint:ignore ctxflow uncancellable-by-contract prewarm; a failure panics below
-		if err := a.PrewarmCtx(context.Background(), globals); err != nil {
-			panic("cost: uncancellable batch failed: " + err.Error())
-		}
-	}
 }
 
 // Interaction classifies an icost value per Section 2.2.

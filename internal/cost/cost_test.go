@@ -360,19 +360,35 @@ func TestAnalyzerConcurrentUse(t *testing.T) {
 	wg.Wait()
 }
 
+// flagEval is a non-graph backend that times every global
+// idealization by fn of its flags, counting the idealizations it is
+// asked for.
+func flagEval(calls *atomic.Int64, fn func(depgraph.Flags) int64) Eval {
+	return func(ctx context.Context, ids []depgraph.Ideal) ([]int64, error) {
+		out := make([]int64, len(ids))
+		for i, id := range ids {
+			if calls != nil {
+				calls.Add(1)
+			}
+			out[i] = fn(id.Global)
+		}
+		return out, nil
+	}
+}
+
 // TestSingleFlight: concurrent memo misses for the same flags must
 // share one evaluation — the leader runs eval, everyone else waits on
 // its flight and returns the same value.
 func TestSingleFlight(t *testing.T) {
 	var calls atomic.Int64
 	release := make(chan struct{})
-	a := NewFromFunc(func(f depgraph.Flags) int64 {
+	a := NewFromEval(flagEval(nil, func(f depgraph.Flags) int64 {
 		if f == depgraph.IdealDMiss {
 			calls.Add(1)
 			<-release // hold the leader so waiters pile onto the flight
 		}
 		return int64(f) * 10
-	})
+	}), nil)
 	const G = 8
 	var wg sync.WaitGroup
 	results := make([]int64, G)
@@ -443,10 +459,7 @@ func TestICostSetsMatchesBruteForce(t *testing.T) {
 // memoized masks issues no further evaluations.
 func TestPrewarmDedup(t *testing.T) {
 	var calls atomic.Int64
-	a := NewFromFunc(func(f depgraph.Flags) int64 {
-		calls.Add(1)
-		return 1000 - int64(f)
-	})
+	a := NewFromEval(flagEval(&calls, func(f depgraph.Flags) int64 { return 1000 - int64(f) }), nil)
 	masks := []depgraph.Flags{
 		depgraph.IdealDL1, depgraph.IdealDMiss,
 		depgraph.IdealDL1, depgraph.IdealDL1 | depgraph.IdealDMiss,
@@ -465,17 +478,21 @@ func TestPrewarmDedup(t *testing.T) {
 	}
 }
 
-// TestBatchFuncSeedsAndBatchesMisses: a batch-backed analyzer answers
+// TestBatchFuncSeedsAndBatchesMisses: a non-graph analyzer answers
 // its seeded entries without evaluating them, sends a prewarm's misses
-// to the evaluator in one call and a scalar miss as a batch of one,
+// to the backend in one call and a scalar miss as a batch of one,
 // memoizes nothing from a failed batch, and reports every entry it
 // holds through Known.
 func TestBatchFuncSeedsAndBatchesMisses(t *testing.T) {
 	var batches [][]depgraph.Flags
 	errFail := errors.New("batch failed")
 	fail := false
-	a := NewFromBatchFunc(func(ctx context.Context, flags []depgraph.Flags) ([]int64, error) {
-		batches = append(batches, append([]depgraph.Flags(nil), flags...))
+	a := NewFromEval(func(ctx context.Context, ids []depgraph.Ideal) ([]int64, error) {
+		flags := make([]depgraph.Flags, len(ids))
+		for i, id := range ids {
+			flags[i] = id.Global
+		}
+		batches = append(batches, flags)
 		if fail {
 			return nil, errFail
 		}
@@ -517,5 +534,111 @@ func TestBatchFuncSeedsAndBatchesMisses(t *testing.T) {
 	known[depgraph.IdealBW] = 1
 	if _, ok := a.Known()[depgraph.IdealBW]; ok {
 		t.Fatal("Known returned the memo itself, not a copy")
+	}
+}
+
+// TestICostSetsScaledThroughBatch: α-scaled global event sets read
+// through the one memo in one batch — no binary flags are evaluated on
+// the side, so the memo's binary entries hold only the base — and the
+// value is the brute-force Möbius sum over direct graph walks.
+func TestICostSetsScaledThroughBatch(t *testing.T) {
+	g := benchGraph(t, "gzip", 2500)
+	a := New(g)
+	half := depgraph.AlphaOf(0.5)
+	sets := []depgraph.Ideal{
+		{Global: depgraph.IdealDL1, Scale: depgraph.ScaleUniform(depgraph.IdealDL1, half)},
+		{Global: depgraph.IdealDMiss, Scale: depgraph.ScaleUniform(depgraph.IdealDMiss, half)},
+	}
+	var lanes []int
+	a.SetBatchObserver(func(n int) { lanes = append(lanes, n) })
+	got := a.ICostSets(sets...)
+	if len(lanes) != 1 || lanes[0] != 4 {
+		t.Fatalf("backend calls %v, want one of 4 lanes", lanes)
+	}
+	known := a.Known()
+	if len(known) != 1 || known[0] != g.ExecTime(depgraph.Ideal{}) {
+		t.Fatalf("binary memo entries %v, want the base alone", known)
+	}
+	both := depgraph.Ideal{Global: depgraph.IdealDL1 | depgraph.IdealDMiss,
+		Scale: depgraph.ScaleUniform(depgraph.IdealDL1|depgraph.IdealDMiss, half)}
+	base := g.ExecTime(depgraph.Ideal{})
+	want := (base - g.ExecTime(both)) - (base - g.ExecTime(sets[0])) - (base - g.ExecTime(sets[1]))
+	if got != want {
+		t.Fatalf("ICostSets = %d, brute force = %d", got, want)
+	}
+}
+
+// TestMemoConcurrentIdeals: eight goroutines make overlapping scalar,
+// prewarm, icost and sensitivity reads on one analyzer. Their
+// canonical idealizations overlap — α=0 is the binary flags, α=1 the
+// base — and each reaches the backend at most once, however the calls
+// interleave; every answer matches a direct graph walk.
+func TestMemoConcurrentIdeals(t *testing.T) {
+	g := benchGraph(t, "gzip", 1500)
+	var mu sync.Mutex
+	seen := map[memoKey]int{}
+	a := NewFromEval(func(ctx context.Context, ids []depgraph.Ideal) ([]int64, error) {
+		mu.Lock()
+		for _, id := range ids {
+			seen[globalKey(id.Global, id.Scale)]++
+		}
+		mu.Unlock()
+		return g.EvalBatch(ctx, ids)
+	}, nil)
+	ctx := context.Background()
+	cats := []depgraph.Flags{depgraph.IdealDL1, depgraph.IdealDMiss, depgraph.IdealWindow, depgraph.IdealBMisp}
+	grid := []depgraph.Alpha{0, depgraph.AlphaOf(0.5), depgraph.AlphaOne}
+	direct := func(f depgraph.Flags, al depgraph.Alpha) int64 {
+		return g.ExecTime(depgraph.Ideal{Global: f, Scale: depgraph.ScaleUniform(f, al)})
+	}
+	// read makes one of the four kinds of read, by op mod 4.
+	read := func(op int, c, d depgraph.Flags) {
+		switch op % 4 {
+		case 0:
+			if got, err := a.ExecTimeCtx(ctx, c|d); err != nil || got != direct(c|d, 0) {
+				t.Errorf("ExecTimeCtx(%v) = %d, %v", c|d, got, err)
+			}
+		case 1:
+			if err := a.PrewarmCtx(ctx, []depgraph.Flags{0, c, d, c | d, c}); err != nil {
+				t.Error(err)
+			}
+		case 2:
+			got, err := a.ICostCtx(ctx, c, d)
+			want := direct(c, 0) + direct(d, 0) - direct(c|d, 0) - direct(0, 0)
+			if err != nil || got != want {
+				t.Errorf("ICostCtx(%v, %v) = %d, %v; want %d", c, d, got, err, want)
+			}
+		case 3:
+			curves, err := a.SensitivityCtx(ctx, []depgraph.Flags{c, d}, grid)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for _, cv := range curves {
+				for gi, p := range cv.Points {
+					if want := direct(cv.Flags, grid[gi]); p.Time != want {
+						t.Errorf("curve %v α=%v: %d, direct %d", cv.Flags, p.Alpha, p.Time, want)
+					}
+				}
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			c := cats[w%len(cats)]
+			d := cats[(w+1)%len(cats)]
+			for r := 0; r < 4; r++ {
+				read(w+r, c, d)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for k, n := range seen {
+		if n > 1 {
+			t.Errorf("idealization %+v reached the backend %d times", k, n)
+		}
 	}
 }

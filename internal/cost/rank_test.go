@@ -52,7 +52,7 @@ func TestRankStaticMispredicts(t *testing.T) {
 }
 
 func TestRankRequiresGraph(t *testing.T) {
-	a := NewFromFunc(func(depgraph.Flags) int64 { return 10 })
+	a := NewFromEval(flagEval(nil, func(depgraph.Flags) int64 { return 10 }), nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic without graph")

@@ -38,18 +38,15 @@ type Curve struct {
 }
 
 // SensitivityCtx returns one response curve per category set in cats,
-// sampled at every α in grid. All uncached (category, α) samples are
-// evaluated in one batched multi-lane graph walk; binary endpoints
-// (α=0) ride the whole-category memo, so a sensitivity query after a
-// breakdown reuses its evaluations, and repeated queries are pure
-// memo reads. Only graph-backed analyzers can evaluate parametric
-// idealizations; function backends (windowed sessions use a subset
-// table) get an error, not a panic — the engine surfaces it as an
-// unsupported-operation response.
+// sampled at every α in grid. Every (category, α) sample is read
+// through the memo under its canonical key, together with the base, and
+// the misses are evaluated in one backend call: α=0 is the binary
+// idealization, so a sensitivity query after a breakdown reuses its
+// evaluations; α=1 is the base; repeated queries are pure memo reads.
+// Any backend answers: a graph walks its misses in one multi-lane
+// batch, a windowed session re-folds its stream once for them, and
+// multisim re-simulates the scaled machines.
 func (a *Analyzer) SensitivityCtx(ctx context.Context, cats []depgraph.Flags, grid []depgraph.Alpha) ([]Curve, error) {
-	if a.g == nil {
-		return nil, fmt.Errorf("cost: sensitivity requires a graph-backed analyzer")
-	}
 	if len(cats) == 0 || len(grid) == 0 {
 		return nil, fmt.Errorf("cost: sensitivity needs at least one category and one grid point")
 	}
@@ -58,87 +55,31 @@ func (a *Analyzer) SensitivityCtx(ctx context.Context, cats []depgraph.Flags, gr
 			return nil, fmt.Errorf("cost: empty category in sensitivity query")
 		}
 	}
-
-	// Resolve every (category, α) sample to its memo identity. A
-	// canonically zero scale means every selected category sits at
-	// α=0 — the binary zero-out — and the flags memo owns the entry.
-	type sample struct {
-		key    scaledKey
-		binary bool
-	}
-	samples := make([]sample, 0, len(cats)*len(grid))
-	for _, f := range cats {
-		for _, al := range grid {
-			s := depgraph.CanonScale(f, depgraph.ScaleUniform(f, al))
-			samples = append(samples, sample{key: scaledKey{f: f, s: s}, binary: s.IsZero()})
+	n := len(cats) * len(grid)
+	points := make([]CurvePoint, n)
+	var base int64
+	err := a.resolve(ctx, n+1, func(i int) memoKey {
+		if i == n {
+			return memoKey{}
 		}
-	}
-
-	// Collect scaled misses under the lock, then evaluate them in one
-	// batched walk. Concurrent callers may race to evaluate the same
-	// key; both walks are deterministic, so the double write is
-	// harmless.
-	binFlags := []depgraph.Flags{0}
-	a.mu.Lock()
-	onBatch := a.onBatch
-	var miss []scaledKey
-	missSeen := make(map[scaledKey]bool)
-	for _, sm := range samples {
-		if sm.binary {
-			binFlags = append(binFlags, sm.key.f)
-			continue
+		f := cats[i/len(grid)]
+		return globalKey(f, depgraph.ScaleUniform(f, grid[i%len(grid)]))
+	}, nil, func(i int, t int64) {
+		if i == n {
+			base = t
+		} else {
+			points[i].Time = t
 		}
-		if _, ok := a.scaledMemo[sm.key]; ok || missSeen[sm.key] {
-			continue
-		}
-		missSeen[sm.key] = true
-		miss = append(miss, sm.key)
-	}
-	a.mu.Unlock()
-	if len(miss) > 0 {
-		ids := make([]depgraph.Ideal, len(miss))
-		for i, k := range miss {
-			ids[i] = depgraph.Ideal{Global: k.f, Scale: k.s}
-		}
-		times, err := a.g.EvalBatch(ctx, ids)
-		if err != nil {
-			return nil, err
-		}
-		if onBatch != nil {
-			onBatch(len(ids))
-		}
-		a.mu.Lock()
-		for i, k := range miss {
-			a.scaledMemo[k] = times[i]
-		}
-		a.mu.Unlock()
-	}
-	if err := a.PrewarmCtx(ctx, binFlags); err != nil {
-		return nil, err
-	}
-	base, err := a.ExecTimeCtx(ctx, 0)
+	})
 	if err != nil {
 		return nil, err
 	}
-
 	curves := make([]Curve, len(cats))
-	si := 0
 	for ci, f := range cats {
-		c := Curve{Name: f.String(), Flags: f, Points: make([]CurvePoint, len(grid))}
+		c := Curve{Name: f.String(), Flags: f, Points: points[ci*len(grid) : (ci+1)*len(grid) : (ci+1)*len(grid)]}
 		for gi, al := range grid {
-			sm := samples[si]
-			si++
-			var t int64
-			if sm.binary {
-				if t, err = a.ExecTimeCtx(ctx, f); err != nil {
-					return nil, err
-				}
-			} else {
-				a.mu.Lock()
-				t = a.scaledMemo[sm.key]
-				a.mu.Unlock()
-			}
-			c.Points[gi] = CurvePoint{Alpha: al.Float(), Time: t, Cost: base - t}
+			c.Points[gi].Alpha = al.Float()
+			c.Points[gi].Cost = base - c.Points[gi].Time
 		}
 		curves[ci] = c
 	}

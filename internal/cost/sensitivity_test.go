@@ -2,7 +2,7 @@ package cost
 
 import (
 	"context"
-	"strings"
+	"reflect"
 	"testing"
 
 	"icost/internal/depgraph"
@@ -67,13 +67,22 @@ func TestSensitivityCurves(t *testing.T) {
 }
 
 func TestSensitivityErrors(t *testing.T) {
-	fn := NewFromFunc(func(f depgraph.Flags) int64 { return 100 })
-	if _, err := fn.SensitivityCtx(context.Background(), []depgraph.Flags{depgraph.IdealDL1}, DefaultGrid()); err == nil ||
-		!strings.Contains(err.Error(), "graph-backed") {
-		t.Fatalf("function-backed analyzer: err = %v", err)
-	}
 	g := benchGraph(t, "gzip", 500)
 	a := New(g)
+	// Any backend answers sensitivity: a non-graph analyzer over the
+	// same graph's batch walk returns the graph analyzer's curves.
+	cats := []depgraph.Flags{depgraph.IdealDL1, depgraph.IdealWindow | depgraph.IdealBW}
+	want, err := a.SensitivityCtx(context.Background(), cats, DefaultGrid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := NewFromEval(g.EvalBatch, nil).SensitivityCtx(context.Background(), cats, DefaultGrid())
+	if err != nil {
+		t.Fatalf("non-graph backend: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("non-graph backend curves %+v, graph analyzer %+v", got, want)
+	}
 	if _, err := a.SensitivityCtx(context.Background(), nil, DefaultGrid()); err == nil {
 		t.Fatal("want error for empty categories")
 	}
@@ -134,8 +143,9 @@ func TestScaledMemoKeysNoCollision(t *testing.T) {
 }
 
 // TestScaledKeyCanonical: ideals identical up to ignored scale entries
-// share one memo entry; the split between Global and PerInst does not
-// matter for the set memo either.
+// share one memo entry, and so do a category at α=1 and no category
+// at all; the split between Global and PerInst does not matter for a
+// per-instruction set either.
 func TestScaledKeyCanonical(t *testing.T) {
 	g := benchGraph(t, "gzip", 1000)
 	a := New(g)
@@ -143,38 +153,46 @@ func TestScaledKeyCanonical(t *testing.T) {
 	s := depgraph.ScaleUniform(f, 128)
 	noisy := s
 	noisy[0] = 7 // dl1 entry — unselected, must be ignored
-	k1 := scaledKey{f: f, s: depgraph.CanonScale(f, s)}
-	k2 := scaledKey{f: f, s: depgraph.CanonScale(f, noisy)}
-	if k1 != k2 {
+	if globalKey(f, s) != globalKey(f, noisy) {
 		t.Fatal("canonical keys differ on an ignored entry")
 	}
 	if a.CostSet(depgraph.Ideal{Global: f, Scale: s}) != a.CostSet(depgraph.Ideal{Global: f, Scale: noisy}) {
 		t.Fatal("ignored scale entry changed the answer")
 	}
-	a.mu.Lock()
-	entries := len(a.scaledMemo)
-	a.mu.Unlock()
-	if entries != 1 {
-		t.Fatalf("scaled memo has %d entries, want 1", entries)
+	if n := len(a.memo); n != 2 { // the base and the one scaled entry
+		t.Fatalf("memo has %d entries, want 2", n)
+	}
+
+	// α=1 is the unidealized machine: {dmiss α=1} is the base's entry.
+	fresh := New(g)
+	one := depgraph.Ideal{Global: depgraph.IdealDMiss, Scale: depgraph.ScaleUniform(depgraph.IdealDMiss, depgraph.AlphaOne)}
+	if globalKey(one.Global, one.Scale) != (memoKey{}) {
+		t.Fatal("a category at α=1 keeps its own key")
+	}
+	if c := fresh.CostSet(one); c != 0 {
+		t.Fatalf("cost of {dmiss α=1} = %d, want 0", c)
+	}
+	if n := len(fresh.memo); n != 1 {
+		t.Fatalf("{dmiss α=1} and {} hold %d memo entries, want 1", n)
 	}
 
 	// Per-instruction: same effective vector and scale, different
-	// Global/PerInst split — one setMemo entry.
+	// Global/PerInst split — one key.
 	per := make([]depgraph.Flags, g.Len())
 	for i := range per {
 		per[i] = depgraph.IdealDL1
 	}
 	idA := depgraph.Ideal{Global: 0, PerInst: per, Scale: depgraph.ScaleUniform(depgraph.IdealDL1, 200)}
-	kA := a.setKey(idA)
+	kA := a.keyOf(idA)
 	perB := make([]depgraph.Flags, g.Len())
 	idB := depgraph.Ideal{Global: depgraph.IdealDL1, PerInst: perB, Scale: depgraph.ScaleUniform(depgraph.IdealDL1, 200)}
-	if kB := a.setKey(idB); kA != kB {
+	if kB := a.keyOf(idB); kA != kB {
 		t.Fatal("same effective vector hashed differently")
 	}
 	// Different α on the same vector: distinct keys.
 	idC := idA
 	idC.Scale = depgraph.ScaleUniform(depgraph.IdealDL1, 100)
-	if kC := a.setKey(idC); kC == kA {
+	if kC := a.keyOf(idC); kC == kA {
 		t.Fatal("setKey is α-blind")
 	}
 }

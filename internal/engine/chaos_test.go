@@ -432,7 +432,8 @@ func TestChaosSeededStormReplays(t *testing.T) {
 // windowed build, a windowed sensitivity re-fold, and the re-fold of
 // a memo miss outside the build's lattice. Every faulted call returns
 // a typed error, leaves no fold goroutine behind and memoizes
-// nothing, and the same query then answers exactly as the whole-graph
+// nothing — so the retry re-folds exactly the lanes an unfaulted pass
+// does — and the same query then answers exactly as the whole-graph
 // session does.
 func TestChaosWindowed(t *testing.T) {
 	ctx := context.Background()
@@ -442,13 +443,14 @@ func TestChaosWindowed(t *testing.T) {
 	whole := spec
 	whole.WindowInsts = 0
 	passes := []struct {
-		name string
-		q    Query
-		warm bool // build the session first, so the fault hits the re-fold
+		name  string
+		q     Query
+		warm  bool  // build the session first, so the fault hits the re-fold
+		lanes int64 // lanes an unfaulted pass re-folds after the build
 	}{
-		{"build", Query{Session: spec, Op: OpCost, Cats: []string{"dmiss"}}, false},
-		{"sensitivity", Query{Session: spec, Op: OpSensitivity, Cats: []string{"dl1", "win"}}, true},
-		{"miss", Query{Session: spec, Op: OpExecTime, Cats: []string{"dl1", "win", "bw"}}, true},
+		{"build", Query{Session: spec, Op: OpCost, Cats: []string{"dmiss"}}, false, 0},
+		{"sensitivity", Query{Session: spec, Op: OpSensitivity, Cats: []string{"dl1", "win"}}, true, 6},
+		{"miss", Query{Session: spec, Op: OpExecTime, Cats: []string{"dl1", "win", "bw"}}, true, 1},
 	}
 	faults := []struct {
 		name string
@@ -494,9 +496,13 @@ func TestChaosWindowed(t *testing.T) {
 					}
 				}
 				faultinject.Disable()
+				before := e.Metrics().WindowedRefoldLanesTotal
 				resp, err := e.Query(ctx, p.q)
 				if err != nil {
 					t.Fatalf("%s after the fault: %v", p.name, err)
+				}
+				if lanes := e.Metrics().WindowedRefoldLanesTotal - before; lanes != p.lanes {
+					t.Fatalf("%s after the fault re-folded %d lanes, want %d", p.name, lanes, p.lanes)
 				}
 				if !resp.Windowed || resp.Insts != spec.TraceLen {
 					t.Fatalf("degenerate response after recovery: windowed %v, insts %d", resp.Windowed, resp.Insts)

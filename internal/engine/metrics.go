@@ -147,10 +147,9 @@ type Snapshot struct {
 	// long-trace pipeline instead of a resident whole-trace graph.
 	WindowedBuildsTotal int64 `json:"windowed_builds_total"`
 	// WindowedRefoldsTotal counts the windowed passes run after a
-	// build: one per analyzer memo-miss batch and one per sensitivity
-	// query. WindowedRefoldLanesTotal sums the lanes they were asked
-	// to fold (a pass adds a base lane for its self-check when none
-	// was asked for; it is not counted).
+	// build: one per analyzer memo-miss batch. WindowedRefoldLanesTotal
+	// sums the lanes they were asked to fold (a pass adds a base lane
+	// for its self-check when none was asked for; it is not counted).
 	WindowedRefoldsTotal     int64 `json:"windowed_refolds_total"`
 	WindowedRefoldLanesTotal int64 `json:"windowed_refold_lanes_total"`
 

@@ -306,13 +306,7 @@ func (e *Engine) execute(ctx context.Context, q Query, s *session) (*Response, e
 		for i, x := range q.Alphas {
 			grid[i] = depgraph.AlphaOf(x)
 		}
-		var curves []cost.Curve
-		var err error
-		if s.windowed {
-			curves, err = e.windowedSensitivity(ctx, s, q.Cats, grid)
-		} else {
-			curves, err = a.SensitivityCtx(ctx, flagsOf(q.Cats), grid)
-		}
+		curves, err := a.SensitivityCtx(ctx, flagsOf(q.Cats), grid)
 		if err != nil {
 			return nil, err
 		}
@@ -353,41 +347,4 @@ func (e *Engine) execute(ctx context.Context, q Query, s *session) (*Response, e
 		return nil, fmt.Errorf("engine: unhandled op %q", q.Op)
 	}
 	return resp, nil
-}
-
-// windowedSensitivity answers a sensitivity query for a windowed
-// session, which holds no graph: the trace is re-folded through the
-// bounded-memory pipeline with one parametric lane per (category, α)
-// sample. The fold is bit-identical to a whole-graph walk, so
-// windowed and whole-graph sessions over the same microexecution
-// return identical curves. Cost of the re-fold is one streaming pass;
-// the engine's result cache memoizes the response like any other.
-func (e *Engine) windowedSensitivity(ctx context.Context, s *session, cats []string, grid []depgraph.Alpha) ([]cost.Curve, error) {
-	flags := flagsOf(cats)
-	ids := make([]depgraph.Ideal, 0, len(flags)*len(grid))
-	for _, f := range flags {
-		if f == 0 {
-			return nil, errValidation("engine: empty category in sensitivity query")
-		}
-		for _, a := range grid {
-			ids = append(ids, depgraph.Ideal{Global: f, Scale: depgraph.ScaleUniform(f, a)})
-		}
-	}
-	times, err := s.refold(ctx, ids)
-	if err != nil {
-		return nil, err
-	}
-	base := s.analyzer.BaseTime()
-	curves := make([]cost.Curve, len(flags))
-	li := 0
-	for ci, f := range flags {
-		c := cost.Curve{Name: f.String(), Flags: f, Points: make([]cost.CurvePoint, len(grid))}
-		for gi, a := range grid {
-			t := times[li]
-			li++
-			c.Points[gi] = cost.CurvePoint{Alpha: a.Float(), Time: t, Cost: base - t}
-		}
-		curves[ci] = c
-	}
-	return curves, nil
 }

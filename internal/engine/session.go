@@ -44,7 +44,8 @@ type SessionSpec struct {
 	// peak memory is bounded by the window budget instead of the trace
 	// length. The build pass folds the base, every single category and
 	// every pair (37 idealizations); a later query needing any other
-	// subset re-folds the stream once for all of its missing subsets.
+	// idealization — a wider union, an interior sensitivity α —
+	// re-folds the stream once for all of its missing ones.
 	// Every cost/icost/breakdown query answers with bit-identical
 	// results; only the slack query (which needs per-instruction node
 	// times) is unavailable.
@@ -133,7 +134,7 @@ func (s SessionSpec) machine(lanes int) ooo.Config {
 // session is one built artifact set. A whole-graph session holds
 // trace + simulation result (graph) + graph-backed analyzer; a
 // windowed session holds no graph at all — just an analyzer whose
-// flags memo holds the subsets folded so far and whose misses re-fold
+// memo holds the idealizations folded so far and whose misses re-fold
 // the stream, plus the windowed run's shape for observability.
 type session struct {
 	key      string
@@ -277,7 +278,7 @@ func (s SessionSpec) windowRequest(lanes int) window.Request {
 
 // buildWindowed constructs a windowed session: one streaming pass of
 // ring-storage simulation folds the execution time of the lattice
-// (foldLattice), which seeds the analyzer's flags memo. No trace,
+// (foldLattice), which seeds the analyzer's memo. No trace,
 // graph or node times are retained — peak memory during the build and
 // the session's resident size are both bounded by the window budget,
 // which is what lets a session cover tens of millions of
@@ -314,24 +315,19 @@ func buildWindowed(ctx context.Context, spec SessionSpec, lanes int, met *metric
 // newWindowedSession completes s — identity, result, run shape, lane
 // width and metrics already set — as a windowed session: its analyzer
 // starts from the subset times folded so far (flags → cycles; known[0]
-// is the base) and re-folds the stream for every memo miss. Shared by
-// the cold build and snapshot restore.
+// is the base) and re-folds the stream for every batch of memo misses,
+// binary or α-scaled alike. Shared by the cold build and snapshot
+// restore.
 func newWindowedSession(s *session, known map[depgraph.Flags]int64) *session {
 	s.windowed = true
-	s.analyzer = cost.NewFromBatchFunc(func(ctx context.Context, flags []depgraph.Flags) ([]int64, error) {
-		ids := make([]depgraph.Ideal, len(flags))
-		for i, f := range flags {
-			ids[i] = depgraph.Ideal{Global: f}
-		}
-		return s.refold(ctx, ids)
-	}, known)
+	s.analyzer = cost.NewFromEval(s.refold, known)
 	return s
 }
 
-// refold folds a windowed session's stream once more, for the given
-// idealizations only. The replay is deterministic, so its simulated
-// cycles must equal the session's; a pass that disagrees answers
-// nothing.
+// refold is a windowed session's cost.Eval: it folds the session's
+// stream once more, for the given idealizations only. The replay is
+// deterministic, so its simulated cycles must equal the session's; a
+// pass that disagrees answers nothing.
 func (s *session) refold(ctx context.Context, ids []depgraph.Ideal) ([]int64, error) {
 	wres, err := window.AnalyzeIdeals(ctx, s.spec.windowRequest(s.lanes), ids)
 	if err != nil {

@@ -256,8 +256,9 @@ func TestSnapshotRestoresCSRByteEqual(t *testing.T) {
 // base, the singles and the pairs, so every single cost, every pair
 // icost, a default breakdown around any focus and a matrix over all
 // eight categories are memo reads; a full breakdown over three
-// categories misses only the triple and re-folds once for it; and two
-// concurrent queries missing the same subset share one re-fold. Every
+// categories misses only the triple and re-folds once for it; two
+// concurrent queries missing the same subset share one re-fold; and a
+// sensitivity query re-folds only the grid points the memo lacks. Every
 // answer matches the whole-graph session's byte for byte.
 func TestWindowedRefolds(t *testing.T) {
 	ctx := context.Background()
@@ -362,6 +363,26 @@ func TestWindowedRefolds(t *testing.T) {
 	}
 	for _, q := range pair {
 		same(q)
+	}
+
+	// Sensitivity reads the same memo: α=0 is a single's binary entry
+	// and α=1 the base, so dl1 and win over the default grid re-fold
+	// their six interior samples in one pass, α=0.6 adds two, and dl1
+	// over {0, 0.25, 1} is all memo reads.
+	for _, tc := range []struct {
+		q             Query
+		passes, lanes int64
+	}{
+		{Query{Op: OpSensitivity, Cats: []string{"dl1", "win"}}, 1, 6},
+		{Query{Op: OpSensitivity, Cats: []string{"dl1", "win"}, Alphas: []float64{0, 0.5, 0.6, 1}}, 1, 2},
+		{Query{Op: OpSensitivity, Cats: []string{"dl1"}, Alphas: []float64{0, 0.25, 1}}, 0, 0},
+	} {
+		n0, l0 := refolds()
+		same(tc.q)
+		if n, lanes := refolds(); n-n0 != tc.passes || lanes-l0 != tc.lanes {
+			t.Fatalf("sensitivity %v over %v: %d re-folds over %d lanes, want %d over %d",
+				tc.q.Cats, tc.q.Alphas, n-n0, lanes-l0, tc.passes, tc.lanes)
+		}
 	}
 	if m := e.Metrics(); m.WindowedBuildsTotal != 1 {
 		t.Fatalf("windowed builds %d, want 1", m.WindowedBuildsTotal)

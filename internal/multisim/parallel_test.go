@@ -33,11 +33,11 @@ func TestParallelBitIdentical(t *testing.T) {
 		unions = append(unions, u)
 	}
 
-	serial, err := NewWorkers(tr, cfg, 1000, 1)
+	serial, err := newWorkers(tr, cfg, 1000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := NewWorkers(tr, cfg, 1000, 4)
+	parallel, err := newWorkers(tr, cfg, 1000, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestParallelCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := NewWorkers(tr, ooo.DefaultConfig(), 500, 4)
+	a, err := newWorkers(tr, ooo.DefaultConfig(), 500, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,14 +10,17 @@
 // silently widens the model/machine gap therefore cannot land without
 // the envelope being deliberately regenerated and reviewed.
 //
-// Endpoints are exact by construction elsewhere (α=1 is the
-// unidealized graph, whose critical path equals simulated cycles;
-// α=0 is the paper's binary idealization) — but note α=0 truth is
-// re-simulated with the machine re-arbitrating structural resources,
-// which is precisely the second-order effect the graph analysis
-// approximates away (paper Table 7). Interior α points re-simulate
-// with scaled configuration latencies, exposing the same class of
-// approximation along the whole curve.
+// Both sides are one question to two backends: the same sensitivity
+// query to a graph analyzer (cost.New) and to a re-simulation analyzer
+// (multisim), which maps every α onto a machine. Endpoints are exact by
+// construction elsewhere (α=1 is the unidealized graph, whose critical
+// path equals simulated cycles; α=0 is the paper's binary
+// idealization) — but note α=0 truth is re-simulated with the machine
+// re-arbitrating structural resources, which is precisely the
+// second-order effect the graph analysis approximates away (paper
+// Table 7). Interior α points re-simulate with scaled configuration
+// latencies, exposing the same class of approximation along the whole
+// curve.
 package refute
 
 import (
@@ -25,61 +28,32 @@ import (
 	"fmt"
 	"math"
 
+	"icost/internal/cost"
 	"icost/internal/depgraph"
+	"icost/internal/multisim"
 	"icost/internal/ooo"
 	"icost/internal/workload"
 )
 
 // Knob is one scalable machine axis: the graph-model categories it
-// idealizes and how to build the equivalently scaled simulator
-// configuration for an interior α.
+// scales. Package multisim derives the equivalently scaled simulator
+// configuration for every α.
 type Knob struct {
 	Name  string
 	Flags depgraph.Flags
-	// scale returns the machine configuration whose latencies the
-	// graph model assumes at this α. Only called for 0 < α < 1;
-	// endpoints use the base machine and Options.Ideal.
-	scale func(base ooo.Config, a depgraph.Alpha) ooo.Config
 }
 
 // Knobs returns the standard refutation axes: the four knobs the
 // paper's Section 4 experiments turn, expressed parametrically.
 func Knobs() []Knob {
 	return []Knob{
-		{
-			Name:  "dl1",
-			Flags: depgraph.IdealDL1,
-			scale: func(c ooo.Config, a depgraph.Alpha) ooo.Config {
-				return c.WithDL1Latency(depgraph.ScaleLatency(c.Graph.DL1Latency, a))
-			},
-		},
-		{
-			// mem scales everything beyond L1 — the additive L2,
-			// memory and TLB-miss latencies feed both the dmiss and
-			// imiss decomposition columns, so the model-side flags
-			// cover both categories.
-			Name:  "mem",
-			Flags: depgraph.IdealDMiss | depgraph.IdealICache,
-			scale: func(c ooo.Config, a depgraph.Alpha) ooo.Config {
-				return c.WithL2Latency(depgraph.ScaleLatency(c.Graph.L2Latency, a)).
-					WithMemLatency(depgraph.ScaleLatency(c.Graph.MemLatency, a)).
-					WithTLBMissLatency(depgraph.ScaleLatency(c.Graph.TLBMissLatency, a))
-			},
-		},
-		{
-			Name:  "bmisp",
-			Flags: depgraph.IdealBMisp,
-			scale: func(c ooo.Config, a depgraph.Alpha) ooo.Config {
-				return c.WithBranchRecovery(depgraph.ScaleLatency(c.Graph.BranchRecovery, a))
-			},
-		},
-		{
-			Name:  "win",
-			Flags: depgraph.IdealWindow,
-			scale: func(c ooo.Config, a depgraph.Alpha) ooo.Config {
-				return c.WithWindow(c.Graph.EffWindow(a))
-			},
-		},
+		{Name: "dl1", Flags: depgraph.IdealDL1},
+		// mem scales everything beyond L1 — the additive L2, memory
+		// and TLB-miss latencies feed both the dmiss and imiss
+		// decomposition columns, so the knob covers both categories.
+		{Name: "mem", Flags: depgraph.IdealDMiss | depgraph.IdealICache},
+		{Name: "bmisp", Flags: depgraph.IdealBMisp},
+		{Name: "win", Flags: depgraph.IdealWindow},
 	}
 }
 
@@ -124,15 +98,20 @@ func DefaultRefuteGrid() []depgraph.Alpha {
 }
 
 // Run refutes the graph model against the simulator on every
-// (point, knob, α) combination: prediction from one batched
-// multi-lane walk of the base microexecution's graph, truth from an
-// independent simulation of the scaled machine.
+// (point, knob, α) combination: prediction and truth are the same
+// sensitivity query, asked of a graph analyzer over the base
+// microexecution and of a multisim analyzer that re-simulates each
+// scaled machine.
 func Run(ctx context.Context, pts []Point, knobs []Knob, grid []depgraph.Alpha, insts int) (*Report, error) {
 	if len(pts) == 0 || len(knobs) == 0 || len(grid) == 0 || insts <= 0 {
 		return nil, fmt.Errorf("refute: need points, knobs, a grid and a positive trace length")
 	}
 	rep := &Report{Insts: insts, Envelope: map[string]float64{}}
 	base := ooo.DefaultConfig()
+	cats := make([]depgraph.Flags, len(knobs))
+	for i, k := range knobs {
+		cats[i] = k.Flags
+	}
 	for _, pt := range pts {
 		tr, err := workload.Load(pt.Bench, pt.Seed, insts)
 		if err != nil {
@@ -142,45 +121,24 @@ func Run(ctx context.Context, pts []Point, knobs []Knob, grid []depgraph.Alpha, 
 		if err != nil {
 			return nil, err
 		}
-		g := res.Graph
-
-		// Predictions: every (knob, α) lane in one batched walk.
-		ids := make([]depgraph.Ideal, 0, len(knobs)*len(grid))
-		for _, k := range knobs {
-			for _, a := range grid {
-				ids = append(ids, depgraph.Ideal{Global: k.Flags, Scale: depgraph.ScaleUniform(k.Flags, a)})
-			}
-		}
-		preds, err := g.EvalBatch(ctx, ids)
+		preds, err := cost.New(res.Graph).SensitivityCtx(ctx, cats, grid)
 		if err != nil {
 			return nil, err
 		}
-
-		li := 0
-		for _, k := range knobs {
+		ms, err := multisim.New(tr, base, 0)
+		if err != nil {
+			return nil, err
+		}
+		truths, err := ms.SensitivityCtx(ctx, cats, grid)
+		if err != nil {
+			return nil, err
+		}
+		for ki, k := range knobs {
 			if _, ok := rep.Envelope[k.Name]; !ok {
 				rep.Envelope[k.Name] = 0 // a knob with zero error still gets a recorded bound
 			}
-			for _, a := range grid {
-				pred := preds[li]
-				li++
-				var truth int64
-				switch {
-				case a >= depgraph.AlphaOne:
-					truth = res.Cycles
-				case a == 0:
-					ideal, err := ooo.Simulate(tr, base, ooo.Options{Ideal: k.Flags})
-					if err != nil {
-						return nil, err
-					}
-					truth = ideal.Cycles
-				default:
-					scaled, err := ooo.Simulate(tr, k.scale(base, a), ooo.Options{})
-					if err != nil {
-						return nil, err
-					}
-					truth = scaled.Cycles
-				}
+			for gi, a := range grid {
+				pred, truth := preds[ki].Points[gi].Time, truths[ki].Points[gi].Time
 				relErr := math.Abs(float64(pred-truth)) / math.Max(float64(truth), 1)
 				rep.Samples = append(rep.Samples, Sample{
 					Bench: pt.Bench, Seed: pt.Seed, Knob: k.Name,
@@ -188,9 +146,6 @@ func Run(ctx context.Context, pts []Point, knobs []Knob, grid []depgraph.Alpha, 
 				})
 				if relErr > rep.Envelope[k.Name] {
 					rep.Envelope[k.Name] = relErr
-				}
-				if err := ctx.Err(); err != nil {
-					return nil, err
 				}
 			}
 		}

@@ -5,9 +5,6 @@ import (
 	"encoding/json"
 	"os"
 	"testing"
-
-	"icost/internal/depgraph"
-	"icost/internal/ooo"
 )
 
 // envelopePath is the committed accuracy record, at the repo root
@@ -109,21 +106,6 @@ func TestRefuteEndpointsExact(t *testing.T) {
 		if s.Alpha == 1 && s.RelErr != 0 {
 			t.Errorf("%s/%s α=1: pred %d != truth %d — unidealized graph no longer matches the machine",
 				s.Bench, s.Knob, s.Pred, s.Truth)
-		}
-	}
-}
-
-// TestKnobScaledConfigsValidate: every knob's scaled machine must be
-// a valid configuration at every interior grid α (latency agreement
-// between graph and cache included).
-func TestKnobScaledConfigsValidate(t *testing.T) {
-	base := ooo.DefaultConfig()
-	for _, k := range Knobs() {
-		for _, a := range []depgraph.Alpha{depgraph.AlphaOf(0.25), depgraph.AlphaOf(0.5), depgraph.AlphaOf(0.75)} {
-			cfg := k.scale(base, a)
-			if err := cfg.Validate(); err != nil {
-				t.Errorf("knob %q α=%v: %v", k.Name, a.Float(), err)
-			}
 		}
 	}
 }
