@@ -15,11 +15,12 @@ test:
 	$(GO) test ./...
 
 # race: the whole suite under the race detector, then the analyzer
-# memo's concurrency tests ten times over — their interleavings differ
-# from run to run.
+# memo's concurrency tests and the recycled trace stream's tests ten
+# times over — their interleavings differ from run to run.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestSingleFlight|TestAnalyzerConcurrentUse|TestMemoConcurrentIdeals' ./internal/cost/
+	$(GO) test -race -count=10 -run 'TestRecycled' ./internal/workload/ ./internal/ooo/
 
 # bench smoke: one iteration of every benchmark with allocation
 # stats, just to prove they run. Kept to one iteration so CI stays

@@ -118,11 +118,22 @@ func (c *Cache) Probe(addr isa.Addr) bool {
 }
 
 // TLB is a fully associative translation buffer with LRU replacement.
+// Resident pages live in fixed slot arrays with their last-use ticks,
+// found through an open-addressed index; a miss on a full TLB evicts
+// the slot with the oldest tick. Ticks are unique, so the victim is
+// exactly the least recently used page.
 type TLB struct {
 	pageShift uint
-	tags      map[isa.Addr]uint64 // page -> last-use tick
-	entries   int
+	pages     []isa.Addr // slot -> resident page
+	ticks     []uint64   // slot -> last-use tick
+	used      int        // slots filled so far
 	tick      uint64
+
+	// index maps a page to its slot+1 (0 = empty bucket) by linear
+	// probing from the page's hash; at least twice entries long, so
+	// probes stay short.
+	index     []int32
+	indexBits uint
 
 	// Accesses and Misses count since construction.
 	Accesses uint64
@@ -141,33 +152,75 @@ func NewTLB(entries, pageBytes int) *TLB {
 	if 1<<shift != pageBytes {
 		panic("tlb: page size not a power of two")
 	}
-	return &TLB{pageShift: shift, tags: make(map[isa.Addr]uint64, entries), entries: entries}
+	bits := uint(1)
+	for 1<<bits < 2*entries {
+		bits++
+	}
+	return &TLB{pageShift: shift,
+		pages: make([]isa.Addr, entries), ticks: make([]uint64, entries),
+		index: make([]int32, 1<<bits), indexBits: bits}
+}
+
+// home is page's first index bucket (Fibonacci hashing).
+func (t *TLB) home(page isa.Addr) int {
+	return int(uint64(page) * 0x9e3779b97f4a7c15 >> (64 - t.indexBits))
 }
 
 // Access looks up the page of addr, filling (with LRU eviction) on
 // miss; it reports whether the access hit.
+//
+//lint:hotpath
 func (t *TLB) Access(addr isa.Addr) bool {
 	t.Accesses++
 	page := addr >> t.pageShift
 	t.tick++
-	if _, ok := t.tags[page]; ok {
-		t.tags[page] = t.tick
-		return true
+	mask := len(t.index) - 1
+	for b := t.home(page); t.index[b] != 0; b = (b + 1) & mask {
+		if s := t.index[b] - 1; t.pages[s] == page {
+			t.ticks[s] = t.tick
+			return true
+		}
 	}
 	t.Misses++
-	if len(t.tags) >= t.entries {
-		var oldest isa.Addr
-		oldestTick := ^uint64(0)
-		for p, tk := range t.tags {
-			if tk < oldestTick {
-				oldestTick = tk
-				oldest = p
+	slot := t.used
+	if slot < len(t.pages) {
+		t.used++
+	} else {
+		slot = 0
+		for s, tk := range t.ticks {
+			if tk < t.ticks[slot] {
+				slot = s
 			}
 		}
-		delete(t.tags, oldest)
+		t.unindex(t.pages[slot])
 	}
-	t.tags[page] = t.tick
+	t.pages[slot], t.ticks[slot] = page, t.tick
+	b := t.home(page)
+	for t.index[b] != 0 {
+		b = (b + 1) & mask
+	}
+	t.index[b] = int32(slot + 1)
 	return false
+}
+
+// unindex removes a resident page from the index, shifting later
+// entries of its probe run back so every lookup still finds its page
+// before reaching an empty bucket.
+func (t *TLB) unindex(page isa.Addr) {
+	mask := len(t.index) - 1
+	hole := t.home(page)
+	for t.pages[t.index[hole]-1] != page {
+		hole = (hole + 1) & mask
+	}
+	for b := (hole + 1) & mask; t.index[b] != 0; b = (b + 1) & mask {
+		// The entry at b may fill the hole unless its home lies
+		// cyclically in (hole, b]: then it would move before its home.
+		if h := t.home(t.pages[t.index[b]-1]); (b-h)&mask >= (b-hole)&mask {
+			t.index[hole] = t.index[b]
+			hole = b
+		}
+	}
+	t.index[hole] = 0
 }
 
 // Config sets the hierarchy's geometry and latencies. All latencies

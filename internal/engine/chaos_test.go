@@ -427,18 +427,21 @@ func TestChaosSeededStormReplays(t *testing.T) {
 }
 
 // TestChaosWindowed drives faults through the windowed pipeline,
-// whose fold runs on worker goroutines behind the simulator: an
-// ooo.sim error and a mid-pass context cancellation, each during a
-// windowed build, a windowed sensitivity re-fold, and the re-fold of
-// a memo miss outside the build's lattice. Every faulted call returns
-// a typed error, leaves no fold goroutine behind and memoizes
+// whose fold runs on worker goroutines behind the simulator and whose
+// trace arrives in recycled segments from a generator goroutine ahead
+// of it: an ooo.sim error, a workload.gen error, and a mid-pass
+// context cancellation fired from either side, each during a windowed
+// build, a windowed sensitivity re-fold, and the re-fold of a memo
+// miss outside the build's lattice. Every faulted call returns a typed
+// error, leaves no fold or generator goroutine behind and memoizes
 // nothing — so the retry re-folds exactly the lanes an unfaulted pass
 // does — and the same query then answers exactly as the whole-graph
 // session does.
 func TestChaosWindowed(t *testing.T) {
 	ctx := context.Background()
 	// 1024-instruction trace segments: the fault fires at segment 7
-	// of 13, once some twenty 256-instruction blocks have been folded.
+	// of 13, once some twenty 256-instruction blocks have been folded
+	// and every recycled segment buffer has gone round at least once.
 	spec := SessionSpec{Bench: "gcc", Seed: 5, TraceLen: 12000, Warmup: 1000, WindowInsts: 256}
 	whole := spec
 	whole.WindowInsts = 0
@@ -459,6 +462,8 @@ func TestChaosWindowed(t *testing.T) {
 	}{
 		{"sim-error", faultinject.Rule{Point: faultinject.OOOSim, Err: errBoom, After: 6}, errBoom},
 		{"cancel", faultinject.Rule{Point: faultinject.OOOSim, Cancel: true, After: 6}, context.Canceled},
+		{"gen-error", faultinject.Rule{Point: faultinject.WorkloadGen, Err: errBoom, After: 6}, errBoom},
+		{"gen-cancel", faultinject.Rule{Point: faultinject.WorkloadGen, Cancel: true, After: 6}, context.Canceled},
 	}
 	for _, p := range passes {
 		for _, f := range faults {
@@ -486,8 +491,8 @@ func TestChaosWindowed(t *testing.T) {
 				if _, err := e.Query(ctx, p.q); !errors.Is(err, f.want) {
 					t.Fatalf("faulted %s: %v, want %v", p.name, err, f.want)
 				}
-				if got := faultinject.Snapshot().Fired[faultinject.OOOSim]; got != 1 {
-					t.Fatalf("ooo.sim fired %d times, want 1", got)
+				if got := faultinject.Snapshot().Fired[f.rule.Point]; got != 1 {
+					t.Fatalf("%s fired %d times, want 1", f.rule.Point, got)
 				}
 				if p.warm {
 					key, _ := spec.Key()

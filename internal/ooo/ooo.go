@@ -159,9 +159,9 @@ type Options struct {
 	// billions of instructions before detailed simulation. The
 	// result covers only the remaining instructions.
 	Warmup int
-	// Timing, when non-nil, is filled by SimulateStream with the
-	// consumer-side stage breakdown of its wall time; Simulate
-	// ignores it.
+	// Timing, when non-nil, is filled by SimulateStream and
+	// SimulateWindowed with the consumer-side stage breakdown of their
+	// wall time; Simulate ignores it.
 	Timing *StreamTiming
 }
 

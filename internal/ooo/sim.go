@@ -143,6 +143,8 @@ func (m *machine) warm(sin *isa.Inst, din *trace.DynInst) {
 
 // step simulates one timed instruction: functional component updates,
 // graph-edge materialization, and the five node times.
+//
+//lint:hotpath
 func (m *machine) step(sin *isa.Inst, din *trace.DynInst) {
 	i := m.i
 	m.i++
@@ -298,8 +300,11 @@ func (m *machine) step(sin *isa.Inst, din *trace.DynInst) {
 	times.R[mi] = r
 
 	// --- E node: issue, arbitrating functional units ---
+	// Every later instruction dispatches at or after d and books at
+	// or after its dispatch, so the cycles before d retire.
 	e := r
 	if f&depgraph.IdealBW == 0 {
+		m.pool.Retire(d)
 		e = m.pool.Book(sin.Op.FU(), r)
 		g.RELat[mi] = int32(e - r)
 	}
@@ -334,6 +339,7 @@ func (m *machine) step(sin *isa.Inst, din *trace.DynInst) {
 	// exact (it requires i > 0, which holds for any delayed
 	// store since a delay implies an earlier store this cycle).
 	if sin.Op.IsStore() && f&depgraph.IdealBW == 0 {
+		m.storePorts.Retire(c) // later commits land at or after c
 		booked := m.storePorts.Book(c)
 		if booked > c && i > 0 {
 			g.CCLat[mi] = int32(booked - times.C[(i-1)&mask])

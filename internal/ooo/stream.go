@@ -24,7 +24,8 @@ type StreamTiming struct {
 // sequential — segments are simulated in stream order — and every
 // instruction flows through the same incremental core as Simulate, so
 // the result (times, stats, graph, execution time) is bit-identical
-// to Simulate on the completed trace.
+// to Simulate on the completed trace. Each segment is handed back to
+// the stream (trace.Stream.Recycle) once stepped.
 //
 // On ctx cancellation or a producer error the partial simulation is
 // discarded, pooled resources are returned, and the error is
@@ -39,15 +40,35 @@ func SimulateStream(ctx context.Context, st *trace.Stream, cfg Config, opt Optio
 		return nil, fmt.Errorf("ooo: warmup %d outside trace of %d", opt.Warmup, st.Total)
 	}
 	m := newMachine(st.Prog, cfg, opt, st.Total-opt.Warmup)
+	if err := m.consume(ctx, st, opt, 0, nil); err != nil {
+		m.abort()
+		return nil, err
+	}
+	return m.finish(opt.KeepGraph)
+}
+
+// consume drives the machine over every segment of st in stream
+// order: the first opt.Warmup instructions warm the stateful
+// components (after touchCode, if there are any), the rest are
+// stepped, and emit runs after every every-th stepped instruction
+// (never when every is 0). Each segment goes back to the stream once
+// stepped. It returns nil once the stream is drained and complete, or
+// the first error: ctx's, a producer's, a short stream, or emit's.
+// opt.Timing, when set, receives the stage split.
+func (m *machine) consume(ctx context.Context, st *trace.Stream, opt Options, every int, emit func() error) error {
 	if opt.Warmup > 0 {
 		m.touchCode()
 	}
 	var simNS, waitNS int64
-	report := func() {
-		if opt.Timing != nil {
+	if opt.Timing != nil {
+		defer func() {
 			opt.Timing.SimNS = simNS
 			opt.Timing.WaitNS = waitNS
-		}
+		}()
+	}
+	next := -1 // m.i after which emit runs next
+	if every > 0 {
+		next = every
 	}
 	idx := 0
 	for {
@@ -58,9 +79,7 @@ func SimulateStream(ctx context.Context, st *trace.Stream, cfg Config, opt Optio
 		case seg, ok = <-st.C:
 		case <-ctx.Done():
 			waitNS += time.Since(t0).Nanoseconds()
-			report()
-			m.abort()
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
 		waitNS += time.Since(t0).Nanoseconds()
 		if !ok {
@@ -68,13 +87,11 @@ func SimulateStream(ctx context.Context, st *trace.Stream, cfg Config, opt Optio
 		}
 		// Fault hook: a failing or stalling simulator, once per
 		// consumed segment. A non-ctx error return leaves the stream
-		// undrained, so (as the contract above requires) the caller
-		// must cancel ctx to stop the producer — engine builds do via
-		// their deferred cancel.
+		// undrained, so (as SimulateStream's contract requires) the
+		// caller must cancel ctx to stop the producer — engine builds
+		// and window passes do via their deferred cancel.
 		if err := faultinject.Hit(ctx, faultinject.OOOSim); err != nil {
-			report()
-			m.abort()
-			return nil, err
+			return err
 		}
 		t1 := time.Now()
 		for k := range seg.Insts {
@@ -84,26 +101,27 @@ func SimulateStream(ctx context.Context, st *trace.Stream, cfg Config, opt Optio
 				m.warm(sin, din)
 			} else {
 				m.step(sin, din)
+				if m.i == next {
+					if err := emit(); err != nil {
+						simNS += time.Since(t1).Nanoseconds()
+						return err
+					}
+					next += every
+				}
 			}
 			idx++
 		}
 		simNS += time.Since(t1).Nanoseconds()
+		st.Recycle(seg)
 	}
-	report()
 	if err := st.Err(); err != nil {
-		m.abort()
-		return nil, err
+		return err
 	}
 	if idx != st.Total {
-		m.abort()
-		return nil, fmt.Errorf("ooo: stream delivered %d of %d instructions", idx, st.Total)
+		return fmt.Errorf("ooo: stream delivered %d of %d instructions", idx, st.Total)
 	}
 	// Fault hook: graph finalization (replay check + assembly) — the
 	// stream is fully drained by here, so this models a late build
 	// failure after all the streaming work succeeded.
-	if err := faultinject.Hit(ctx, faultinject.OOOGraph); err != nil {
-		m.abort()
-		return nil, err
-	}
-	return m.finish(opt.KeepGraph)
+	return faultinject.Hit(ctx, faultinject.OOOGraph)
 }

@@ -3,10 +3,8 @@ package ooo
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"icost/internal/depgraph"
-	"icost/internal/faultinject"
 	"icost/internal/program"
 	"icost/internal/trace"
 )
@@ -125,7 +123,10 @@ func (m *machine) finishWindowed() *Result {
 // The sink must consume the block before returning — the machine
 // reuses the backing arrays for the next block — and a sink error
 // aborts the simulation. The returned Result carries cycles and stats
-// but no graph or node times.
+// but no graph or node times. Each trace segment is handed back to the
+// stream once stepped, so over a recycled stream
+// (workload.ExecuteRecycled) the trace, like the graph, is held a few
+// segments at a time.
 //
 // Windowed simulation models the real machine only: opt.Ideal and
 // opt.KeepGraph are rejected — idealizations are applied by the
@@ -156,86 +157,18 @@ func SimulateWindowed(ctx context.Context, st *trace.Stream, cfg Config, opt Opt
 	}
 	n := st.Total - opt.Warmup
 	m := newWindowedMachine(st.Prog, cfg, opt, n, winInsts)
-	if opt.Warmup > 0 {
-		m.touchCode()
-	}
-	var simNS, waitNS int64
-	report := func() {
-		if opt.Timing != nil {
-			opt.Timing.SimNS = simNS
-			opt.Timing.WaitNS = waitNS
-		}
-	}
 	win := &depgraph.Window{}
-	emitLo := 0
-	idx := 0
-	for {
-		t0 := time.Now()
-		var seg trace.Segment
-		var ok bool
-		select {
-		case seg, ok = <-st.C:
-		case <-ctx.Done():
-			waitNS += time.Since(t0).Nanoseconds()
-			report()
-			m.abort()
-			return nil, ctx.Err()
-		}
-		waitNS += time.Since(t0).Nanoseconds()
-		if !ok {
-			break
-		}
-		// Fault hook: same site and semantics as SimulateStream — a
-		// non-ctx error leaves the stream undrained, so the caller
-		// must cancel ctx to stop the producer.
-		if err := faultinject.Hit(ctx, faultinject.OOOSim); err != nil {
-			report()
-			m.abort()
-			return nil, err
-		}
-		t1 := time.Now()
-		for k := range seg.Insts {
-			din := &seg.Insts[k]
-			sin := st.Prog.At(int(din.SIdx))
-			if idx < opt.Warmup {
-				m.warm(sin, din)
-			} else {
-				m.step(sin, din)
-				if timed := idx - opt.Warmup + 1; timed-emitLo == winInsts {
-					m.fillWindow(win, emitLo, timed)
-					if err := sink(win); err != nil {
-						simNS += time.Since(t1).Nanoseconds()
-						report()
-						m.abort()
-						return nil, err
-					}
-					emitLo = timed
-				}
-			}
-			idx++
-		}
-		simNS += time.Since(t1).Nanoseconds()
+	err := m.consume(ctx, st, opt, winInsts, func() error {
+		m.fillWindow(win, m.i-winInsts, m.i)
+		return sink(win)
+	})
+	if lo := n - n%winInsts; err == nil && lo < n {
+		m.fillWindow(win, lo, n)
+		err = sink(win)
 	}
-	report()
-	if err := st.Err(); err != nil {
+	if err != nil {
 		m.abort()
 		return nil, err
-	}
-	if idx != st.Total {
-		m.abort()
-		return nil, fmt.Errorf("ooo: stream delivered %d of %d instructions", idx, st.Total)
-	}
-	// Fault hook: finalization, after the stream fully drained.
-	if err := faultinject.Hit(ctx, faultinject.OOOGraph); err != nil {
-		m.abort()
-		return nil, err
-	}
-	if emitLo < n {
-		m.fillWindow(win, emitLo, n)
-		if err := sink(win); err != nil {
-			m.abort()
-			return nil, err
-		}
 	}
 	return m.finishWindowed(), nil
 }

@@ -3,9 +3,11 @@ package ooo
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"icost/internal/depgraph"
+	"icost/internal/leakcheck"
 	"icost/internal/workload"
 )
 
@@ -155,5 +157,110 @@ func TestWindowedValidation(t *testing.T) {
 	boom := errors.New("sink boom")
 	if err := run(cfg, Options{}, 64, func(*depgraph.Window) error { return boom }); !errors.Is(err, boom) {
 		t.Fatalf("sink error: got %v", err)
+	}
+}
+
+// TestRecycledStreamSimulations: over a recycled stream — a ring of a
+// few segment buffers the simulator hands back as it steps them — the
+// windowed simulator emits exactly the blocks, cycles and stats it
+// emits over a retained stream, and SimulateStream reproduces
+// Simulate's cycles, stats and graph.
+func TestRecycledStreamSimulations(t *testing.T) {
+	cfg := DefaultConfig()
+	const n, warmup, winInsts = 20000, 700, 300
+	windows := func(w *workload.Workload, recycled bool) ([]depgraph.Window, *Result) {
+		t.Helper()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		open := w.ExecuteStream
+		if recycled {
+			open = w.ExecuteRecycled
+		}
+		st, err := open(ctx, n, 2, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wins []depgraph.Window
+		res, err := SimulateWindowed(ctx, st, cfg, Options{Warmup: warmup}, winInsts, func(win *depgraph.Window) error {
+			var c depgraph.Window
+			c.CopyFrom(win)
+			wins = append(wins, c)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wins, res
+	}
+	for _, name := range []string{"gcc", "mcf", "vortex"} {
+		w, err := workload.New(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantWins, want := windows(w, false)
+		gotWins, got := windows(w, true)
+		if got.Cycles != want.Cycles || got.Stats != want.Stats {
+			t.Fatalf("%s: recycled %d cycles %+v, retained %d %+v", name, got.Cycles, got.Stats, want.Cycles, want.Stats)
+		}
+		if !reflect.DeepEqual(gotWins, wantWins) {
+			t.Fatalf("%s: recycled stream emitted different blocks", name)
+		}
+
+		tr, err := w.Execute(n, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := Simulate(tr, cfg, Options{KeepGraph: true, Warmup: warmup})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		st, err := w.ExecuteRecycled(ctx, n, 2, 100)
+		if err != nil {
+			cancel()
+			t.Fatal(err)
+		}
+		streamed, err := SimulateStream(ctx, st, cfg, Options{KeepGraph: true, Warmup: warmup})
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if streamed.Cycles != full.Cycles || streamed.Stats != full.Stats ||
+			!reflect.DeepEqual(streamed.Graph.RELat, full.Graph.RELat) ||
+			!reflect.DeepEqual(streamed.Graph.Info, full.Graph.Info) ||
+			!reflect.DeepEqual(streamed.Times.C, full.Times.C) {
+			t.Fatalf("%s: SimulateStream over a recycled stream differs from Simulate", name)
+		}
+	}
+}
+
+// TestRecycledStreamWindowedCancel cancels windowed simulations over
+// recycled streams mid-pass: each returns context.Canceled, and the
+// producer — whether blocked sending a segment or waiting for a
+// recycled buffer — exits with no goroutine left behind.
+func TestRecycledStreamWindowedCancel(t *testing.T) {
+	leakcheck.Check(t)
+	w, err := workload.New("mcf", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		st, err := w.ExecuteRecycled(ctx, 1_000_000, 4, 64)
+		if err != nil {
+			cancel()
+			t.Fatal(err)
+		}
+		blocks := 0
+		_, err = SimulateWindowed(ctx, st, DefaultConfig(), Options{Warmup: 100}, 128, func(*depgraph.Window) error {
+			if blocks++; blocks == 5+i {
+				cancel()
+			}
+			return nil
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("iteration %d: got %v, want context.Canceled", i, err)
+		}
 	}
 }

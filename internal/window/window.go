@@ -1,11 +1,13 @@
 // Package window runs whole analyses over traces too long to hold as
-// dependence graphs. It chains the streaming trace generator
-// (workload.ExecuteStream), the ring-storage simulator
-// (ooo.SimulateWindowed) and the carry-ring fold (depgraph.WindowEval)
-// into one bounded-memory pipeline: peak graph storage is a function
-// of the machine configuration and the window size — never of trace
-// length — so tens-of-millions-instruction traces analyze under a
-// fixed byte budget. The fold is exact, not approximate: every lane's
+// dependence graphs. It chains the streaming trace generator over a
+// ring of recycled segments (workload.ExecuteRecycled), the
+// ring-storage simulator (ooo.SimulateWindowed) and the carry-ring
+// fold (depgraph.WindowEval) into one bounded-memory pipeline: the
+// trace segments, the simulator's functional-unit schedules and
+// graph rings, and the fold's carry rings are all functions of the
+// machine configuration and the window size — never of trace length —
+// so tens-of-millions-instruction traces analyze in a fixed memory
+// budget. The fold is exact, not approximate: every lane's
 // execution time is bit-identical to what a whole-trace graph walk
 // would produce (proven by the golden tests and FuzzWindowFold), and
 // every run self-checks by folding a base lane and comparing it
@@ -166,7 +168,7 @@ func analyzeIdeals(ctx context.Context, req Request, lanes []depgraph.Ideal, pro
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	st, err := w.ExecuteStream(ctx, req.Warmup+req.TraceLen, req.Seed+1, 0)
+	st, err := w.ExecuteRecycled(ctx, req.Warmup+req.TraceLen, req.Seed+1, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package window
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"icost/internal/depgraph"
@@ -395,6 +396,43 @@ func TestPeakBytesCountsEveryBuffer(t *testing.T) {
 		}
 		if res.PeakBytes != want {
 			t.Fatalf("%d procs: peak bytes %d, want %d", procs, res.PeakBytes, want)
+		}
+	}
+}
+
+// passAlloc returns the bytes one windowed pass over req allocates,
+// by runtime.MemStats.TotalAlloc: every heap allocation, not just the
+// graph storage PeakBytes accounts for.
+func passAlloc(t *testing.T, req Request, lanes []depgraph.Flags) uint64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Analyze(context.Background(), req, lanes); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestWindowedPassAllocationIndependentOfLength is the real-memory
+// gate behind the bounded-memory claim: a windowed pass allocates the
+// same few buffers whatever the trace length — recycled trace
+// segments, ring-scheduled functional units, fixed TLB arrays — so a
+// 10x longer trace may not cost more than a little map growth for the
+// extra data lines and store granules it touches.
+func TestWindowedPassAllocationIndependentOfLength(t *testing.T) {
+	const slack = 4 << 20
+	lanes := []depgraph.Flags{0, depgraph.IdealDMiss}
+	for _, bench := range []string{"gcc", "mcf"} {
+		short := Request{Bench: bench, Seed: 8, TraceLen: 100_000, Warmup: 1000, WindowInsts: 4096, Sim: ooo.DefaultConfig()}
+		long := short
+		long.TraceLen = 1_000_000
+		passAlloc(t, short, lanes) // warm the workload cache and the pools
+		s, l := passAlloc(t, short, lanes), passAlloc(t, long, lanes)
+		t.Logf("%s: %.1f MiB at %d insts, %.1f MiB at %d", bench, float64(s)/(1<<20), short.TraceLen, float64(l)/(1<<20), long.TraceLen)
+		if l > s+slack {
+			t.Errorf("%s: a windowed pass allocated %d bytes at %d instructions and %d at %d: more than %d bytes of growth",
+				bench, s, short.TraceLen, l, long.TraceLen, slack)
 		}
 	}
 }

@@ -28,45 +28,58 @@ func (w *Workload) Execute(n int, seed uint64) (*trace.Trace, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("workload %s: non-positive trace length %d", w.Prof.Name, n)
 	}
-	insts, err := w.executeInto(make([]trace.DynInst, 0, n), n, seed, 0, nil)
-	if err != nil {
+	insts := make([]trace.DynInst, n)
+	if err := w.newInterp(seed).fill(insts); err != nil {
 		return nil, err
 	}
 	return &trace.Trace{Prog: w.Prog, Insts: insts, Name: w.Prof.Name}, nil
 }
 
-// executeInto runs the interpreter loop, appending n dynamic
-// instructions to insts (which must have capacity for them — the
-// backing array is never reallocated, so emitted windows stay valid).
-// When emit is non-nil it is called with each completed half-open
-// index range [lo, hi) every segLen instructions and once for the
-// final partial segment; a non-nil emit error aborts generation.
-// Both Execute and ExecuteStream run through here, which is what
-// makes the streamed trace bit-identical to the monolithic one.
-func (w *Workload) executeInto(insts []trace.DynInst, n int, seed uint64,
-	segLen int, emit func(lo, hi int) error) ([]trace.DynInst, error) {
+// interp is the interpreter between two instructions: its random
+// streams, its execution state and the next static instruction.
+// Execute, ExecuteStream and ExecuteRecycled all run one through
+// fill, which is what makes their dynamic streams bit-identical
+// however the instructions are chunked.
+type interp struct {
+	w          *Workload
+	rb, ra, rj *rng.Rand
+
+	coldBase            isa.Addr
+	coldBytes, hotBytes int64
+
+	st execState
+	si int
+}
+
+// newInterp starts the interpreter at the program entry for seed.
+func (w *Workload) newInterp(seed uint64) *interp {
 	base := rng.New(seed)
-	rb := base.Derive("branch:" + w.Prof.Name)
-	ra := base.Derive("addr:" + w.Prof.Name)
-	rj := base.Derive("indirect:" + w.Prof.Name)
-
-	hotBytes := w.Prof.HotBytes
-	coldBase := DataBase + isa.Addr((hotBytes+63)&^63)
-	coldBytes := w.Prof.ColdBytes
-
-	st := execState{
-		chasePos:  make([]uint64, w.Prof.ChaseChains),
-		streamCur: make([]isa.Addr, w.Prog.Len()),
-		tripCnt:   make([]uint16, w.Prog.Len()),
-		stack:     make([]isa.Addr, 0, maxCallDepth),
+	it := &interp{
+		w:         w,
+		rb:        base.Derive("branch:" + w.Prof.Name),
+		ra:        base.Derive("addr:" + w.Prof.Name),
+		rj:        base.Derive("indirect:" + w.Prof.Name),
+		coldBase:  DataBase + isa.Addr((w.Prof.HotBytes+63)&^63),
+		coldBytes: w.Prof.ColdBytes,
+		hotBytes:  w.Prof.HotBytes,
+		st: execState{
+			chasePos:  make([]uint64, w.Prof.ChaseChains),
+			streamCur: make([]isa.Addr, w.Prog.Len()),
+			tripCnt:   make([]uint16, w.Prog.Len()),
+			stack:     make([]isa.Addr, 0, maxCallDepth),
+		},
 	}
-	for i := range st.chasePos {
-		st.chasePos[i] = ra.Uint64() % uint64(coldBytes-accessAlign)
+	for i := range it.st.chasePos {
+		it.st.chasePos[i] = it.ra.Uint64() % uint64(it.coldBytes-accessAlign)
 	}
+	return it
+}
 
-	emitted := 0 // insts index up to which segments have been emitted
-	si := 0
-	for len(insts) < n {
+// fill interprets the next len(buf) dynamic instructions into buf.
+func (it *interp) fill(buf []trace.DynInst) error {
+	w, st, si := it.w, &it.st, it.si
+	rb, ra, rj := it.rb, it.ra, it.rj
+	for k := range buf {
 		in := w.Prog.At(si)
 		m := &w.meta[si]
 		d := trace.DynInst{SIdx: int32(si), Target: in.NextPC()}
@@ -106,30 +119,20 @@ func (w *Workload) executeInto(insts []trace.DynInst, n int, seed uint64,
 			d.Taken = true
 			d.Target = w.Prog.PCOf(int(m.targets[skewedPick(rj, len(m.targets))]))
 		case isa.OpLoad, isa.OpStore:
-			d.Addr = w.nextAddr(si, m, &st, ra, coldBase, coldBytes, hotBytes)
+			d.Addr = w.nextAddr(si, m, st, ra, it.coldBase, it.coldBytes, it.hotBytes)
 			if in.Op == isa.OpStore {
 				st.lastStore = d.Addr
 			}
 		}
-		insts = append(insts, d)
+		buf[k] = d
 		next := w.Prog.IndexOf(d.Target)
 		if next < 0 {
-			return nil, fmt.Errorf("workload %s: control left the program at %v", w.Prof.Name, in)
+			return fmt.Errorf("workload %s: control left the program at %v", w.Prof.Name, in)
 		}
 		si = next
-		if emit != nil && len(insts)-emitted >= segLen {
-			if err := emit(emitted, len(insts)); err != nil {
-				return nil, err
-			}
-			emitted = len(insts)
-		}
 	}
-	if emit != nil && len(insts) > emitted {
-		if err := emit(emitted, len(insts)); err != nil {
-			return nil, err
-		}
-	}
-	return insts, nil
+	it.si = si
+	return nil
 }
 
 // MustExecute is Execute that panics on error.
