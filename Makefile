@@ -159,6 +159,7 @@ lint: vet
 	$(GO) run ./cmd/icostvet ./...
 
 ci: fmt lint build race chaos bench
+	$(MAKE) bench-cold COLD_BENCHTIME=1x
 	$(MAKE) bench-fleet FLEET_BENCHTIME=1x
 	$(MAKE) bench-graph GRAPH_BENCHTIME=1x
 	$(MAKE) bench-sens SENS_BENCHTIME=1x

@@ -5,7 +5,7 @@
 //
 //	icost [-bench name] [-n insts] [-warmup insts] [-seed s]
 //	      [-focus cat] [-dl1 lat] [-window size] [-wakeup extra]
-//	      [-recovery cycles] [-lanes k] [-full cat1,cat2,...] [-matrix]
+//	      [-recovery cycles] [-full cat1,cat2,...] [-matrix]
 //	      [-naive] [-cp] [-slack] [-phases k] [-dot lo:hi] [-save f]
 //	      [-load f] [-engine]
 //
@@ -58,7 +58,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		window    = fs.Int("window", 64, "instruction window size")
 		wakeup    = fs.Int("wakeup", 0, "extra issue-wakeup latency")
 		recovery  = fs.Int("recovery", 8, "branch-misprediction recovery cycles")
-		lanes     = fs.Int("lanes", 0, "batched-evaluation lane width (power of two, up to 64; 0 = auto)")
 		full      = fs.String("full", "", "comma-separated categories for a full power-set breakdown")
 		matrix    = fs.Bool("matrix", false, "print the all-pairs interaction-cost matrix")
 		naive     = fs.Bool("naive", false, "print the traditional count-x-latency breakdown for contrast")
@@ -87,7 +86,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		WithWindow(*window).
 		WithWakeupExtra(*wakeup).
 		WithBranchRecovery(*recovery)
-	mc.Graph.Lanes = *lanes
 	if err := mc.Graph.Validate(); err != nil {
 		return fail(err)
 	}
@@ -96,7 +94,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runEngine(stdout, stderr, engineQuery{
 			bench: *bench, n: *n, warmup: *warmup, seed: *seed,
 			dl1: *dl1, window: *window, wakeup: *wakeup, recovery: *recovery,
-			lanes: *lanes,
 			focus: *focus, full: *full, matrix: *matrix, slack: *slack,
 			incompatible: *save != "" || *load != "" || *dot != "" ||
 				*phases > 0 || *cp || *naive,
@@ -246,13 +243,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // engineQuery carries the flag state runEngine needs.
 type engineQuery struct {
-	bench                                string
-	n, warmup                            int
-	seed                                 uint64
-	dl1, window, wakeup, recovery, lanes int
-	focus, full                          string
-	matrix, slack                        bool
-	incompatible                         bool
+	bench                         string
+	n, warmup                     int
+	seed                          uint64
+	dl1, window, wakeup, recovery int
+	focus, full                   string
+	matrix, slack                 bool
+	incompatible                  bool
 }
 
 // runEngine answers the query through internal/engine — the same code
@@ -284,7 +281,7 @@ func runEngine(stdout, stderr io.Writer, eq engineQuery) int {
 		q.Op = engine.OpBreakdown
 		q.Focus = eq.focus
 	}
-	e := engine.New(engine.Config{Lanes: eq.lanes})
+	e := engine.New(engine.Config{})
 	defer e.Close()
 	resp, err := e.Query(context.Background(), q)
 	if err != nil {

@@ -34,8 +34,6 @@ func TestBadFlags(t *testing.T) {
 		{"missing load file", []string{"-load", "/nonexistent/trace.bin"}, 1},
 		{"engine with save", append([]string{"-engine", "-save", "/tmp/x"}, smallArgs...), 1},
 		{"engine unknown bench", append([]string{"-engine", "-bench", "nosuch"}, smallArgs...), 1},
-		{"non-power-of-two lanes", append([]string{"-lanes", "3"}, smallArgs...), 1},
-		{"oversized lanes", append([]string{"-lanes", "128"}, smallArgs...), 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -57,26 +55,6 @@ func TestBreakdownRun(t *testing.T) {
 	}
 	if !strings.Contains(stdout, "mcf:") || !strings.Contains(stdout, "cycles") {
 		t.Fatalf("unexpected output: %q", stdout)
-	}
-}
-
-// TestLanesFlagIsPureThroughputKnob: -lanes changes how many lanes
-// each batched graph walk evaluates, never the analysis — the
-// breakdown output must be identical across widths.
-func TestLanesFlagIsPureThroughputKnob(t *testing.T) {
-	args := append([]string{"-bench", "vpr"}, smallArgs...)
-	code, want, stderr := exec(t, args...)
-	if code != 0 {
-		t.Fatalf("exit %d: %s", code, stderr)
-	}
-	for _, lanes := range []string{"1", "4", "64"} {
-		code, got, stderr := exec(t, append([]string{"-lanes", lanes}, args...)...)
-		if code != 0 {
-			t.Fatalf("-lanes %s: exit %d: %s", lanes, code, stderr)
-		}
-		if got != want {
-			t.Fatalf("-lanes %s changed the analysis:\n%s\nvs\n%s", lanes, got, want)
-		}
 	}
 }
 

@@ -30,7 +30,6 @@ func TestFlagAudit(t *testing.T) {
 		"queue":         {"0", "queue depth"},
 		"cache-mb":      {"64", "MiB"},
 		"sessions":      {"8", "sessions"},
-		"lanes":         {"0", "lane width"},
 		"preload":       {"", "benchmarks"},
 		"pprof":         {"false", "/debug/pprof/"},
 		"query-timeout": {"30s", "deadline"},

@@ -75,7 +75,6 @@ import (
 	"time"
 
 	"icost/internal/daemon"
-	"icost/internal/depgraph"
 	"icost/internal/engine"
 	"icost/internal/faultinject"
 	"icost/internal/fleet"
@@ -93,7 +92,6 @@ type options struct {
 	queue        int
 	cacheMB      int
 	sessions     int
-	lanes        int
 	preload      string
 	pprof        bool
 	queryTimeout time.Duration
@@ -124,8 +122,6 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.queue, "queue", 0, "job queue depth (0 = 4x workers)")
 	fs.IntVar(&o.cacheMB, "cache-mb", 64, "result cache budget in MiB")
 	fs.IntVar(&o.sessions, "sessions", 8, "max resident sessions")
-	fs.IntVar(&o.lanes, "lanes", 0,
-		"batched-evaluation lane width per graph walk (power of two, up to 64; 0 = auto from GOMAXPROCS)")
 	fs.StringVar(&o.preload, "preload", "", "comma-separated benchmarks to build at startup")
 	fs.BoolVar(&o.pprof, "pprof", false,
 		"serve Go runtime profiles under /debug/pprof/ (off by default)")
@@ -199,15 +195,6 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 		fmt.Fprintln(stderr, "icostd: -fleet-mb must be >= 1")
 		return 2
 	}
-	{
-		probe := depgraph.DefaultConfig()
-		probe.Lanes = o.lanes
-		if err := probe.Validate(); err != nil {
-			fmt.Fprintln(stderr, "icostd: -lanes:", err)
-			return 2
-		}
-	}
-
 	var accuracy map[string]float64
 	if o.envelope != "" {
 		acc, err := loadEnvelope(o.envelope)
@@ -225,7 +212,6 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 		CacheBytes:   int64(o.cacheMB) << 20,
 		MaxSessions:  o.sessions,
 		QueryTimeout: o.queryTimeout,
-		Lanes:        o.lanes,
 		Accuracy:     accuracy,
 	})
 	agg := fleet.NewAggregator(fleet.Config{MaxBytes: int64(o.fleetMB) << 20})

@@ -221,13 +221,6 @@ func TestRunBadFlags(t *testing.T) {
 		t.Fatalf("unhelpful error: %q", stderr.String())
 	}
 	stderr.Reset()
-	if code := run([]string{"-lanes", "3"}, &stdout, &stderr, nil); code != 2 {
-		t.Fatal("non-power-of-two -lanes accepted")
-	}
-	if !strings.Contains(stderr.String(), "lanes") {
-		t.Fatalf("unhelpful error: %q", stderr.String())
-	}
-	stderr.Reset()
 	sig := make(chan os.Signal, 1)
 	close(sig)
 	if code := run([]string{"-preload", "nosuchbench", "-addr", "127.0.0.1:0"}, &stdout, &stderr, sig); code != 1 {

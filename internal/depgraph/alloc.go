@@ -5,7 +5,7 @@ import "sync"
 // Unified scratch allocator. Every pooled byte in this package — the
 // graph record arena, the flat CSR tables, the scalar walks' node-time
 // scratch, the backward pass's latest-time scratch and the batch
-// kernels' lane scratch — is carved out of one memArena: a single
+// fold's node-time rings — is carved out of one memArena: a single
 // recyclable backing allocation per typed element class. One pool, one
 // acquire/release discipline, one place where capacity grows, instead
 // of the four bespoke sync.Pools this file replaces.
@@ -118,27 +118,5 @@ func releaseLatest(l *Latest) {
 	}
 	l.arena = nil
 	l.D, l.R, l.E, l.P, l.C = nil, nil, nil, nil, nil
-	releaseArena(a)
-}
-
-// laneScratch is the backing store of one batch-kernel pass: the D, P
-// and C node-time lanes, instruction-major (index i*W+w). R and E
-// times never cross instructions, so they stay in registers.
-type laneScratch struct {
-	d, p, c []int64
-	arena   *memArena
-}
-
-// acquireLanes returns lane scratch for n instructions at width w.
-func acquireLanes(n, w int) *laneScratch {
-	need := n * w
-	a := acquireArena(3*need, 0, 0, 0)
-	return &laneScratch{d: a.i64s(need), p: a.i64s(need), c: a.i64s(need), arena: a}
-}
-
-func releaseLanes(s *laneScratch) {
-	a := s.arena
-	s.arena = nil
-	s.d, s.p, s.c = nil, nil, nil
 	releaseArena(a)
 }

@@ -2,6 +2,8 @@ package depgraph
 
 import (
 	"context"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -46,10 +48,29 @@ func randomIdeal(r *rng.Rand, n int) Ideal {
 
 // TestBatchMatchesScalar is the bit-exactness property: EvalBatch must
 // equal the scalar walk element-wise for every lane, across random
-// machines, trace lengths (including the tails that stress chunk
-// padding) and idealization shapes.
+// machines, trace lengths and idealization shapes. Two cases are
+// pinned rather than left to the draw: a short final chunk, and a
+// machine that fails ValidateWindowed on a graph longer than its carry
+// depth, whose fold must neither wrap its ring nor ignore a far
+// producer.
 func TestBatchMatchesScalar(t *testing.T) {
 	ctx := context.Background()
+	check := func(label string, g *Graph, ids []Ideal, width int) {
+		t.Helper()
+		got, err := g.evalBatch(ctx, ids, width)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if len(got) != len(ids) {
+			t.Fatalf("%s: %d results for %d lanes", label, len(got), len(ids))
+		}
+		for w, id := range ids {
+			if want := g.ExecTime(id); got[w] != want {
+				t.Fatalf("%s lane %d (n=%d): batch %d, scalar %d (ideal %+v)",
+					label, w, g.Len(), got[w], want, id)
+			}
+		}
+	}
 	for seed := uint64(1); seed <= 60; seed++ {
 		r := rng.New(seed)
 		n := r.Intn(300) // includes 0-length microexecutions
@@ -60,18 +81,64 @@ func TestBatchMatchesScalar(t *testing.T) {
 		for w := range ids {
 			ids[w] = randomIdeal(r, n)
 		}
-		got, err := g.EvalBatch(ctx, ids)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if len(got) != width {
-			t.Fatalf("seed %d: %d results for %d lanes", seed, len(got), width)
-		}
-		for w, id := range ids {
-			if want := g.ExecTime(id); got[w] != want {
-				t.Fatalf("seed %d lane %d (n=%d): batch %d, scalar %d (ideal %+v)",
-					seed, w, n, got[w], want, id)
-			}
+		check(fmt.Sprintf("seed %d", seed), g, ids, defaultLanes())
+	}
+
+	r := rng.New(61)
+	g := randomGraph(r.Derive("graph"), 300)
+	ids := make([]Ideal, 11)
+	for w := range ids {
+		ids[w] = randomIdeal(r, g.Len())
+	}
+	check("short final chunk", g, ids, 8) // chunks of 8 and 3 lanes
+
+	// WakeupExtra above DispatchToReady+CompleteToCommit voids the
+	// carry argument; a small window makes the carry depth 4, so most
+	// producers lie beyond it.
+	cfg := g.Cfg
+	cfg.DispatchToReady, cfg.CompleteToCommit, cfg.WakeupExtra = 0, 0, 2
+	cfg.Window, cfg.WindowIdealFactor, cfg.FetchBW, cfg.CommitBW = 2, 2, 1, 1
+	if cfg.ValidateWindowed() == nil || g.Len() <= cfg.CarryDepth() {
+		t.Fatalf("pinned machine passes ValidateWindowed or n=%d <= carry depth %d", g.Len(), cfg.CarryDepth())
+	}
+	check("failing ValidateWindowed", g.WithConfig(cfg), ids, 8)
+}
+
+// TestBatchHugeWindowBoundedByGraph: the carry depth follows the
+// machine's window, which sessions take from user input, but a batch
+// never needs a horizon or ring rows beyond the graph. A window of
+// 1<<20 (carry depth 20 × 2^20) on a 2,000-instruction graph must stay
+// exact and allocate O(n): a carry-sized ring would take gigabytes per
+// chunk.
+func TestBatchHugeWindowBoundedByGraph(t *testing.T) {
+	r := rng.New(13)
+	g := randomGraph(r.Derive("graph"), 2000)
+	cfg := g.Cfg
+	cfg.Window = 1 << 20
+	g = g.WithConfig(cfg)
+	if g.Len() >= cfg.CarryDepth() {
+		t.Fatalf("n=%d reaches the carry depth %d", g.Len(), cfg.CarryDepth())
+	}
+	ids := make([]Ideal, 2*defaultLanes()+3) // several chunks, one short
+	for w := range ids {
+		ids[w] = randomIdeal(r, g.Len())
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := g.EvalBatch(context.Background(), ids)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every chunk's three rings at n rows per lane, plus the flat
+	// tables, lane tables and slack: a few megabytes at most.
+	limit := uint64(3*8*g.Len()*len(ids)) + 4<<20
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > limit {
+		t.Fatalf("batch allocated %d bytes, want <= %d (O(n), not O(window))", alloc, limit)
+	}
+	for w, id := range ids {
+		if want := g.ExecTime(id); got[w] != want {
+			t.Fatalf("lane %d: batch %d, scalar %d", w, got[w], want)
 		}
 	}
 }

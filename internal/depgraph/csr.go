@@ -10,8 +10,11 @@ package depgraph
 // record plus opcode/level branching per instruction per
 // idealization). flatTables extends the CSR with that decomposition as
 // three more int32 columns, a latency-class byte and the PD-edge gate,
-// so the forward walk, the backward walk and the batch kernel stream
-// pure integer columns and never touch InstInfo.
+// so the scalar forward and backward walks stream pure integer columns
+// and never touch InstInfo. The multi-lane fold decomposes each
+// instruction's InstInfo itself, once for all its lanes, because a
+// streamed block has no per-graph tables; over a whole graph it reads
+// only the PD-edge gate from here.
 //
 // The tables are built once per graph on first walk and shared by
 // every subsequent walk and batch. Like the batch tables they replace,

@@ -79,15 +79,21 @@ func sameTimes(t *testing.T, bench string, seed uint64, id depgraph.Ideal, got, 
 // TestCSRBitIdenticalAcrossBenches is the headline property: the CSR
 // walks equal the legacy walks bit for bit on every benchmark × 3
 // seeds, for exec times, node times, slacks and batched evaluation.
+// The batch also carries the per-instruction and α-scaled lanes,
+// checked against the scalar walk, and at least one graph must hold a
+// reference farther back than the carry depth, so the fold's horizon
+// runs on unclamped whole-graph columns.
 func TestCSRBitIdenticalAcrossBenches(t *testing.T) {
 	const n = 2500
 	ctx := context.Background()
+	farRefs := 0
 	for _, bench := range workload.Names() {
 		for seed := uint64(1); seed <= 3; seed++ {
 			res := buildBenchGraph(t, bench, seed, n)
 			g := res.Graph
 			r := rng.New(seed * 977)
 			ids := propertyIdeals(r, g.Len())
+			farRefs += refsBeyond(g, g.Cfg.CarryDepth())
 
 			var globals []depgraph.Ideal
 			for _, id := range ids {
@@ -95,16 +101,28 @@ func TestCSRBitIdenticalAcrossBenches(t *testing.T) {
 					globals = append(globals, id)
 				}
 			}
-			batch, err := g.EvalBatch(ctx, globals)
+			legacyBatch := legacyEvalBatch(g, globals)
+			batched := append(append([]depgraph.Ideal(nil), ids...), scaledIdeals(r, ids[len(ids)-1].PerInst)...)
+			batch, err := g.EvalBatch(ctx, batched)
 			if err != nil {
 				t.Fatalf("%s seed %d: EvalBatch: %v", bench, seed, err)
 			}
-			legacyBatch := legacyEvalBatch(g, globals)
-			for k := range globals {
-				if batch[k] != legacyBatch[k] {
-					t.Fatalf("%s seed %d ideal %v: EvalBatch %d, legacy %d",
-						bench, seed, globals[k], batch[k], legacyBatch[k])
+			for k, id := range batched {
+				if want := g.ExecTime(id); batch[k] != want {
+					t.Fatalf("%s seed %d lane %d (ideal %v, scale %v, per-inst %t): EvalBatch %d, scalar %d",
+						bench, seed, k, id.Global, id.Scale, id.PerInst != nil, batch[k], want)
 				}
+			}
+			k := 0
+			for j, id := range ids {
+				if id.PerInst != nil {
+					continue
+				}
+				if batch[j] != legacyBatch[k] {
+					t.Fatalf("%s seed %d ideal %v: EvalBatch %d, legacy %d",
+						bench, seed, id, batch[j], legacyBatch[k])
+				}
+				k++
 			}
 
 			for _, id := range ids {
@@ -126,29 +144,54 @@ func TestCSRBitIdenticalAcrossBenches(t *testing.T) {
 			g.Release()
 		}
 	}
+	if farRefs == 0 {
+		t.Fatal("no graph holds a producer or leader reference beyond the carry depth")
+	}
+	t.Logf("%d references beyond the carry depth", farRefs)
+}
+
+// scaledIdeals is a few α-scaled lanes: uniform and mixed α vectors,
+// and one over the per-instruction mask per.
+func scaledIdeals(r *rng.Rand, per []depgraph.Flags) []depgraph.Ideal {
+	var mixed depgraph.ScaleVec
+	for b := range mixed {
+		mixed[b] = depgraph.Alpha(r.Intn(int(depgraph.AlphaOne) + 1))
+	}
+	return []depgraph.Ideal{
+		{Global: depgraph.IdealDMiss | depgraph.IdealWindow, Scale: depgraph.ScaleUniform(depgraph.AllFlags, depgraph.AlphaOf(0.5))},
+		{Global: depgraph.AllFlags, Scale: mixed},
+		{Global: depgraph.IdealBW | depgraph.IdealBMisp, Scale: mixed, PerInst: per},
+	}
+}
+
+// refsBeyond counts the producer and leader references of g that
+// reach more than carry instructions back.
+func refsBeyond(g *depgraph.Graph, carry int) int {
+	n := 0
+	for i := 0; i < g.Len(); i++ {
+		for _, ref := range []int32{g.Prod1[i], g.Prod2[i], g.PPLeader[i]} {
+			if ref >= 0 && i-int(ref) > carry {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // TestCSRBitIdenticalWideLanes re-proves batch bit-exactness at every
-// legal configured lane width, including widths above the old 8-lane
-// cap, over a real microexecution.
+// chunk width from 1 to 64 lanes, over a real microexecution.
 func TestCSRBitIdenticalWideLanes(t *testing.T) {
 	res := buildBenchGraph(t, "gcc", 5, 3000)
 	defer func() { depgraph.ReleaseTimes(res.Times); res.Graph.Release() }()
-	base := res.Graph
+	g := res.Graph
 
 	var ids []depgraph.Ideal
 	for f := depgraph.Flags(0); f < 40; f++ {
 		ids = append(ids, depgraph.Ideal{Global: f & depgraph.AllFlags})
 	}
-	want := legacyEvalBatch(base, ids)
+	want := legacyEvalBatch(g, ids)
 	for _, lanes := range []int{1, 2, 4, 8, 16, 32, 64} {
-		cfg := base.Cfg
-		cfg.Lanes = lanes
-		if err := cfg.Validate(); err != nil {
-			t.Fatalf("lanes %d: %v", lanes, err)
-		}
-		g := base.WithConfig(cfg)
-		got, err := g.EvalBatch(context.Background(), ids)
+		got, err := depgraph.EvalBatchWidth(g, context.Background(), ids, lanes)
 		if err != nil {
 			t.Fatalf("lanes %d: %v", lanes, err)
 		}
@@ -156,25 +199,6 @@ func TestCSRBitIdenticalWideLanes(t *testing.T) {
 			if got[k] != want[k] {
 				t.Fatalf("lanes %d ideal %v: %d, legacy %d", lanes, ids[k], got[k], want[k])
 			}
-		}
-	}
-}
-
-// TestLanesValidation pins the Config.Lanes contract: 0 is auto, legal
-// widths are powers of two up to 64, everything else is rejected.
-func TestLanesValidation(t *testing.T) {
-	for _, lanes := range []int{0, 1, 2, 4, 8, 16, 32, 64} {
-		cfg := depgraph.DefaultConfig()
-		cfg.Lanes = lanes
-		if err := cfg.Validate(); err != nil {
-			t.Fatalf("lanes %d: unexpected error %v", lanes, err)
-		}
-	}
-	for _, lanes := range []int{-1, 3, 5, 6, 7, 12, 24, 65, 128} {
-		cfg := depgraph.DefaultConfig()
-		cfg.Lanes = lanes
-		if err := cfg.Validate(); err == nil {
-			t.Fatalf("lanes %d: want validation error", lanes)
 		}
 	}
 }

@@ -166,13 +166,6 @@ type Config struct {
 	L2Latency      int
 	MemLatency     int
 	TLBMissLatency int
-
-	// Lanes is the batch-evaluator lane width: how many idealizations
-	// one kernel pass carries. 0 picks automatically (see laneWidth);
-	// otherwise it must be a power of two in [1, 64]. Lanes affects
-	// only evaluation throughput, never results, so it is excluded
-	// from session identity and snapshots.
-	Lanes int
 }
 
 // Validate rejects nonsensical parameters.
@@ -188,8 +181,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("depgraph: negative latency")
 	case c.DispatchToReady < 0 || c.CompleteToCommit < 0 || c.BranchRecovery < 0 || c.WakeupExtra < 0:
 		return fmt.Errorf("depgraph: negative pipeline latency")
-	case c.Lanes != 0 && (c.Lanes < 1 || c.Lanes > maxLanes || c.Lanes&(c.Lanes-1) != 0):
-		return fmt.Errorf("depgraph: lanes must be 0 (auto) or a power of two in [1, %d], got %d", maxLanes, c.Lanes)
 	}
 	return nil
 }
@@ -250,7 +241,7 @@ type Graph struct {
 	PPLeader []int32
 
 	// flatOnce guards the lazily built, idealization-independent flat
-	// CSR tables every walk and batch kernel reads (see csr.go).
+	// CSR tables the scalar walks read (see csr.go).
 	// Built on first walk; Info must not be mutated after.
 	flatOnce sync.Once
 	flat     flatTables

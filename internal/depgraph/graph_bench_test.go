@@ -141,13 +141,10 @@ func BenchmarkBatchEval(b *testing.B) {
 		}
 	})
 	for _, lanes := range []int{8, 16, 32} {
-		cfg := g.Cfg
-		cfg.Lanes = lanes
-		gw := g.WithConfig(cfg)
 		b.Run(map[int]string{8: "csr8", 16: "csr16", 32: "csr32"}[lanes], func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := gw.EvalBatch(ctx, ids); err != nil {
+				if _, err := depgraph.EvalBatchWidth(g, ctx, ids, lanes); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -157,13 +154,10 @@ func BenchmarkBatchEval(b *testing.B) {
 	for k := range per {
 		per[k].PerInst = perInstMask(g.Len(), uint64(k+1))
 	}
-	cfg := g.Cfg
-	cfg.Lanes = 16
-	gw := g.WithConfig(cfg)
 	b.Run("perinst16", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := gw.EvalBatch(ctx, per); err != nil {
+			if _, err := depgraph.EvalBatchWidth(g, ctx, per, 16); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -30,15 +30,15 @@ package depgraph
 //     dropped at α=0 ("the branch predicts correctly"), again matching
 //     the binary endpoint.
 //
-// Every walk — forward (runInto), batched lanes (evalLanes), backward
-// (latestInto), edge enumeration (InEdges) and the windowed fold
-// (WindowEval.fold) — has one kernel, written in multiplier form. A
-// flag resolves to a multiplier once per lane (scaledLaneOf): AlphaOne
-// when the category is not selected, its α — 0 unless a scale says
-// otherwise — when it is. A per-instruction mask resolves once per
-// distinct effective flag value (laneTable). Because scaleLat is exact
-// at both endpoints, binary idealizations run through the same
-// arithmetic bit-identically.
+// Every walk — forward (runInto), backward (latestInto), edge
+// enumeration (InEdges) and the multi-lane fold (WindowEval.fold, which
+// both the windowed pass and EvalBatch run) — has one kernel, written
+// in multiplier form. A flag resolves to a multiplier once per lane
+// (scaledLaneOf): AlphaOne when the category is not selected, its α —
+// 0 unless a scale says otherwise — when it is. A per-instruction mask
+// resolves once per distinct effective flag value (laneTable). Because
+// scaleLat is exact at both endpoints, binary idealizations run
+// through the same arithmetic bit-identically.
 
 // alphaBits is the fixed-point fraction width of Alpha; alphaHalf the
 // rounding term of scaleLat.
@@ -191,8 +191,8 @@ func scaledLaneOf(cfg *Config, f Flags, s ScaleVec) scaledLane {
 // walk with a per-instruction mask thus resolves each distinct flag
 // value once, however often the mask switches between them. The
 // scalar walks keep their table on the stack, so they stay
-// allocation-free; the batch kernel shares one among the masked lanes
-// of each scale vector.
+// allocation-free; the fold shares one among the masked lanes of each
+// scale vector.
 type laneTable struct {
 	cfg *Config
 	s   ScaleVec

@@ -299,12 +299,12 @@ func TestScaledCriticalPathBinds(t *testing.T) {
 }
 
 // graphWindows slices a whole graph into Window blocks with
-// Lo-relative references and carry-horizon clamping, the shape the
+// Lo-relative references, absent ones as NoRef: the shape the
 // streaming simulator emits.
-func graphWindows(g *Graph, block, carry int) []*Window {
+func graphWindows(g *Graph, block int) []*Window {
 	n := g.Len()
-	rel := func(abs int32, i, lo int) int32 {
-		if abs < 0 || i-int(abs) > carry {
+	rel := func(abs int32, lo int) int32 {
+		if abs < 0 {
 			return NoRef
 		}
 		return abs - int32(lo)
@@ -323,9 +323,9 @@ func graphWindows(g *Graph, block, carry int) []*Window {
 			w.DDBreak[j] = g.DDBreak[i]
 			w.RELat[j] = g.RELat[i]
 			w.CCLat[j] = g.CCLat[i]
-			w.Prod1[j] = rel(g.Prod1[i], i, lo)
-			w.Prod2[j] = rel(g.Prod2[i], i, lo)
-			w.PPLeader[j] = rel(g.PPLeader[i], i, lo)
+			w.Prod1[j] = rel(g.Prod1[i], lo)
+			w.Prod2[j] = rel(g.Prod2[i], lo)
+			w.PPLeader[j] = rel(g.PPLeader[i], lo)
 			var mp uint8
 			if i > 0 && g.Info[i-1].Mispredict {
 				mp = 1
@@ -360,8 +360,8 @@ func TestScaledWindowedMatchesWholeGraph(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		block := 1 + r.Intn(60)
-		for _, win := range graphWindows(g, block, we.CarryDepth()) {
-			if err := we.Feed(win); err != nil {
+		for _, win := range graphWindows(g, block) {
+			if err := we.Feed(context.Background(), win); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
 		}

@@ -1,6 +1,7 @@
 package depgraph
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -32,26 +33,34 @@ import (
 // lift R(i) = max(D(i) + DispatchToReady, P(p) + WakeupExtra) as long
 // as WakeupExtra ≤ DispatchToReady + CompleteToCommit — the
 // ValidateWindowed precondition. Line-sharing PP edges are
-// unconditional: P(leader) ≤ C(i−w) ≤ D(i) ≤ P(i) already. Refs
-// farther back than K are clamped to NoRef at emission, and the fold
-// over clamped blocks is bit-identical to the whole-graph walk —
-// FuzzWindowFold and the window package's tests prove this against
-// full simulations.
+// unconditional: P(leader) ≤ C(i−w) ≤ D(i) ≤ P(i) already. So the
+// fold ignores refs farther back than K, and it is bit-identical to
+// the whole-graph scalar walk — FuzzWindowFold and the window
+// package's tests prove this against full simulations.
+//
+// The argument holds over a whole graph too, so the batch walk
+// (EvalBatch) is this same fold over the graph's columns as one block,
+// with a K-deep ring instead of n rows per lane. The horizon is
+// min(K, n), and a ring longer than the graph carves only its first n
+// rows, so a huge window costs no more than the graph's length. A
+// configuration that fails ValidateWindowed gets a horizon of n: that
+// walk never wraps and ignores nothing, so it is exact by
+// construction.
 //
 // The arrays are per-kind edge columns exactly like Graph's — the
 // same CSR layout, windowed.
 
-// NoRef marks an absent or clamped cross-window reference in a
-// Window's producer/leader columns. Distinct from -1, which is a
-// valid relative reference (the instruction before the window start).
+// NoRef marks an absent cross-window reference in a Window's
+// producer/leader columns. Distinct from -1, which is a valid relative
+// reference (the instruction before the window start).
 const NoRef = int32(math.MinInt32)
 
 // Window is one bounded block of dependence-graph records emitted by
-// the streaming simulator. Producer and leader references are
-// relative to Lo (absolute index Lo+rel; negative values reach into
-// earlier windows, never farther back than the carry depth — beyond
-// it they are clamped to NoRef, which the evaluation above proves
-// lossless).
+// the streaming simulator, or a whole graph's columns viewed at Lo = 0.
+// Producer and leader references are relative to Lo (absolute index
+// Lo+rel; negative values reach into earlier windows, and the fold
+// ignores those farther back than the carry depth, which the
+// argument above proves lossless).
 type Window struct {
 	// Lo is the absolute dynamic index of the first instruction.
 	Lo int64
@@ -149,17 +158,24 @@ func (c *Config) ValidateWindowed() error {
 }
 
 // WindowEval folds Window blocks into execution times under a fixed
-// set of global idealizations, holding only carry-deep node-time
-// rings: memory is O(CarryDepth × lanes), independent of trace
-// length. Blocks must be fed in stream order. Every lane's effective
-// window stays within [Window, Window×WindowIdealFactor], whatever its
-// scale, so the carry depth and the exactness argument above hold for
-// parametric lanes too.
+// set of idealizations, holding only carry-deep node-time rings:
+// memory is O(CarryDepth × lanes), independent of trace length. Blocks
+// must be fed in stream order. Every lane's effective window stays
+// within [Window, Window×WindowIdealFactor], whatever its scale, so the
+// carry depth and the exactness argument above hold for parametric
+// lanes too.
+//
+// The fold is the package's one multi-lane forward kernel: a
+// streaming windowed pass feeds it the simulator's blocks, and
+// EvalBatch feeds it a whole graph as a single block (batch.go).
 type WindowEval struct {
 	cfg   Config
-	lanes []scaledLane
+	lanes []foldLane
+	// tabs holds one lane table per distinct scale vector among the
+	// per-instruction lanes; empty when every lane is global.
+	tabs []laneTable
 
-	carry int   // K: emission clamp horizon, ring history depth
+	carry int64 // reference horizon: farther-back refs are ignored
 	rmask int64 // ring index mask (ring size - 1, power of two)
 
 	// Node-time rings, ring-slot-major × lane: index (abs&rmask)*L+w.
@@ -169,10 +185,21 @@ type WindowEval struct {
 	n int64 // instructions folded so far
 }
 
+// foldLane is one lane of a fold. A global lane's multipliers are
+// resolved once; a lane with a per-instruction mask looks each
+// instruction's lane up in tabs[tab], the lane table it shares with
+// every masked lane of the same scale vector.
+type foldLane struct {
+	scaledLane
+	glob Flags
+	per  []Flags
+	tab  int
+}
+
 // NewWindowEvalIdeals builds an evaluator for the given configuration
 // and idealization lanes, which may carry parametric scale factors.
-// Lanes must be global: windowed folds have no per-instruction
-// identity to apply a mask against.
+// Lanes must be global: a stream has no per-instruction identity to
+// apply a mask against.
 func NewWindowEvalIdeals(cfg Config, ids []Ideal) (*WindowEval, error) {
 	if err := cfg.ValidateWindowed(); err != nil {
 		return nil, err
@@ -180,24 +207,51 @@ func NewWindowEvalIdeals(cfg Config, ids []Ideal) (*WindowEval, error) {
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("depgraph: windowed evaluation needs at least one idealization lane")
 	}
-	we := &WindowEval{cfg: cfg, lanes: make([]scaledLane, len(ids))}
 	for k := range ids {
 		if ids[k].PerInst != nil {
 			return nil, fmt.Errorf("depgraph: windowed evaluation lanes must be global (lane %d has a per-instruction mask)", k)
 		}
-		we.lanes[k] = scaledLaneOf(&we.cfg, ids[k].Global, ids[k].Scale)
 	}
-	we.carry = cfg.CarryDepth()
+	we := &WindowEval{cfg: cfg}
+	we.setLanes(ids)
+	size := we.setCarry(cfg.CarryDepth()) * len(ids)
+	we.d = make([]int64, size)
+	we.p = make([]int64, size)
+	we.c = make([]int64, size)
+	return we, nil
+}
+
+// setLanes resolves the lanes' multipliers, sharing one lane table
+// among the per-instruction lanes of each scale vector.
+func (we *WindowEval) setLanes(ids []Ideal) {
+	we.lanes = make([]foldLane, len(ids))
+	for w := range ids {
+		id := &ids[w]
+		we.lanes[w] = foldLane{scaledLane: scaledLaneOf(&we.cfg, id.Global, id.Scale), glob: id.Global, per: id.PerInst}
+		if id.PerInst == nil {
+			continue
+		}
+		k := 0
+		for k < len(we.tabs) && we.tabs[k].s != id.Scale {
+			k++
+		}
+		if k == len(we.tabs) {
+			we.tabs = append(we.tabs, laneTable{cfg: &we.cfg, s: id.Scale})
+		}
+		we.lanes[w].tab = k
+	}
+}
+
+// setCarry sets the reference horizon and sizes the rings to the next
+// power of two above it, so every instruction the fold reads back to
+// is still resident. It returns the ring's rows (slots per lane).
+func (we *WindowEval) setCarry(carry int) int {
 	ring := int64(1)
-	for ring < int64(we.carry)+1 {
+	for ring < int64(carry)+1 {
 		ring <<= 1
 	}
-	we.rmask = ring - 1
-	L := int64(len(ids))
-	we.d = make([]int64, ring*L)
-	we.p = make([]int64, ring*L)
-	we.c = make([]int64, ring*L)
-	return we, nil
+	we.carry, we.rmask = int64(carry), ring-1
+	return int(ring)
 }
 
 // Insts returns how many instructions have been folded.
@@ -208,31 +262,34 @@ func (we *WindowEval) RingBytes() int64 {
 	return 3 * int64(len(we.d)) * 8
 }
 
-// CarryDepth returns the clamp horizon K the emitter must apply:
-// references farther than K behind their consumer must arrive as
-// NoRef.
-func (we *WindowEval) CarryDepth() int { return we.carry }
-
-// Feed folds one block. Blocks must arrive in stream order: win.Lo
-// must equal the number of instructions already folded.
-func (we *WindowEval) Feed(win *Window) error {
+// Feed folds one block, polling ctx every ctxCheckStride
+// instructions. Blocks must arrive in stream order: win.Lo must equal
+// the number of instructions already folded. After an error the
+// evaluator is unusable.
+func (we *WindowEval) Feed(ctx context.Context, win *Window) error {
 	if win.Lo != we.n {
 		return fmt.Errorf("depgraph: window starts at %d, evaluator at %d", win.Lo, we.n)
 	}
-	we.fold(win)
+	if err := we.fold(ctx, win); err != nil {
+		return err
+	}
 	we.n += int64(win.N)
 	return nil
 }
 
-// fold is the windowed fold kernel: the batch kernel's recurrence over
-// ring rows instead of whole-graph lanes.
+// fold is the forward kernel: one pass over the block's records, a
+// fixed-width inner loop over the lanes, node times in carry-deep
+// rings. A producer or leader farther back than the carry horizon is
+// ignored (it cannot bind; see the exactness argument above).
 //
 //lint:hotpath
-func (we *WindowEval) fold(win *Window) {
+func (we *WindowEval) fold(ctx context.Context, win *Window) error {
 	cfg := &we.cfg
-	L := int64(len(we.lanes))
+	lanes, tabs := we.lanes, we.tabs
+	anyPer := len(tabs) > 0
+	L := int64(len(lanes))
 	D, P, C := we.d, we.p, we.c
-	rmask := we.rmask
+	rmask, carry := we.rmask, we.carry
 	dr := int64(cfg.DispatchToReady)
 	pc := int64(cfg.CompleteToCommit)
 	rec := int64(cfg.BranchRecovery)
@@ -244,6 +301,9 @@ func (we *WindowEval) fold(win *Window) {
 	tlb := int64(cfg.TLBMissLatency)
 
 	for j := 0; j < win.N; j++ {
+		if j%ctxCheckStride == 0 && ctx.Err() != nil {
+			return ctx.Err()
+		}
 		abs := win.Lo + int64(j)
 		// Decompose this instruction's latencies once; the cost
 		// amortizes over every lane.
@@ -254,9 +314,9 @@ func (we *WindowEval) fold(win *Window) {
 		ccLat := int64(win.CCLat[j])
 		misp := win.MispPrev[j] != 0
 
-		// Ring rows. Relative references resolve against Lo; NoRef
-		// (clamped or absent) scales far negative and is caught by
-		// the row sign test, exactly like the batch kernel's -1.
+		// Ring rows, -1 where the edge is absent, so the per-lane
+		// guards below stay a sign test. A reference reaches back at
+		// most to the stream start and at most the carry horizon.
 		row := (abs & rmask) * L
 		prevRow, fbwRow, cbwRow := int64(-1), int64(-1), int64(-1)
 		if abs > 0 {
@@ -268,20 +328,33 @@ func (we *WindowEval) fold(win *Window) {
 		if abs >= cbw {
 			cbwRow = ((abs - cbw) & rmask) * L
 		}
-		p1Row := refRow(win.Prod1[j], win.Lo, rmask, L)
-		p2Row := refRow(win.Prod2[j], win.Lo, rmask, L)
-		leadRow := refRow(win.PPLeader[j], win.Lo, rmask, L)
+		reach := min(abs, carry)
+		p1Row := refRow(win.Prod1[j], int64(j), abs, reach, rmask, L)
+		p2Row := refRow(win.Prod2[j], int64(j), abs, reach, rmask, L)
+		leadRow := refRow(win.PPLeader[j], int64(j), abs, reach, rmask, L)
 
 		dRow := D[row : row+L]
 		pRow := P[row : row+L]
 		cRow := C[row : row+L]
 		for w := int64(0); w < L; w++ {
-			ln := &we.lanes[w]
+			ln := &lanes[w].scaledLane
+			// The PD edge is gated and scaled by the branch's (i-1's)
+			// effective flags; instruction 0 is never misp.
+			recM := ln.recM
+			if anyPer {
+				if fl := &lanes[w]; fl.per != nil {
+					tab := &tabs[fl.tab]
+					ln = tab.of(fl.glob | fl.per[abs])
+					if misp {
+						recM = tab.of(fl.glob | fl.per[abs-1]).recM
+					}
+				}
+			}
 			d := scaleLat(ddBreak, ln.bwM) + scaleLat(icL, ln.icM)
 			if prevRow >= 0 {
 				d += D[prevRow+w]
-				if misp && ln.recM > 0 {
-					if v := P[prevRow+w] + scaleLat(rec, ln.recM); v > d {
+				if misp && recM > 0 {
+					if v := P[prevRow+w] + scaleLat(rec, recM); v > d {
 						d = v
 					}
 				}
@@ -334,20 +407,20 @@ func (we *WindowEval) fold(win *Window) {
 			cRow[w] = c
 		}
 	}
+	return nil
 }
 
-// refRow converts a Lo-relative reference into a ring row offset, or
-// -1 when the reference is absent/clamped. A NoRef scales far
-// negative, so the caller's sign test rejects it for free.
-func refRow(rel int32, lo int64, rmask, lanes int64) int64 {
-	if rel == NoRef {
+// refRow converts a reference relative to the block start into the
+// ring row of the instruction it names, seen from block offset j
+// (absolute abs), or -1 when it reaches back more than reach: past the
+// stream start (a -1 before instruction 0, or a NoRef) or past the
+// carry horizon.
+func refRow(rel int32, j, abs, reach, rmask, lanes int64) int64 {
+	back := j - int64(rel)
+	if back > reach {
 		return -1
 	}
-	abs := lo + int64(rel)
-	if abs < 0 {
-		return -1
-	}
-	return (abs & rmask) * lanes
+	return ((abs - back) & rmask) * lanes
 }
 
 // decomposeLat is the shared per-instruction latency decomposition
@@ -393,12 +466,17 @@ func decomposeLat(info *InstInfo, dl1, l2, mem, tlb int64) (ep int64, class uint
 // instructions).
 func (we *WindowEval) ExecTimes() []int64 {
 	out := make([]int64, len(we.lanes))
+	we.execTimesInto(out)
+	return out
+}
+
+// execTimesInto is ExecTimes into a zeroed out of one entry per lane.
+func (we *WindowEval) execTimesInto(out []int64) {
 	if we.n == 0 {
-		return out
+		return
 	}
 	row := ((we.n - 1) & we.rmask) * int64(len(we.lanes))
 	for w := range out {
 		out[w] = we.c[row+int64(w)] + 1
 	}
-	return out
 }

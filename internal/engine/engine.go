@@ -33,7 +33,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"icost/internal/depgraph"
 	"icost/internal/faultinject"
 )
 
@@ -71,11 +70,6 @@ type Config struct {
 	// instead of stampeding into fresh build attempts (default 1s;
 	// negative drops failures immediately).
 	BuildFailTTL time.Duration
-	// Lanes is the batched-evaluation lane width handed to every
-	// session's graph config (0 = auto-pick from GOMAXPROCS; otherwise
-	// a power of two up to 64). Pure throughput knob: it never changes
-	// results and is excluded from session identity and snapshots.
-	Lanes int
 	// Accuracy, when set, is the advertised model-vs-simulator
 	// relative-error envelope per knob (the measured bound committed
 	// to BENCH_sens.json by internal/refute). It is attached verbatim
@@ -187,15 +181,6 @@ type job struct {
 // New starts an engine with cfg defaults applied.
 func New(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
-	{
-		// Fail loudly at construction, not on the first build: an
-		// invalid lane width is an operator configuration error.
-		probe := depgraph.DefaultConfig()
-		probe.Lanes = cfg.Lanes
-		if err := probe.Validate(); err != nil {
-			panic(fmt.Sprintf("engine: invalid Config.Lanes %d: %v", cfg.Lanes, err))
-		}
-	}
 	e := &Engine{
 		cfg:     cfg,
 		jobs:    make(chan *job, cfg.QueueDepth),
@@ -526,7 +511,7 @@ func (e *Engine) buildOnce(ctx context.Context, spec SessionSpec) (*session, err
 	if err := faultinject.Hit(ctx, faultinject.EngineBuild); err != nil {
 		return nil, err
 	}
-	return build(ctx, spec, e.cfg.Lanes, &e.met)
+	return build(ctx, spec, &e.met)
 }
 
 // Metrics snapshots the engine's observability state.

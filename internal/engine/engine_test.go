@@ -36,7 +36,7 @@ func directAnalyzer(t testing.TB, spec SessionSpec) *cost.Analyzer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ooo.Simulate(tr, spec.machine(0), ooo.Options{KeepGraph: true, Warmup: spec.Warmup})
+	res, err := ooo.Simulate(tr, spec.machine(), ooo.Options{KeepGraph: true, Warmup: spec.Warmup})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"icost/internal/cost"
 	"icost/internal/depgraph"
 	"icost/internal/ooo"
-	"icost/internal/trace"
 	"icost/internal/window"
 	"icost/internal/workload"
 )
@@ -95,7 +94,7 @@ func (s SessionSpec) normalize() (SessionSpec, error) {
 		return s, errValidation("engine: bad window_insts %d", s.WindowInsts)
 	}
 	if s.WindowInsts > 0 {
-		cfg := s.machine(0)
+		cfg := s.machine()
 		if err := cfg.Graph.ValidateWindowed(); err != nil {
 			return s, errValidation("engine: %v", err)
 		}
@@ -118,28 +117,24 @@ func (s SessionSpec) Key() (string, error) {
 	return hex.EncodeToString(sum[:8]), nil
 }
 
-// machine resolves the simulated machine. lanes is the engine-wide
-// batch lane width (Config.Lanes): a throughput knob, deliberately
-// outside the spec and the session key.
-func (s SessionSpec) machine(lanes int) ooo.Config {
-	cfg := ooo.DefaultConfig().
+// machine resolves the simulated machine.
+func (s SessionSpec) machine() ooo.Config {
+	return ooo.DefaultConfig().
 		WithDL1Latency(s.DL1Latency).
 		WithWindow(s.Window).
 		WithWakeupExtra(s.WakeupExtra).
 		WithBranchRecovery(s.BranchRecovery)
-	cfg.Graph.Lanes = lanes
-	return cfg
 }
 
-// session is one built artifact set. A whole-graph session holds
-// trace + simulation result (graph) + graph-backed analyzer; a
+// session is one built artifact set. A whole-graph session holds the
+// simulation result (graph) and a graph-backed analyzer — neither the
+// trace nor the simulation's node times, which no query reads; a
 // windowed session holds no graph at all — just an analyzer whose
 // memo holds the idealizations folded so far and whose misses re-fold
 // the stream, plus the windowed run's shape for observability.
 type session struct {
 	key      string
 	spec     SessionSpec // normalized
-	trace    *trace.Trace
 	result   *ooo.Result
 	analyzer *cost.Analyzer
 	built    time.Duration // wall time of the cold build
@@ -147,13 +142,12 @@ type session struct {
 
 	// Windowed-session state (spec.WindowInsts > 0): insts folded,
 	// blocks emitted, and peak analysis bytes, from the build's
-	// window.Analyze pass; the lane width and engine metrics every
-	// re-fold runs with (met is nil outside an engine).
+	// window.Analyze pass; the engine metrics every re-fold reports to
+	// (nil outside an engine).
 	windowed  bool
 	insts     int
 	windows   int
 	peakBytes int64
-	lanes     int
 	met       *metrics
 }
 
@@ -166,48 +160,38 @@ func (s *session) instCount() int {
 	return s.result.Graph.Len()
 }
 
-// release returns the session's pool-backed artifacts — trace backing
-// array, graph arena, node-time scratch — so the next cold build
-// reuses them instead of reallocating. Only called once no reader can
-// still hold the session (engine Close, after the workers exit);
-// evicted sessions are never released, since an in-flight query may
-// still be reading them, and simply fall to the garbage collector.
+// release returns the session's pool-backed graph arena so the next
+// cold build reuses it instead of reallocating. Only called once no
+// reader can still hold the session (engine Close, after the workers
+// exit); evicted sessions are never released, since an in-flight query
+// may still be reading them, and simply fall to the garbage collector.
 func (s *session) release() {
 	if !s.pooled {
 		return
 	}
 	s.pooled = false
-	if s.result != nil {
-		if s.result.Graph != nil {
-			s.result.Graph.Release()
-			s.result.Graph = nil
-		}
-		if s.result.Times != nil {
-			depgraph.ReleaseTimes(s.result.Times)
-			s.result.Times = nil
-		}
-	}
-	if s.trace != nil {
-		trace.ReleaseInsts(s.trace.Insts)
-		s.trace = nil
+	if s.result != nil && s.result.Graph != nil {
+		s.result.Graph.Release()
+		s.result.Graph = nil
 	}
 }
 
 // build constructs a session through the streaming cold path: the
-// workload interpreter produces trace segments on a bounded channel
-// while the simulator consumes them, overlapping generation,
-// simulation and graph-edge materialization; the trace, graph and
-// node times all land in pooled storage. ctx cancels both pipeline
-// stages. met (nil in benchmarks) receives the build histogram and
-// per-stage time counters.
-func build(ctx context.Context, spec SessionSpec, lanes int, met *metrics) (*session, error) {
+// workload interpreter produces trace segments into a small ring of
+// recycled buffers while the simulator consumes them, overlapping
+// generation, simulation and graph-edge materialization. The graph
+// lands in pooled storage; the node times go back to their pool as
+// soon as the simulation returns. ctx cancels both pipeline stages.
+// met (nil in benchmarks) receives the build histogram and per-stage
+// time counters.
+func build(ctx context.Context, spec SessionSpec, met *metrics) (*session, error) {
 	key, err := spec.Key()
 	if err != nil {
 		return nil, err
 	}
 	spec, _ = spec.normalize()
 	if spec.WindowInsts > 0 {
-		return buildWindowed(ctx, spec, lanes, met, key)
+		return buildWindowed(ctx, spec, met, key)
 	}
 	start := time.Now()
 	w, err := workload.Cached(spec.Bench, spec.Seed)
@@ -219,17 +203,19 @@ func build(ctx context.Context, spec SessionSpec, lanes int, met *metrics) (*ses
 	// producer already gone.
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	st, err := w.ExecuteStream(ctx, spec.Warmup+spec.TraceLen, spec.Seed+1, 0)
+	st, err := w.ExecuteRecycled(ctx, spec.Warmup+spec.TraceLen, spec.Seed+1, 0)
 	if err != nil {
 		return nil, fmt.Errorf("engine: generating %s: %w", spec.Bench, err)
 	}
 	var tm ooo.StreamTiming
-	res, err := ooo.SimulateStream(ctx, st, spec.machine(lanes), ooo.Options{
+	res, err := ooo.SimulateStream(ctx, st, spec.machine(), ooo.Options{
 		KeepGraph: true, Warmup: spec.Warmup, Timing: &tm,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("engine: simulating %s: %w", spec.Bench, err)
 	}
+	depgraph.ReleaseTimes(res.Times)
+	res.Times = nil
 	built := time.Since(start)
 	if met != nil {
 		met.sessionBuild.record(built)
@@ -241,7 +227,6 @@ func build(ctx context.Context, spec SessionSpec, lanes int, met *metrics) (*ses
 	return &session{
 		key:      key,
 		spec:     spec,
-		trace:    st.Trace(),
 		result:   res,
 		analyzer: cost.New(res.Graph),
 		built:    built,
@@ -265,14 +250,14 @@ func foldLattice() []depgraph.Flags {
 
 // windowRequest describes one windowed pass over the session's
 // stream.
-func (s SessionSpec) windowRequest(lanes int) window.Request {
+func (s SessionSpec) windowRequest() window.Request {
 	return window.Request{
 		Bench:       s.Bench,
 		Seed:        s.Seed,
 		TraceLen:    s.TraceLen,
 		Warmup:      s.Warmup,
 		WindowInsts: s.WindowInsts,
-		Sim:         s.machine(lanes),
+		Sim:         s.machine(),
 	}
 }
 
@@ -283,10 +268,10 @@ func (s SessionSpec) windowRequest(lanes int) window.Request {
 // the session's resident size are both bounded by the window budget,
 // which is what lets a session cover tens of millions of
 // instructions.
-func buildWindowed(ctx context.Context, spec SessionSpec, lanes int, met *metrics, key string) (*session, error) {
+func buildWindowed(ctx context.Context, spec SessionSpec, met *metrics, key string) (*session, error) {
 	start := time.Now()
 	lattice := foldLattice()
-	wres, err := window.Analyze(ctx, spec.windowRequest(lanes), lattice)
+	wres, err := window.Analyze(ctx, spec.windowRequest(), lattice)
 	if err != nil {
 		return nil, fmt.Errorf("engine: windowed build of %s: %w", spec.Bench, err)
 	}
@@ -307,13 +292,12 @@ func buildWindowed(ctx context.Context, spec SessionSpec, lanes int, met *metric
 		insts:     int(wres.Insts),
 		windows:   wres.Windows,
 		peakBytes: wres.PeakBytes,
-		lanes:     lanes,
 		met:       met,
 	}, known), nil
 }
 
-// newWindowedSession completes s — identity, result, run shape, lane
-// width and metrics already set — as a windowed session: its analyzer
+// newWindowedSession completes s — identity, result, run shape and
+// metrics already set — as a windowed session: its analyzer
 // starts from the subset times folded so far (flags → cycles; known[0]
 // is the base) and re-folds the stream for every batch of memo misses,
 // binary or α-scaled alike. Shared by the cold build and snapshot
@@ -329,7 +313,7 @@ func newWindowedSession(s *session, known map[depgraph.Flags]int64) *session {
 // deterministic, so its simulated cycles must equal the session's; a
 // pass that disagrees answers nothing.
 func (s *session) refold(ctx context.Context, ids []depgraph.Ideal) ([]int64, error) {
-	wres, err := window.AnalyzeIdeals(ctx, s.spec.windowRequest(s.lanes), ids)
+	wres, err := window.AnalyzeIdeals(ctx, s.spec.windowRequest(), ids)
 	if err != nil {
 		return nil, fmt.Errorf("engine: windowed re-fold of %s: %w", s.spec.Bench, err)
 	}

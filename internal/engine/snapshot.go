@@ -219,7 +219,7 @@ func snapCfgFields(c depgraph.Config) []int {
 // already live (or building) under the same key wins: the snapshot is
 // decoded and discarded, and the live key is returned.
 func (e *Engine) RestoreSession(ctx context.Context, r io.Reader) (string, error) {
-	s, err := readSnapshot(ctx, r, e.cfg.Lanes, &e.met)
+	s, err := readSnapshot(ctx, r, &e.met)
 	if err != nil {
 		return "", err
 	}
@@ -227,19 +227,19 @@ func (e *Engine) RestoreSession(ctx context.Context, r io.Reader) (string, error
 	return s.key, nil
 }
 
-// readSnapshot decodes one framed snapshot from r; lanes and met are
-// the engine's, for a windowed session's re-folds. Bytes that end
+// readSnapshot decodes one framed snapshot from r; met is the
+// engine's, for a windowed session's re-folds. Bytes that end
 // early or do not decode are the sender's malformed input and fail as
 // a *ValidationError, an undecodable version as a
 // *SnapshotVersionError, and a payload failing its checksum as a
 // *SnapshotChecksumError; a reader that fails outright reports its
 // own error.
-func readSnapshot(ctx context.Context, r io.Reader, lanes int, met *metrics) (*session, error) {
+func readSnapshot(ctx context.Context, r io.Reader, met *metrics) (*session, error) {
 	if err := faultinject.Hit(ctx, faultinject.FleetSnapshot); err != nil {
 		return nil, err
 	}
 	src := &snapSource{r: r}
-	s, err := decodeSnapshot(src, lanes, met)
+	s, err := decodeSnapshot(src, met)
 	if err != nil && src.err != nil {
 		return nil, fmt.Errorf("engine: reading snapshot: %w", src.err)
 	}
@@ -266,7 +266,7 @@ func (s *snapSource) Read(p []byte) (int, error) {
 // version byte: every declared snapVersion* constant has a case.
 //
 //lint:codec-decode icss
-func decodeSnapshot(r io.Reader, lanes int, met *metrics) (*session, error) {
+func decodeSnapshot(r io.Reader, met *metrics) (*session, error) {
 	hr := bufio.NewReader(r)
 	var magic [5]byte
 	if _, err := io.ReadFull(hr, magic[:]); err != nil {
@@ -346,7 +346,7 @@ func decodeSnapshot(r io.Reader, lanes int, met *metrics) (*session, error) {
 		return nil, errValidation("engine: snapshot kind %d disagrees with spec window_insts %d", kind, spec.WindowInsts)
 	}
 	if kind == snapKindWindowed {
-		return readWindowedBody(br, version, key, spec, time.Duration(builtNS), int64(cycles), lanes, met)
+		return readWindowedBody(br, version, key, spec, time.Duration(builtNS), int64(cycles), met)
 	}
 	if kind != snapKindGraph {
 		return nil, errValidation("engine: unknown snapshot kind %d", kind)
@@ -448,7 +448,7 @@ func decodeSnapshot(r io.Reader, lanes int, met *metrics) (*session, error) {
 // present and equal the simulated cycles. br must be positioned after
 // the kind byte and end exactly at the last entry.
 func readWindowedBody(br *bytes.Reader, version byte, key string, spec SessionSpec, built time.Duration,
-	cycles int64, lanes int, met *metrics) (*session, error) {
+	cycles int64, met *metrics) (*session, error) {
 	insts, err := getSnapUv(br, 1<<40)
 	if err != nil {
 		return nil, err
@@ -511,7 +511,6 @@ func readWindowedBody(br *bytes.Reader, version byte, key string, spec SessionSp
 		insts:     int(insts),
 		windows:   int(windows),
 		peakBytes: int64(peakBytes),
-		lanes:     lanes,
 		met:       met,
 	}, known), nil
 }
@@ -684,7 +683,7 @@ func (e *Engine) loadOne(ctx context.Context, path string) bool {
 		return false
 	}
 	defer f.Close()
-	s, err := readSnapshot(ctx, f, e.cfg.Lanes, &e.met)
+	s, err := readSnapshot(ctx, f, &e.met)
 	if err != nil {
 		e.met.snapshotLoadErrors.Add(1)
 		return false

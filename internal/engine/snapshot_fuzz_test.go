@@ -71,7 +71,7 @@ func TestReadSnapshotBoundsDeclaredLengths(t *testing.T) {
 		raw  []byte
 	}{{"payload length", hugeLen}, {"instruction count", hugeGraph}} {
 		var err error
-		alloc := allocBytes(func() { _, err = readSnapshot(context.Background(), bytes.NewReader(tc.raw), 0, nil) })
+		alloc := allocBytes(func() { _, err = readSnapshot(context.Background(), bytes.NewReader(tc.raw), nil) })
 		var verr *ValidationError
 		if !errors.As(err, &verr) {
 			t.Fatalf("%s (%d bytes): err %v, want a *ValidationError", tc.name, len(tc.raw), err)
@@ -89,7 +89,7 @@ func TestReadSnapshotReaderFailure(t *testing.T) {
 	hugeLen, _ := craftedSnapshots()
 	errDrop := errors.New("connection dropped")
 	r := io.MultiReader(bytes.NewReader(hugeLen[:7]), iotest.ErrReader(errDrop))
-	_, err := readSnapshot(context.Background(), r, 0, nil)
+	_, err := readSnapshot(context.Background(), r, nil)
 	var verr *ValidationError
 	if !errors.Is(err, errDrop) || errors.As(err, &verr) {
 		t.Fatalf("got %v, want the reader's own error", err)
@@ -146,7 +146,7 @@ func FuzzReadSnapshot(f *testing.F) {
 		}
 		for _, in := range [][]byte{data, framed.Bytes()} {
 			var err error
-			alloc := allocBytes(func() { _, err = readSnapshot(ctx, bytes.NewReader(in), 0, nil) })
+			alloc := allocBytes(func() { _, err = readSnapshot(ctx, bytes.NewReader(in), nil) })
 			if limit := snapAllocPerByte*uint64(len(in)) + snapAllocConst; alloc > limit {
 				t.Fatalf("decoding %d bytes allocated %d, limit %d", len(in), alloc, limit)
 			}

@@ -401,7 +401,7 @@ func denseTable(t testing.TB, spec SessionSpec) []int64 {
 	for i := range all {
 		all[i] = depgraph.Flags(i)
 	}
-	wres, err := window.Analyze(context.Background(), spec.windowRequest(0), all)
+	wres, err := window.Analyze(context.Background(), spec.windowRequest(), all)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,6 @@ type machine struct {
 	// can never change a node time under the windowed preconditions.
 	mask     int
 	horizon  int
-	carry    int // emission clamp depth K (windowed only)
 	windowed bool
 
 	// lastWriter maps architectural registers to the dynamic index of

@@ -30,7 +30,6 @@ func newWindowedMachine(prog *program.Program, cfg Config, opt Options, n, winIn
 	m.st.Insts = n
 	m.mask = ring - 1
 	m.horizon = cfg.Graph.Window
-	m.carry = cfg.Graph.CarryDepth()
 	m.windowed = true
 	return m
 }
@@ -68,12 +67,12 @@ func WindowedFootprint(gcfg *depgraph.Config, winInsts int) int64 {
 }
 
 // fillWindow copies the ring records for absolute indices [lo, hi)
-// into win, rebasing producer/leader references to lo and clamping
-// references beyond the carry depth to NoRef (lossless — see
-// windoweval.go).
+// into win, rebasing producer/leader references to lo. References
+// reach as far back as the trace does; the fold ignores those beyond
+// its carry depth (windoweval.go).
 func (m *machine) fillWindow(win *depgraph.Window, lo, hi int) {
 	win.Resize(int64(lo), hi-lo)
-	g, mask, carry := m.g, m.mask, m.carry
+	g, mask := m.g, m.mask
 	for j := 0; j < win.N; j++ {
 		abs := lo + j
 		mi := abs & mask
@@ -81,9 +80,9 @@ func (m *machine) fillWindow(win *depgraph.Window, lo, hi int) {
 		win.DDBreak[j] = g.DDBreak[mi]
 		win.RELat[j] = g.RELat[mi]
 		win.CCLat[j] = g.CCLat[mi]
-		win.Prod1[j] = clampRef(g.Prod1[mi], abs, lo, carry)
-		win.Prod2[j] = clampRef(g.Prod2[mi], abs, lo, carry)
-		win.PPLeader[j] = clampRef(g.PPLeader[mi], abs, lo, carry)
+		win.Prod1[j] = rebaseRef(g.Prod1[mi], lo)
+		win.Prod2[j] = rebaseRef(g.Prod2[mi], lo)
+		win.PPLeader[j] = rebaseRef(g.PPLeader[mi], lo)
 		var mp uint8
 		if abs > 0 && g.Info[(abs-1)&mask].Mispredict {
 			mp = 1
@@ -92,11 +91,10 @@ func (m *machine) fillWindow(win *depgraph.Window, lo, hi int) {
 	}
 }
 
-// clampRef rebases an absolute reference to lo, clamping absent
-// references and those farther than carry behind their consumer to
+// rebaseRef rebases an absolute reference to lo; an absent one becomes
 // NoRef.
-func clampRef(ref int32, abs, lo, carry int) int32 {
-	if ref < 0 || abs-int(ref) > carry {
+func rebaseRef(ref int32, lo int) int32 {
+	if ref < 0 {
 		return depgraph.NoRef
 	}
 	return int32(int(ref) - lo)

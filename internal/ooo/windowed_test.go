@@ -28,7 +28,7 @@ func windowedLanes() []depgraph.Flags {
 
 // TestWindowedGolden is the windowed determinism gate: for every
 // benchmark, folding the emitted bounded windows through
-// depgraph.WindowEval must reproduce the whole-graph batch evaluation
+// depgraph.WindowEval must reproduce the whole-graph scalar walk
 // bit for bit on every idealization lane — including lanes whose
 // effective re-order window far exceeds the emission block — and the
 // simulated cycle count and stats must match the monolithic run.
@@ -54,9 +54,9 @@ func TestWindowedGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: simulate: %v", name, err)
 			}
-			wantTimes, err := want.Graph.EvalBatch(context.Background(), ids)
-			if err != nil {
-				t.Fatalf("%s: batch: %v", name, err)
+			wantTimes := make([]int64, len(ids))
+			for k, id := range ids {
+				wantTimes[k] = want.Graph.ExecTime(id)
 			}
 
 			we, err := depgraph.NewWindowEvalIdeals(cfg.Graph, ids)
@@ -76,7 +76,7 @@ func TestWindowedGolden(t *testing.T) {
 				}
 				emitted += win.N
 				blocks++
-				return we.Feed(win)
+				return we.Feed(ctx, win)
 			})
 			cancel()
 			if err != nil {

@@ -113,15 +113,14 @@ type laneGroup struct {
 
 // fold feeds each queued block to the group's evaluator and returns
 // the block to free once every group has folded it. After an error
-// (or cancellation) it keeps draining without folding, so the
-// simulator never waits on a buffer that will not come back.
+// (or cancellation, which Feed polls) it keeps draining without
+// folding, so the simulator never waits on a buffer that will not come
+// back.
 func (g *laneGroup) fold(ctx context.Context, free chan<- *block, wg *sync.WaitGroup) {
 	defer wg.Done()
 	for b := range g.in {
 		if g.err == nil {
-			if g.err = ctx.Err(); g.err == nil {
-				g.err = g.we.Feed(&b.win)
-			}
+			g.err = g.we.Feed(ctx, &b.win)
 		}
 		if b.pending.Add(-1) == 0 {
 			free <- b

@@ -11,7 +11,8 @@ import (
 )
 
 // fullTimes is the whole-graph reference: monolithic trace build,
-// monolithic simulation, batched evaluation.
+// monolithic simulation, and the scalar walk per lane, an oracle that
+// shares no code with the fold the windowed pass runs.
 func fullTimes(tb testing.TB, req Request, lanes []depgraph.Flags) ([]int64, *ooo.Result) {
 	tb.Helper()
 	w, err := workload.Cached(req.Bench, req.Seed)
@@ -26,13 +27,9 @@ func fullTimes(tb testing.TB, req Request, lanes []depgraph.Flags) ([]int64, *oo
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ids := make([]depgraph.Ideal, len(lanes))
+	times := make([]int64, len(lanes))
 	for k, f := range lanes {
-		ids[k] = depgraph.Ideal{Global: f}
-	}
-	times, err := res.Graph.EvalBatch(context.Background(), ids)
-	if err != nil {
-		tb.Fatal(err)
+		times[k] = res.Graph.ExecTime(depgraph.Ideal{Global: f})
 	}
 	depgraph.ReleaseTimes(res.Times)
 	res.Graph.Release()
@@ -80,7 +77,7 @@ func TestAnalyzeMatchesWholeGraph(t *testing.T) {
 }
 
 // fullTimesIdeals is fullTimes for parametric lanes: one monolithic
-// build and one batched evaluation of the exact Ideal set.
+// build and the scalar walk of each Ideal.
 func fullTimesIdeals(tb testing.TB, req Request, ids []depgraph.Ideal) []int64 {
 	tb.Helper()
 	w, err := workload.Cached(req.Bench, req.Seed)
@@ -95,9 +92,9 @@ func fullTimesIdeals(tb testing.TB, req Request, ids []depgraph.Ideal) []int64 {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	times, err := res.Graph.EvalBatch(context.Background(), ids)
-	if err != nil {
-		tb.Fatal(err)
+	times := make([]int64, len(ids))
+	for k, id := range ids {
+		times[k] = res.Graph.ExecTime(id)
 	}
 	depgraph.ReleaseTimes(res.Times)
 	res.Graph.Release()
@@ -106,7 +103,7 @@ func fullTimesIdeals(tb testing.TB, req Request, ids []depgraph.Ideal) []int64 {
 
 // TestAnalyzeIdealsParametricMatchesWholeGraph is the windowed-fold
 // property test over parametric idealizations: for random α grids the
-// streaming fold must be bit-identical to the whole-graph batched walk
+// streaming fold must be bit-identical to the whole-graph scalar walk
 // at every grid point — the invariant that lets windowed sessions
 // answer sensitivity queries exactly.
 func TestAnalyzeIdealsParametricMatchesWholeGraph(t *testing.T) {

@@ -105,14 +105,3 @@ func (w *Workload) produce(ctx context.Context, wr *trace.StreamWriter, n int, s
 	}
 	return nil
 }
-
-// OpenStream is Load as a pipeline stage: it generates benchmark name
-// with the given seed and streams n executed instructions, with the
-// same seed derivation as Load (execution seed = seed+1).
-func OpenStream(ctx context.Context, name string, seed uint64, n, segLen int) (*trace.Stream, error) {
-	w, err := New(name, seed)
-	if err != nil {
-		return nil, err
-	}
-	return w.ExecuteStream(ctx, n, seed+1, segLen)
-}
