@@ -15,12 +15,15 @@ test:
 	$(GO) test ./...
 
 # race: the whole suite under the race detector, then the analyzer
-# memo's concurrency tests and the recycled trace stream's tests ten
+# memo's concurrency tests, the recycled trace stream's tests (their
+# segment rings pass between streams) and the windowed sessions' tests
+# (a build's pass records the session before it is published) ten
 # times over — their interleavings differ from run to run.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestSingleFlight|TestAnalyzerConcurrentUse|TestMemoConcurrentIdeals' ./internal/cost/
-	$(GO) test -race -count=10 -run 'TestRecycled' ./internal/workload/ ./internal/ooo/
+	$(GO) test -race -count=10 -run 'TestRecycled' ./internal/trace/ ./internal/workload/ ./internal/ooo/
+	$(GO) test -race -count=10 -run 'TestWindowed' ./internal/engine/
 
 # bench smoke: one iteration of every benchmark with allocation
 # stats, just to prove they run. Kept to one iteration so CI stays

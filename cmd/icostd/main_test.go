@@ -66,9 +66,18 @@ func TestQueryEndpoint(t *testing.T) {
 // TestQueryWindowedSession: window_insts in the session spec routes
 // the build through the bounded-memory windowed pipeline, answers
 // identically to the whole-graph session, and reports the windowed
-// shape in the response.
+// shape in the response. Slack, which needs a resident graph, is
+// refused before any windowed build runs.
 func TestQueryWindowedSession(t *testing.T) {
-	_, srv := newTestServer(t)
+	e, srv := newTestServer(t)
+	// Slack has no resident graph to walk on a windowed session.
+	resp, out := postQuery(t, srv, `{"session":{"bench":"mcf","seed":7,"trace_len":2000,"warmup":1000,"window_insts":256},"op":"slack"}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("slack on windowed session: status %d: %v", resp.StatusCode, out)
+	}
+	if n := e.Metrics().WindowedBuildsTotal; n != 0 {
+		t.Fatalf("a refused slack query ran %d windowed builds", n)
+	}
 	whole := `{"session":{"bench":"mcf","seed":7,"trace_len":2000,"warmup":1000},
 	           "op":"cost","cats":["dmiss"]}`
 	windowed := `{"session":{"bench":"mcf","seed":7,"trace_len":2000,"warmup":1000,"window_insts":256},
@@ -86,11 +95,6 @@ func TestQueryWindowedSession(t *testing.T) {
 	}
 	if got["value"] != want["value"] || got["base_cycles"] != want["base_cycles"] {
 		t.Fatalf("windowed answer diverged: %v vs %v", got, want)
-	}
-	// Slack has no resident graph to walk on a windowed session.
-	resp, out := postQuery(t, srv, `{"session":{"bench":"mcf","seed":7,"trace_len":2000,"warmup":1000,"window_insts":256},"op":"slack"}`)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("slack on windowed session: status %d: %v", resp.StatusCode, out)
 	}
 }
 

@@ -82,22 +82,29 @@ func Focus(a *cost.Analyzer, focus Category, cats []Category, name string) (*Foc
 	return FocusCtx(context.Background(), a, focus, cats, name)
 }
 
-// FocusCtx is Focus with cancellation: each underlying cost query
-// aborts when ctx is done. The base-category and focus-pair unions
-// are batch-evaluated up front.
-func FocusCtx(ctx context.Context, a *cost.Analyzer, focus Category, cats []Category, name string) (*Focused, error) {
-	total := a.BaseTime()
-	if total <= 0 {
-		return nil, fmt.Errorf("breakdown: empty execution")
-	}
-	masks := make([]depgraph.Flags, 0, 2*len(cats))
+// FocusMasks lists the subset unions a focused breakdown reads besides
+// the base: the focus, each category, and the focus's union with every
+// other category.
+func FocusMasks(focus Category, cats []Category) []depgraph.Flags {
+	masks := make([]depgraph.Flags, 0, 2*len(cats)+1)
+	masks = append(masks, focus.Flags)
 	for _, c := range cats {
 		masks = append(masks, c.Flags)
 		if c.Flags != focus.Flags {
 			masks = append(masks, focus.Flags|c.Flags)
 		}
 	}
-	if err := a.PrewarmCtx(ctx, masks); err != nil {
+	return masks
+}
+
+// FocusCtx is Focus with cancellation: each underlying cost query
+// aborts when ctx is done. FocusMasks are batch-evaluated up front.
+func FocusCtx(ctx context.Context, a *cost.Analyzer, focus Category, cats []Category, name string) (*Focused, error) {
+	total := a.BaseTime()
+	if total <= 0 {
+		return nil, fmt.Errorf("breakdown: empty execution")
+	}
+	if err := a.PrewarmCtx(ctx, FocusMasks(focus, cats)); err != nil {
 		return nil, err
 	}
 	pct := func(cy int64) float64 { return 100 * float64(cy) / float64(total) }
@@ -195,17 +202,7 @@ func ComputeFullCtx(ctx context.Context, a *cost.Analyzer, cats []Category, name
 	}
 	// Evaluate the whole power set in one batched walk up front; the
 	// per-row icost queries below are then pure memo arithmetic.
-	masks := make([]depgraph.Flags, 0, 1<<k)
-	for m := 1; m < 1<<k; m++ {
-		var u depgraph.Flags
-		for j := 0; j < k; j++ {
-			if m&(1<<j) != 0 {
-				u |= cats[j].Flags
-			}
-		}
-		masks = append(masks, u)
-	}
-	if err := a.PrewarmCtx(ctx, masks); err != nil {
+	if err := a.PrewarmCtx(ctx, cost.Unions(flagsOf(cats))); err != nil {
 		return nil, err
 	}
 	for _, s := range subsets {
@@ -227,6 +224,15 @@ func ComputeFullCtx(ctx context.Context, a *cost.Analyzer, cats []Category, name
 	}
 	out.Residual = Row{Label: "ideal", Cycles: resid, Percent: pct(resid)}
 	return out, nil
+}
+
+// flagsOf lists the categories' flags.
+func flagsOf(cats []Category) []depgraph.Flags {
+	out := make([]depgraph.Flags, len(cats))
+	for i, c := range cats {
+		out[i] = c.Flags
+	}
+	return out
 }
 
 func popcount(m int) int {

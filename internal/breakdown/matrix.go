@@ -34,9 +34,23 @@ func ComputeMatrix(a *cost.Analyzer, cats []Category, name string) (*Matrix, err
 	return ComputeMatrixCtx(context.Background(), a, cats, name)
 }
 
+// MatrixMasks lists the subset unions an all-pairs matrix reads
+// besides the base: each category and each pairwise union.
+func MatrixMasks(cats []Category) []depgraph.Flags {
+	k := len(cats)
+	masks := make([]depgraph.Flags, 0, k+k*(k-1)/2)
+	for i := 0; i < k; i++ {
+		masks = append(masks, cats[i].Flags)
+		for j := 0; j < i; j++ {
+			masks = append(masks, cats[i].Flags|cats[j].Flags)
+		}
+	}
+	return masks
+}
+
 // ComputeMatrixCtx is ComputeMatrix with cancellation. The subset
-// unions every cell needs — each category and each pairwise OR — are
-// gathered up front, deduplicated, and evaluated through the
+// unions every cell needs (MatrixMasks) are gathered up front,
+// deduplicated, and evaluated through the
 // analyzer's batched graph walk (which fans out across GOMAXPROCS
 // and aborts mid-batch when ctx is done); the cell loop below then
 // assembles percentages from memoized values.
@@ -46,14 +60,7 @@ func ComputeMatrixCtx(ctx context.Context, a *cost.Analyzer, cats []Category, na
 		return nil, fmt.Errorf("breakdown: empty execution")
 	}
 	k := len(cats)
-	masks := make([]depgraph.Flags, 0, k+k*(k-1)/2)
-	for i := 0; i < k; i++ {
-		masks = append(masks, cats[i].Flags)
-		for j := 0; j < i; j++ {
-			masks = append(masks, cats[i].Flags|cats[j].Flags)
-		}
-	}
-	if err := a.PrewarmCtx(ctx, masks); err != nil {
+	if err := a.PrewarmCtx(ctx, MatrixMasks(cats)); err != nil {
 		return nil, err
 	}
 	m := &Matrix{Name: name, Cats: cats, TotalCycles: total}

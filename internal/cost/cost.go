@@ -336,6 +336,19 @@ func (a *Analyzer) PrewarmCtx(ctx context.Context, masks []depgraph.Flags) error
 	return a.resolve(ctx, len(masks), func(i int) memoKey { return memoKey{f: masks[i]} }, nil, nil)
 }
 
+// PrewarmIdealsCtx is PrewarmCtx for whole-category idealizations that
+// may carry scale vectors: each is memoized under its canonical key, so
+// an α of 0 fills a binary entry and an α of 1 the base. A
+// per-instruction idealization is rejected.
+func (a *Analyzer) PrewarmIdealsCtx(ctx context.Context, ids []depgraph.Ideal) error {
+	for k := range ids {
+		if ids[k].PerInst != nil {
+			return fmt.Errorf("cost: prewarm idealization %d has a per-instruction mask", k)
+		}
+	}
+	return a.resolve(ctx, len(ids), func(i int) memoKey { return globalKey(ids[i].Global, ids[i].Scale) }, nil, nil)
+}
+
 // Cost returns cost(f) = t - t(f) for a union of whole categories.
 func (a *Analyzer) Cost(f depgraph.Flags) int64 {
 	return a.BaseTime() - a.ExecTime(f)
@@ -364,6 +377,28 @@ func (a *Analyzer) CostCtx(ctx context.Context, f depgraph.Flags) (int64, error)
 //lint:ignore ctxflow infallible wrapper over ICostCtx; a background ctx cannot cancel
 func (a *Analyzer) ICost(sets ...depgraph.Flags) (int64, error) {
 	return a.ICostCtx(context.Background(), sets...)
+}
+
+// union is the OR of the sets whose bits are set in m.
+func union(sets []depgraph.Flags, m int) depgraph.Flags {
+	var u depgraph.Flags
+	for j, s := range sets {
+		if m&(1<<j) != 0 {
+			u |= s
+		}
+	}
+	return u
+}
+
+// Unions lists the 2^k subset unions of sets, entry m holding the union
+// of the sets whose bits are set in m (the base at m = 0): the memo
+// entries an icost over sets reads, and a full breakdown's power set.
+func Unions(sets []depgraph.Flags) []depgraph.Flags {
+	out := make([]depgraph.Flags, 1<<len(sets))
+	for m := range out {
+		out[m] = union(sets, m)
+	}
+	return out
 }
 
 // mobius adds subset m's term of a k-set Möbius sum, given t(m), to
@@ -398,15 +433,8 @@ func (a *Analyzer) ICostCtx(ctx context.Context, sets ...depgraph.Flags) (int64,
 		seen |= s
 	}
 	var total int64
-	err := a.resolve(ctx, 1<<k, func(m int) memoKey {
-		var union depgraph.Flags
-		for j, s := range sets {
-			if m&(1<<j) != 0 {
-				union |= s
-			}
-		}
-		return memoKey{f: union}
-	}, nil, func(m int, t int64) { mobius(&total, k, m, t) })
+	err := a.resolve(ctx, 1<<k, func(m int) memoKey { return memoKey{f: union(sets, m)} },
+		nil, func(m int, t int64) { mobius(&total, k, m, t) })
 	if err != nil {
 		return 0, err
 	}

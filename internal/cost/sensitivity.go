@@ -62,8 +62,8 @@ func (a *Analyzer) SensitivityCtx(ctx context.Context, cats []depgraph.Flags, gr
 		if i == n {
 			return memoKey{}
 		}
-		f := cats[i/len(grid)]
-		return globalKey(f, depgraph.ScaleUniform(f, grid[i%len(grid)]))
+		id := samplePoint(cats, grid, i)
+		return globalKey(id.Global, id.Scale)
 	}, nil, func(i int, t int64) {
 		if i == n {
 			base = t
@@ -84,6 +84,24 @@ func (a *Analyzer) SensitivityCtx(ctx context.Context, cats []depgraph.Flags, gr
 		curves[ci] = c
 	}
 	return curves, nil
+}
+
+// samplePoint is sample i of a sensitivity query, in category-major
+// order: category i/len(grid) scaled to α = grid[i%len(grid)].
+func samplePoint(cats []depgraph.Flags, grid []depgraph.Alpha, i int) depgraph.Ideal {
+	f := cats[i/len(grid)]
+	return depgraph.Ideal{Global: f, Scale: depgraph.ScaleUniform(f, grid[i%len(grid)])}
+}
+
+// SamplePoints lists the idealizations a sensitivity query over cats
+// and grid reads besides the base: every (category, α) sample, in the
+// order SensitivityCtx reports them.
+func SamplePoints(cats []depgraph.Flags, grid []depgraph.Alpha) []depgraph.Ideal {
+	out := make([]depgraph.Ideal, len(cats)*len(grid))
+	for i := range out {
+		out[i] = samplePoint(cats, grid, i)
+	}
+	return out
 }
 
 // DefaultGrid is the standard five-point sensitivity grid.

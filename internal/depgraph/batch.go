@@ -69,12 +69,12 @@ func (g *Graph) evalBatch(ctx context.Context, ids []Ideal, width int) ([]int64,
 		}
 	}
 	view := g.view()
-	// The horizon never needs to exceed the graph: a reference at most
-	// n back is never ignored. Where the carry argument does not hold,
-	// that horizon of n is the walk, and it is exact by construction.
+	// setCarry caps the horizon at the graph's length. Where the carry
+	// argument does not hold, that horizon of n is the walk, and it is
+	// exact by construction.
 	carry := n
 	if g.Cfg.ValidateWindowed() == nil {
-		carry = min(g.Cfg.CarryDepth(), n)
+		carry = g.Cfg.CarryDepth()
 	}
 	chunks := (len(ids) + width - 1) / width
 	workers := min(runtime.GOMAXPROCS(0), chunks)
@@ -148,18 +148,16 @@ func (g *Graph) view() *Window {
 }
 
 // evalChunk folds the whole graph once for the lanes of ids, with
-// node-time rings of the next power of two above carry drawn from the
-// package allocator. Only the rings' first n rows are carved: below
-// the ring size abs&rmask is abs, so a ring longer than the graph
-// never indexes past row n-1. Budget: the evaluator itself, which the
-// masked lanes' tables point into; setLanes adds the lane constants
-// and tables, sized by chunk width, not graph length.
+// node-time rings sized by setCarry drawn from the package allocator.
+// Budget: the evaluator itself, which the masked lanes' tables point
+// into; setLanes adds the lane constants and tables, sized by chunk
+// width, not graph length.
 //
 //lint:hotpath allocs=1
 func (g *Graph) evalChunk(ctx context.Context, view *Window, carry int, ids []Ideal, out []int64) error {
 	we := WindowEval{cfg: g.Cfg}
 	we.setLanes(ids)
-	size := min(we.setCarry(carry), view.N) * len(ids)
+	size := we.setCarry(carry, view.N) * len(ids)
 	a := acquireArena(3*size, 0, 0, 0)
 	defer releaseArena(a)
 	we.d, we.p, we.c = a.i64s(size), a.i64s(size), a.i64s(size)

@@ -355,7 +355,7 @@ func TestScaledWindowedMatchesWholeGraph(t *testing.T) {
 			{Global: randomFlags(r) | IdealDMiss, Scale: randomScale(r)},
 			{Global: AllFlags, Scale: ScaleUniform(AllFlags, Alpha(r.Intn(257)))},
 		}
-		we, err := NewWindowEvalIdeals(g.Cfg, lanes)
+		we, err := NewWindowEvalIdeals(g.Cfg, lanes, n)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -381,7 +381,7 @@ func TestWindowEvalIdealsRejectsPerInst(t *testing.T) {
 	_, err := NewWindowEvalIdeals(DefaultConfig(), []Ideal{
 		{Global: IdealDL1},
 		{PerInst: make([]Flags, 10)},
-	})
+	}, 10)
 	if err == nil {
 		t.Fatal("want error for per-instruction lane")
 	}

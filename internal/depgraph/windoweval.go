@@ -159,7 +159,7 @@ func (c *Config) ValidateWindowed() error {
 
 // WindowEval folds Window blocks into execution times under a fixed
 // set of idealizations, holding only carry-deep node-time rings:
-// memory is O(CarryDepth × lanes), independent of trace length. Blocks
+// memory is O(min(CarryDepth, stream length) × lanes). Blocks
 // must be fed in stream order. Every lane's effective window stays
 // within [Window, Window×WindowIdealFactor], whatever its scale, so the
 // carry depth and the exactness argument above hold for parametric
@@ -177,6 +177,7 @@ type WindowEval struct {
 
 	carry int64 // reference horizon: farther-back refs are ignored
 	rmask int64 // ring index mask (ring size - 1, power of two)
+	limit int64 // instructions the rings were sized for
 
 	// Node-time rings, ring-slot-major × lane: index (abs&rmask)*L+w.
 	// R and E never cross instructions and stay in registers.
@@ -196,11 +197,11 @@ type foldLane struct {
 	tab  int
 }
 
-// NewWindowEvalIdeals builds an evaluator for the given configuration
-// and idealization lanes, which may carry parametric scale factors.
-// Lanes must be global: a stream has no per-instruction identity to
-// apply a mask against.
-func NewWindowEvalIdeals(cfg Config, ids []Ideal) (*WindowEval, error) {
+// NewWindowEvalIdeals builds an evaluator for a stream of n
+// instructions under the given configuration and idealization lanes,
+// which may carry parametric scale factors. Lanes must be global: a
+// stream has no per-instruction identity to apply a mask against.
+func NewWindowEvalIdeals(cfg Config, ids []Ideal, n int) (*WindowEval, error) {
 	if err := cfg.ValidateWindowed(); err != nil {
 		return nil, err
 	}
@@ -212,9 +213,12 @@ func NewWindowEvalIdeals(cfg Config, ids []Ideal) (*WindowEval, error) {
 			return nil, fmt.Errorf("depgraph: windowed evaluation lanes must be global (lane %d has a per-instruction mask)", k)
 		}
 	}
+	if n < 1 {
+		return nil, fmt.Errorf("depgraph: windowed evaluation of %d instructions", n)
+	}
 	we := &WindowEval{cfg: cfg}
 	we.setLanes(ids)
-	size := we.setCarry(cfg.CarryDepth()) * len(ids)
+	size := we.setCarry(cfg.CarryDepth(), n) * len(ids)
 	we.d = make([]int64, size)
 	we.p = make([]int64, size)
 	we.c = make([]int64, size)
@@ -242,16 +246,20 @@ func (we *WindowEval) setLanes(ids []Ideal) {
 	}
 }
 
-// setCarry sets the reference horizon and sizes the rings to the next
-// power of two above it, so every instruction the fold reads back to
-// is still resident. It returns the ring's rows (slots per lane).
-func (we *WindowEval) setCarry(carry int) int {
+// setCarry sizes the fold for n instructions: the reference horizon
+// is min(carry, n), since a reference at most n back is never ignored,
+// and the rings are the next power of two above it, so every
+// instruction the fold reads back to is still resident. It returns the
+// rows each lane needs: a ring longer than the fold never wraps, so
+// abs&rmask stays below n and only the first n rows are touched.
+func (we *WindowEval) setCarry(carry, n int) int {
+	carry = min(carry, n)
 	ring := int64(1)
 	for ring < int64(carry)+1 {
 		ring <<= 1
 	}
-	we.carry, we.rmask = int64(carry), ring-1
-	return int(ring)
+	we.carry, we.rmask, we.limit = int64(carry), ring-1, int64(n)
+	return int(min(ring, int64(n)))
 }
 
 // Insts returns how many instructions have been folded.
@@ -264,11 +272,15 @@ func (we *WindowEval) RingBytes() int64 {
 
 // Feed folds one block, polling ctx every ctxCheckStride
 // instructions. Blocks must arrive in stream order: win.Lo must equal
-// the number of instructions already folded. After an error the
+// the number of instructions already folded, and the stream may not
+// run past the length the evaluator was sized for. After an error the
 // evaluator is unusable.
 func (we *WindowEval) Feed(ctx context.Context, win *Window) error {
 	if win.Lo != we.n {
 		return fmt.Errorf("depgraph: window starts at %d, evaluator at %d", win.Lo, we.n)
+	}
+	if end := win.Lo + int64(win.N); end > we.limit {
+		return fmt.Errorf("depgraph: window ends at %d, evaluator sized for %d instructions", end, we.limit)
 	}
 	if err := we.fold(ctx, win); err != nil {
 		return err

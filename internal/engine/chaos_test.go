@@ -431,12 +431,13 @@ func TestChaosSeededStormReplays(t *testing.T) {
 // trace arrives in recycled segments from a generator goroutine ahead
 // of it: an ooo.sim error, a workload.gen error, and a mid-pass
 // context cancellation fired from either side, each during a windowed
-// build, a windowed sensitivity re-fold, and the re-fold of a memo
-// miss outside the build's lattice. Every faulted call returns a typed
-// error, leaves no fold or generator goroutine behind and memoizes
-// nothing — so the retry re-folds exactly the lanes an unfaulted pass
-// does — and the same query then answers exactly as the whole-graph
-// session does.
+// build (opened by a cost query, and by a sensitivity query whose
+// build folds α-scaled lanes), a windowed sensitivity re-fold, and the
+// re-fold of a memo miss outside what the build folded. Every faulted
+// call returns a typed error, leaves no fold or generator goroutine
+// behind and memoizes nothing — so the retry re-folds exactly the
+// lanes an unfaulted pass does — and the same query then answers
+// exactly as the whole-graph session does.
 func TestChaosWindowed(t *testing.T) {
 	ctx := context.Background()
 	// 1024-instruction trace segments: the fault fires at segment 7
@@ -449,11 +450,13 @@ func TestChaosWindowed(t *testing.T) {
 		name  string
 		q     Query
 		warm  bool  // build the session first, so the fault hits the re-fold
+		build int64 // lanes the unfaulted retry builds
 		lanes int64 // lanes an unfaulted pass re-folds after the build
 	}{
-		{"build", Query{Session: spec, Op: OpCost, Cats: []string{"dmiss"}}, false, 0},
-		{"sensitivity", Query{Session: spec, Op: OpSensitivity, Cats: []string{"dl1", "win"}}, true, 6},
-		{"miss", Query{Session: spec, Op: OpExecTime, Cats: []string{"dl1", "win", "bw"}}, true, 1},
+		{"build", Query{Session: spec, Op: OpCost, Cats: []string{"dmiss"}}, false, 2, 0},
+		{"sensitivity-build", Query{Session: spec, Op: OpSensitivity, Cats: []string{"dl1", "win"}}, false, 9, 0},
+		{"sensitivity", Query{Session: spec, Op: OpSensitivity, Cats: []string{"dl1", "win"}}, true, 0, 8},
+		{"miss", Query{Session: spec, Op: OpExecTime, Cats: []string{"dl1", "win", "bw"}}, true, 0, 1},
 	}
 	faults := []struct {
 		name string
@@ -501,12 +504,16 @@ func TestChaosWindowed(t *testing.T) {
 					}
 				}
 				faultinject.Disable()
-				before := e.Metrics().WindowedRefoldLanesTotal
+				before := e.Metrics()
 				resp, err := e.Query(ctx, p.q)
 				if err != nil {
 					t.Fatalf("%s after the fault: %v", p.name, err)
 				}
-				if lanes := e.Metrics().WindowedRefoldLanesTotal - before; lanes != p.lanes {
+				after := e.Metrics()
+				if lanes := after.WindowedBuildLanesTotal - before.WindowedBuildLanesTotal; lanes != p.build {
+					t.Fatalf("%s after the fault built %d lanes, want %d", p.name, lanes, p.build)
+				}
+				if lanes := after.WindowedRefoldLanesTotal - before.WindowedRefoldLanesTotal; lanes != p.lanes {
 					t.Fatalf("%s after the fault re-folded %d lanes, want %d", p.name, lanes, p.lanes)
 				}
 				if !resp.Windowed || resp.Insts != spec.TraceLen {

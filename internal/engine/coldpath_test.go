@@ -41,7 +41,7 @@ func TestSessionReleaseIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := build(context.Background(), spec, nil)
+	s, err := build(context.Background(), Query{Session: spec, Op: OpExecTime}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -241,6 +241,12 @@ func (e *Engine) Query(ctx context.Context, q Query) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
+	if q.Op == OpSlack && spec.WindowInsts > 0 {
+		// Slack needs per-instruction forward/backward passes over a
+		// resident graph; windowed sessions fold per-window costs and
+		// never hold one. Rejected before admission, so no build runs.
+		return nil, errValidation("engine: slack query unsupported for windowed sessions (window_insts > 0)")
+	}
 	qkey := q.key(skey)
 
 	if resp, ok := e.results.get(qkey); ok {
@@ -332,7 +338,9 @@ func (e *Engine) leaveFlight(qkey string, fl *flight) {
 }
 
 // Warm builds (or refreshes) a session without running an analysis
-// query, so a daemon can preload its working set at startup.
+// query, so a daemon can preload its working set at startup. A
+// windowed session's build then folds the base alone, and each later
+// query re-folds for the idealizations it reads.
 func (e *Engine) Warm(ctx context.Context, spec SessionSpec) (string, error) {
 	resp, err := e.Query(ctx, Query{Session: spec, Op: OpExecTime})
 	if err != nil {
@@ -405,7 +413,7 @@ func (e *Engine) run(ctx context.Context, j *job) (*Response, error) {
 		e.countErr(err)
 		return nil, err
 	}
-	s, err := e.sessionFor(ctx, j.skey, j.q.Session)
+	s, err := e.sessionFor(ctx, j.skey, j.q)
 	if err != nil {
 		e.countErr(err)
 		return nil, err
@@ -432,17 +440,18 @@ func (e *Engine) countErr(err error) {
 }
 
 // sessionFor returns the built session for key, building it at most
-// once per store residency regardless of how many queries race. A
-// failed build is remembered for BuildFailTTL: until it expires,
-// queries for the same session share the cached failure instead of
-// stampeding into fresh build attempts.
-func (e *Engine) sessionFor(ctx context.Context, key string, spec SessionSpec) (*session, error) {
+// once per store residency regardless of how many queries race; q, the
+// normalized query that elects the builder, tells a windowed build what
+// to fold. A failed build is remembered for BuildFailTTL: until it
+// expires, queries for the same session share the cached failure
+// instead of stampeding into fresh build attempts.
+func (e *Engine) sessionFor(ctx context.Context, key string, q Query) (*session, error) {
 	e.storeMu.Lock()
 	entry, builder := e.store.entry(key, time.Now())
 	e.storeMu.Unlock()
 
 	if builder {
-		s, err := e.buildWithRetry(ctx, spec)
+		s, err := e.buildWithRetry(ctx, q)
 		if err == nil && !s.windowed {
 			// Attach before the session is published: every batched
 			// graph walk the analyzer issues feeds the size histogram.
@@ -482,9 +491,9 @@ func (e *Engine) sessionFor(ctx context.Context, key string, spec SessionSpec) (
 // with capped exponential backoff (base<<attempt, capped at base<<3).
 // Cancellation and deadline expiry are never retried — the caller is
 // gone or out of budget.
-func (e *Engine) buildWithRetry(ctx context.Context, spec SessionSpec) (*session, error) {
+func (e *Engine) buildWithRetry(ctx context.Context, q Query) (*session, error) {
 	for attempt := 0; ; attempt++ {
-		s, err := e.buildOnce(ctx, spec)
+		s, err := e.buildOnce(ctx, q)
 		if err == nil || attempt >= e.cfg.BuildRetries ||
 			errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return s, err
@@ -507,11 +516,11 @@ func (e *Engine) buildWithRetry(ctx context.Context, spec SessionSpec) (*session
 // buildOnce is one build attempt, behind the engine.build injection
 // point (inside the retry loop, so a Count-limited fault exercises
 // fail-then-recover).
-func (e *Engine) buildOnce(ctx context.Context, spec SessionSpec) (*session, error) {
+func (e *Engine) buildOnce(ctx context.Context, q Query) (*session, error) {
 	if err := faultinject.Hit(ctx, faultinject.EngineBuild); err != nil {
 		return nil, err
 	}
-	return build(ctx, spec, &e.met)
+	return build(ctx, q, &e.met)
 }
 
 // Metrics snapshots the engine's observability state.
@@ -533,6 +542,7 @@ func (e *Engine) Metrics() Snapshot {
 		BuildFailuresTotal:  e.met.buildFailures.Load(),
 		WindowedBuildsTotal: e.met.windowedBuilds.Load(),
 
+		WindowedBuildLanesTotal:  e.met.windowedBuildLanes.Load(),
 		WindowedRefoldsTotal:     e.met.windowedRefolds.Load(),
 		WindowedRefoldLanesTotal: e.met.windowedRefoldLanes.Load(),
 

@@ -77,9 +77,11 @@ type metrics struct {
 	buildRetries    atomic.Int64
 	buildFailures   atomic.Int64
 	windowedBuilds  atomic.Int64
-	// windowedRefolds and windowedRefoldLanes count the windowed passes
-	// run after a session's build — analyzer memo misses and
-	// sensitivity curves — and the lanes they were asked to fold.
+	// windowedBuildLanes counts the lanes windowed build passes were
+	// asked to fold. windowedRefolds and windowedRefoldLanes count the
+	// windowed passes run after a session's build — analyzer memo misses
+	// and sensitivity curves — and the lanes they were asked to fold.
+	windowedBuildLanes  atomic.Int64
 	windowedRefolds     atomic.Int64
 	windowedRefoldLanes atomic.Int64
 
@@ -146,10 +148,14 @@ type Snapshot struct {
 	// WindowedBuildsTotal counts sessions built through the windowed
 	// long-trace pipeline instead of a resident whole-trace graph.
 	WindowedBuildsTotal int64 `json:"windowed_builds_total"`
-	// WindowedRefoldsTotal counts the windowed passes run after a
-	// build: one per analyzer memo-miss batch. WindowedRefoldLanesTotal
-	// sums the lanes they were asked to fold (a pass adds a base lane
-	// for its self-check when none was asked for; it is not counted).
+	// WindowedBuildLanesTotal sums the lanes windowed builds folded:
+	// the base and the idealizations read by the query that opened each
+	// session. WindowedRefoldsTotal counts the windowed passes run after
+	// a build: one per analyzer memo-miss batch.
+	// WindowedRefoldLanesTotal sums the lanes they were asked to fold (a
+	// pass adds a base lane for its self-check when none was asked for;
+	// it is not counted).
+	WindowedBuildLanesTotal  int64 `json:"windowed_build_lanes_total"`
 	WindowedRefoldsTotal     int64 `json:"windowed_refolds_total"`
 	WindowedRefoldLanesTotal int64 `json:"windowed_refold_lanes_total"`
 

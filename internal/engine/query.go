@@ -247,6 +247,47 @@ func catsOf(names []string) []breakdown.Category {
 	return out
 }
 
+// focus resolves a breakdown query's focus category.
+func (q Query) focus() breakdown.Category {
+	f, _ := depgraph.FlagByName(q.Focus)
+	return breakdown.Category{Name: q.Focus, Flags: f}
+}
+
+// grid resolves a sensitivity query's α grid.
+func (q Query) grid() []depgraph.Alpha {
+	grid := make([]depgraph.Alpha, len(q.Alphas))
+	for i, x := range q.Alphas {
+		grid[i] = depgraph.AlphaOf(x)
+	}
+	return grid
+}
+
+// reads lists the idealizations a normalized query reads through the
+// analyzer memo, the base first: what a windowed build folds so that
+// the query opening the session answers from its build. Each op's list
+// comes from the helper it prewarms or resolves with, so no read set is
+// written twice. Slack reads node times, not the memo.
+func (q Query) reads() []depgraph.Ideal {
+	var masks []depgraph.Flags
+	switch q.Op {
+	case OpCost, OpExecTime:
+		masks = []depgraph.Flags{unionFlags(q.Cats)}
+	case OpICost, OpFull:
+		masks = cost.Unions(flagsOf(q.Cats))
+	case OpBreakdown:
+		masks = breakdown.FocusMasks(q.focus(), catsOf(q.Cats))
+	case OpMatrix:
+		masks = breakdown.MatrixMasks(catsOf(q.Cats))
+	case OpSensitivity:
+		return append([]depgraph.Ideal{{}}, cost.SamplePoints(flagsOf(q.Cats), q.grid())...)
+	}
+	ids := make([]depgraph.Ideal, 1, 1+len(masks))
+	for _, f := range masks {
+		ids = append(ids, depgraph.Ideal{Global: f})
+	}
+	return ids
+}
+
 // execute answers a normalized query against a built session. It runs
 // on an engine worker; ctx carries the client's cancellation.
 func (e *Engine) execute(ctx context.Context, q Query, s *session) (*Response, error) {
@@ -282,9 +323,7 @@ func (e *Engine) execute(ctx context.Context, q Query, s *session) (*Response, e
 		resp.Value = v
 		resp.Interaction = cost.Classify(v, 0).String()
 	case OpBreakdown:
-		f, _ := depgraph.FlagByName(q.Focus)
-		bd, err := breakdown.FocusCtx(ctx, a,
-			breakdown.Category{Name: q.Focus, Flags: f}, catsOf(q.Cats), s.spec.Bench)
+		bd, err := breakdown.FocusCtx(ctx, a, q.focus(), catsOf(q.Cats), s.spec.Bench)
 		if err != nil {
 			return nil, err
 		}
@@ -302,11 +341,7 @@ func (e *Engine) execute(ctx context.Context, q Query, s *session) (*Response, e
 		}
 		resp.Matrix = m
 	case OpSensitivity:
-		grid := make([]depgraph.Alpha, len(q.Alphas))
-		for i, x := range q.Alphas {
-			grid[i] = depgraph.AlphaOf(x)
-		}
-		curves, err := a.SensitivityCtx(ctx, flagsOf(q.Cats), grid)
+		curves, err := a.SensitivityCtx(ctx, flagsOf(q.Cats), q.grid())
 		if err != nil {
 			return nil, err
 		}
@@ -316,12 +351,7 @@ func (e *Engine) execute(ctx context.Context, q Query, s *session) (*Response, e
 			Accuracy: e.cfg.Accuracy,
 		}
 	case OpSlack:
-		if s.windowed {
-			// Slack needs per-instruction forward/backward passes over a
-			// resident graph; windowed sessions fold per-window costs and
-			// never hold one.
-			return nil, errValidation("engine: slack query unsupported for windowed sessions (window_insts > 0)")
-		}
+		// Query rejects slack on a windowed session, which holds no graph.
 		slacks, err := a.Graph().SlacksCtx(ctx, depgraph.Ideal{})
 		if err != nil {
 			return nil, err

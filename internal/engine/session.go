@@ -6,7 +6,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"math/bits"
 	"time"
 
 	"icost/internal/cost"
@@ -41,9 +40,9 @@ type SessionSpec struct {
 	// windowed long-trace pipeline: the trace streams through
 	// ring-storage simulation in WindowInsts-instruction blocks, so
 	// peak memory is bounded by the window budget instead of the trace
-	// length. The build pass folds the base, every single category and
-	// every pair (37 idealizations); a later query needing any other
-	// idealization — a wider union, an interior sensitivity α —
+	// length. The build pass folds the base and the idealizations the
+	// query that opens the session reads; a later query needing any
+	// other idealization — a wider union, an interior sensitivity α —
 	// re-folds the stream once for all of its missing ones.
 	// Every cost/icost/breakdown query answers with bit-identical
 	// results; only the slack query (which needs per-instruction node
@@ -117,11 +116,16 @@ func (s SessionSpec) Key() (string, error) {
 	return hex.EncodeToString(sum[:8]), nil
 }
 
-// machine resolves the simulated machine.
+// machine resolves the simulated machine. The re-order window is
+// capped at the stream's length, warmup included: a window that long
+// never fills, and no CD edge reaches past the stream start on any
+// lane, so every longer window simulates and analyzes identically —
+// and one taken from a request cannot size rings or overflow
+// Window × WindowIdealFactor.
 func (s SessionSpec) machine() ooo.Config {
 	return ooo.DefaultConfig().
 		WithDL1Latency(s.DL1Latency).
-		WithWindow(s.Window).
+		WithWindow(min(s.Window, s.Warmup+s.TraceLen)).
 		WithWakeupExtra(s.WakeupExtra).
 		WithBranchRecovery(s.BranchRecovery)
 }
@@ -130,8 +134,9 @@ func (s SessionSpec) machine() ooo.Config {
 // simulation result (graph) and a graph-backed analyzer — neither the
 // trace nor the simulation's node times, which no query reads; a
 // windowed session holds no graph at all — just an analyzer whose
-// memo holds the idealizations folded so far and whose misses re-fold
-// the stream, plus the windowed run's shape for observability.
+// memo holds the idealizations folded so far (from the build, the
+// base and what its first query read) and whose misses re-fold the
+// stream, plus the windowed run's shape for observability.
 type session struct {
 	key      string
 	spec     SessionSpec // normalized
@@ -141,9 +146,8 @@ type session struct {
 	pooled   bool          // artifacts are pool-backed; release returns them
 
 	// Windowed-session state (spec.WindowInsts > 0): insts folded,
-	// blocks emitted, and peak analysis bytes, from the build's
-	// window.Analyze pass; the engine metrics every re-fold reports to
-	// (nil outside an engine).
+	// blocks emitted, and peak analysis bytes, from the build pass; the
+	// engine metrics every pass reports to (nil outside an engine).
 	windowed  bool
 	insts     int
 	windows   int
@@ -176,22 +180,23 @@ func (s *session) release() {
 	}
 }
 
-// build constructs a session through the streaming cold path: the
-// workload interpreter produces trace segments into a small ring of
-// recycled buffers while the simulator consumes them, overlapping
-// generation, simulation and graph-edge materialization. The graph
-// lands in pooled storage; the node times go back to their pool as
-// soon as the simulation returns. ctx cancels both pipeline stages.
-// met (nil in benchmarks) receives the build histogram and per-stage
-// time counters.
-func build(ctx context.Context, spec SessionSpec, met *metrics) (*session, error) {
-	key, err := spec.Key()
+// build constructs the session of q.Session through the streaming
+// cold path: the workload interpreter produces trace segments into a
+// small ring of recycled buffers while the simulator consumes them,
+// overlapping generation, simulation and graph-edge materialization.
+// The graph lands in pooled storage; the node times go back to their
+// pool as soon as the simulation returns. A windowed session folds
+// what q reads instead (buildWindowed); a whole-graph build ignores
+// the op. ctx cancels both pipeline stages. met (nil in benchmarks)
+// receives the build histogram and per-stage time counters.
+func build(ctx context.Context, q Query, met *metrics) (*session, error) {
+	key, err := q.Session.Key()
 	if err != nil {
 		return nil, err
 	}
-	spec, _ = spec.normalize()
+	spec, _ := q.Session.normalize()
 	if spec.WindowInsts > 0 {
-		return buildWindowed(ctx, spec, met, key)
+		return buildWindowed(ctx, spec, met, key, q.reads())
 	}
 	start := time.Now()
 	w, err := workload.Cached(spec.Bench, spec.Seed)
@@ -234,20 +239,6 @@ func build(ctx context.Context, spec SessionSpec, met *metrics) (*session, error
 	}, nil
 }
 
-// foldLattice returns the subsets a windowed build folds, in flag
-// order: the base, every single category and every pair — the
-// second-order lattice that breakdowns (§2.3), pairwise icosts (§2.2),
-// matrices and single costs read. 1 + 8 + 28 = 37 lanes.
-func foldLattice() []depgraph.Flags {
-	var lanes []depgraph.Flags
-	for f := depgraph.Flags(0); f <= depgraph.AllFlags; f++ {
-		if bits.OnesCount(uint(f)) <= 2 {
-			lanes = append(lanes, f)
-		}
-	}
-	return lanes
-}
-
 // windowRequest describes one windowed pass over the session's
 // stream.
 func (s SessionSpec) windowRequest() window.Request {
@@ -261,61 +252,62 @@ func (s SessionSpec) windowRequest() window.Request {
 	}
 }
 
-// buildWindowed constructs a windowed session: one streaming pass of
-// ring-storage simulation folds the execution time of the lattice
-// (foldLattice), which seeds the analyzer's memo. No trace,
-// graph or node times are retained — peak memory during the build and
-// the session's resident size are both bounded by the window budget,
-// which is what lets a session cover tens of millions of
+// buildWindowed constructs a windowed session whose build pass folds
+// reads — the base and the idealizations the opening query reads —
+// through the session's own cost.Eval (fold), the pass every later
+// memo miss runs, into the analyzer's memo, α-scaled entries included.
+// No trace, graph or node times are retained — peak memory during the
+// build and the session's resident size are both bounded by the window
+// budget, which is what lets a session cover tens of millions of
 // instructions.
-func buildWindowed(ctx context.Context, spec SessionSpec, met *metrics, key string) (*session, error) {
+func buildWindowed(ctx context.Context, spec SessionSpec, met *metrics, key string, reads []depgraph.Ideal) (*session, error) {
 	start := time.Now()
-	lattice := foldLattice()
-	wres, err := window.Analyze(ctx, spec.windowRequest(), lattice)
-	if err != nil {
-		return nil, fmt.Errorf("engine: windowed build of %s: %w", spec.Bench, err)
+	s := newWindowedSession(&session{key: key, spec: spec, met: met}, nil)
+	if err := s.analyzer.PrewarmIdealsCtx(ctx, reads); err != nil {
+		return nil, err
 	}
-	built := time.Since(start)
+	s.built = time.Since(start)
 	if met != nil {
-		met.sessionBuild.record(built)
+		met.sessionBuild.record(s.built)
 		met.windowedBuilds.Add(1)
 	}
-	known := make(map[depgraph.Flags]int64, len(lattice))
-	for i, f := range lattice {
-		known[f] = wres.Times[i]
-	}
-	return newWindowedSession(&session{
-		key:       key,
-		spec:      spec,
-		result:    &ooo.Result{Cycles: wres.Cycles, Stats: wres.Stats},
-		built:     built,
-		insts:     int(wres.Insts),
-		windows:   wres.Windows,
-		peakBytes: wres.PeakBytes,
-		met:       met,
-	}, known), nil
+	return s, nil
 }
 
-// newWindowedSession completes s — identity, result, run shape and
-// metrics already set — as a windowed session: its analyzer
-// starts from the subset times folded so far (flags → cycles; known[0]
-// is the base) and re-folds the stream for every batch of memo misses,
-// binary or α-scaled alike. Shared by the cold build and snapshot
-// restore.
+// newWindowedSession completes s — identity and metrics set, and for
+// a restore the result and run shape too — as a windowed session: its
+// analyzer starts from the subset times folded so far (flags → cycles;
+// known[0] is the base; nil for a build) and re-folds the stream for
+// every batch of memo misses, binary or α-scaled alike. Shared by the
+// cold build and snapshot restore.
 func newWindowedSession(s *session, known map[depgraph.Flags]int64) *session {
 	s.windowed = true
-	s.analyzer = cost.NewFromEval(s.refold, known)
+	s.analyzer = cost.NewFromEval(s.fold, known)
 	return s
 }
 
-// refold is a windowed session's cost.Eval: it folds the session's
-// stream once more, for the given idealizations only. The replay is
-// deterministic, so its simulated cycles must equal the session's; a
-// pass that disagrees answers nothing.
-func (s *session) refold(ctx context.Context, ids []depgraph.Ideal) ([]int64, error) {
+// fold is a windowed session's cost.Eval: one pass over the session's
+// stream that folds the given idealizations only. The first pass is the
+// build's: it records the session's cycles and run shape, before the
+// session is published, so no reader races it. Every later pass is a
+// re-fold, and the replay is deterministic, so it must reproduce those
+// cycles; a pass that disagrees answers nothing.
+func (s *session) fold(ctx context.Context, ids []depgraph.Ideal) ([]int64, error) {
+	pass := "re-fold"
+	if s.result == nil {
+		pass = "build"
+	}
 	wres, err := window.AnalyzeIdeals(ctx, s.spec.windowRequest(), ids)
 	if err != nil {
-		return nil, fmt.Errorf("engine: windowed re-fold of %s: %w", s.spec.Bench, err)
+		return nil, fmt.Errorf("engine: windowed %s of %s: %w", pass, s.spec.Bench, err)
+	}
+	if s.result == nil {
+		s.result = &ooo.Result{Cycles: wres.Cycles, Stats: wres.Stats}
+		s.insts, s.windows, s.peakBytes = int(wres.Insts), wres.Windows, wres.PeakBytes
+		if s.met != nil {
+			s.met.windowedBuildLanes.Add(int64(len(ids)))
+		}
+		return wres.Times, nil
 	}
 	if wres.Cycles != s.result.Cycles {
 		return nil, fmt.Errorf("engine: windowed re-fold of %s simulated %d cycles, session has %d",

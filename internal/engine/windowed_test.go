@@ -7,7 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"hash/crc32"
-	"math/bits"
+	"math"
 	"sync"
 	"testing"
 
@@ -125,6 +125,14 @@ func TestWindowedSpecValidation(t *testing.T) {
 	if _, err := e.Warm(ctx, edge); !errors.As(err, &ve) {
 		t.Fatalf("windowed wakeup_extra=100: got %v", err)
 	}
+	// Slack needs a resident graph: refused on a windowed spec before
+	// admission, so no build runs.
+	if _, err := e.Query(ctx, Query{Session: SessionSpec{Bench: "gcc", TraceLen: 500, WindowInsts: 64}, Op: OpSlack}); !errors.As(err, &ve) {
+		t.Fatalf("slack on a windowed spec: got %v", err)
+	}
+	if m := e.Metrics(); m.WindowedBuildsTotal != 0 {
+		t.Fatalf("rejected windowed queries ran %d windowed builds", m.WindowedBuildsTotal)
+	}
 	// window_insts is part of session identity.
 	a := SessionSpec{Bench: "gcc", TraceLen: 500}
 	b := a
@@ -133,6 +141,44 @@ func TestWindowedSpecValidation(t *testing.T) {
 	kb, _ := b.Key()
 	if ka == kb {
 		t.Fatal("window_insts not in session key")
+	}
+}
+
+// TestHugeWindowResolvesToStream: a request's window is capped at the
+// stream's length, warmup included, which changes no answer — a window
+// that long never fills — and keeps a huge window from sizing rings or
+// overflowing Window × WindowIdealFactor. Whole-graph and windowed
+// sessions at windows up to MaxInt64 answer a matrix exactly as at
+// 1<<20, and a windowed session holds no more than at the stream's
+// length.
+func TestHugeWindowResolvesToStream(t *testing.T) {
+	ctx := context.Background()
+	e := New(Config{Workers: 2, MaxSessions: 16})
+	defer e.Close()
+	spec := SessionSpec{Bench: "gcc", Seed: 4, TraceLen: 2000, Warmup: 1000}
+	query := func(window, windowInsts int) *Response {
+		t.Helper()
+		sp := spec
+		sp.Window, sp.WindowInsts = window, windowInsts
+		resp, err := e.Query(ctx, Query{Session: sp, Op: OpMatrix})
+		if err != nil {
+			t.Fatalf("window %d, window_insts %d: %v", window, windowInsts, err)
+		}
+		return resp
+	}
+	want := answerOnly(t, query(1<<20, 0))
+	stream := query(spec.Warmup+spec.TraceLen, 512)
+	for _, window := range []int{1 << 16, 1 << 40, 1 << 62, math.MaxInt64} {
+		for _, windowInsts := range []int{0, 512} {
+			resp := query(window, windowInsts)
+			if got := answerOnly(t, resp); !bytes.Equal(got, want) {
+				t.Fatalf("window %d, window_insts %d: matrix diverged from window 1<<20:\n  want %s\n  got  %s",
+					window, windowInsts, want, got)
+			}
+			if resp.PeakBytes > stream.PeakBytes {
+				t.Fatalf("window %d: peak bytes %d, %d at the stream's length", window, resp.PeakBytes, stream.PeakBytes)
+			}
+		}
 	}
 }
 
@@ -251,38 +297,21 @@ func TestSnapshotRestoresCSRByteEqual(t *testing.T) {
 	e1.Close() // after comparison: Close releases pooled graph storage
 }
 
-// TestWindowedRefolds pins which queries a windowed session answers
-// from its build and which re-fold the stream. The build folds the
-// base, the singles and the pairs, so every single cost, every pair
-// icost, a default breakdown around any focus and a matrix over all
-// eight categories are memo reads; a full breakdown over three
-// categories misses only the triple and re-folds once for it; two
-// concurrent queries missing the same subset share one re-fold; and a
-// sensitivity query re-folds only the grid points the memo lacks. Every
-// answer matches the whole-graph session's byte for byte.
+// TestWindowedRefolds pins which idealizations a windowed session
+// folds, and when. A fresh session's build folds the base and exactly
+// what its first query reads, so that query — whatever its op — runs
+// no re-fold and answers byte-identically to the whole-graph session.
+// After a base-only Warm, a query needing anything else re-folds the
+// stream once for all of its misses, two concurrent queries missing the
+// same subset share one re-fold, and a sensitivity query re-folds only
+// the grid points the memo lacks.
 func TestWindowedRefolds(t *testing.T) {
 	ctx := context.Background()
-	e := New(Config{Workers: 2, MaxSessions: 4})
-	defer e.Close()
 	whole := SessionSpec{Bench: "mcf", Seed: 3, TraceLen: 3000, Warmup: 500}
 	windowed := whole
 	windowed.WindowInsts = 512
 
-	key, err := e.Warm(ctx, windowed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	known := e.sessionByKey(key).analyzer.Known()
-	if len(known) != 37 {
-		t.Fatalf("build folded %d subsets, want 37", len(known))
-	}
-	for f := range known {
-		if bits.OnesCount(uint(f)) > 2 {
-			t.Fatalf("build folded %v, outside the second-order lattice", f)
-		}
-	}
-
-	same := func(q Query) {
+	same := func(e *Engine, q Query) {
 		t.Helper()
 		q.Session = windowed
 		got, err := e.Query(ctx, q)
@@ -298,36 +327,88 @@ func TestWindowedRefolds(t *testing.T) {
 			t.Fatalf("%s %v diverged:\n  whole:    %s\n  windowed: %s", q.Op, q.Cats, w, g)
 		}
 	}
-	refolds := func() (int64, int64) {
+	refolds := func(e *Engine) (int64, int64) {
 		m := e.Metrics()
 		return m.WindowedRefoldsTotal, m.WindowedRefoldLanesTotal
 	}
 
-	names := depgraph.FlagNames()
-	for i, a := range names {
-		same(Query{Op: OpBreakdown, Focus: a})
-		same(Query{Op: OpCost, Cats: []string{a}})
-		for _, b := range names[i+1:] {
-			same(Query{Op: OpICost, Cats: []string{a, b}})
+	// lanes counts the distinct idealizations the query reads, the base
+	// included: α = 0 is a single's binary entry and α = 1 the base.
+	for _, tc := range []struct {
+		q     Query
+		lanes int64
+	}{
+		{Query{Op: OpCost, Cats: []string{"dl1"}}, 2},
+		{Query{Op: OpCost, Cats: []string{"win", "bw"}}, 2},
+		{Query{Op: OpExecTime}, 1},
+		{Query{Op: OpExecTime, Cats: []string{"dmiss"}}, 2},
+		{Query{Op: OpICost, Cats: []string{"dl1", "win"}}, 4},
+		{Query{Op: OpICost, Cats: []string{"dl1", "dmiss", "win"}}, 8},
+		{Query{Op: OpBreakdown}, 16},
+		{Query{Op: OpBreakdown, Focus: "dl1", Cats: []string{"win", "bw", "dmiss"}}, 8},
+		{Query{Op: OpFull, Cats: []string{"dl1", "win", "bw"}}, 8},
+		{Query{Op: OpMatrix, Cats: []string{"dl1", "dmiss", "win"}}, 7},
+		{Query{Op: OpMatrix}, 37},
+		{Query{Op: OpSensitivity, Cats: []string{"dl1", "win"}}, 9},
+	} {
+		e := New(Config{Workers: 2, MaxSessions: 4})
+		same(e, tc.q)
+		m := e.Metrics()
+		if m.WindowedBuildsTotal != 1 || m.WindowedBuildLanesTotal != tc.lanes {
+			t.Fatalf("%s %v: %d builds over %d lanes, want 1 over %d",
+				tc.q.Op, tc.q.Cats, m.WindowedBuildsTotal, m.WindowedBuildLanesTotal, tc.lanes)
 		}
+		if n, lanes := refolds(e); n != 0 || lanes != 0 {
+			t.Fatalf("%s %v: first query ran %d re-folds over %d lanes, want none", tc.q.Op, tc.q.Cats, n, lanes)
+		}
+		e.Close()
 	}
-	same(Query{Op: OpMatrix})
-	if n, lanes := refolds(); n != 0 || lanes != 0 {
-		t.Fatalf("lattice queries ran %d re-folds over %d lanes, want none", n, lanes)
-	}
-	// A re-fold is not a graph walk: the batch counters stay put.
-	batches := e.Metrics().BatchesTotal
-	full := Query{Op: OpFull, Cats: []string{"dl1", "win", "bw"}}
-	if _, err := e.Query(ctx, Query{Session: windowed, Op: full.Op, Cats: full.Cats}); err != nil {
+
+	e := New(Config{Workers: 2, MaxSessions: 4})
+	defer e.Close()
+	key, err := e.Warm(ctx, windowed)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if n, lanes := refolds(); n != 1 || lanes != 1 {
-		t.Fatalf("full over three categories: %d re-folds over %d lanes, want 1 over 1", n, lanes)
+	if known := e.sessionByKey(key).analyzer.Known(); len(known) != 1 {
+		t.Fatalf("Warm folded %d subsets, want the base alone", len(known))
+	}
+
+	// Sensitivity after a base-only build: dl1 and win over the default
+	// grid re-fold their α = 0 singles and six interior samples in one
+	// pass, α = 0.6 adds two, and dl1 over {0, 0.25, 1} is all memo
+	// reads.
+	for _, tc := range []struct {
+		q             Query
+		passes, lanes int64
+	}{
+		{Query{Op: OpSensitivity, Cats: []string{"dl1", "win"}}, 1, 8},
+		{Query{Op: OpSensitivity, Cats: []string{"dl1", "win"}, Alphas: []float64{0, 0.5, 0.6, 1}}, 1, 2},
+		{Query{Op: OpSensitivity, Cats: []string{"dl1"}, Alphas: []float64{0, 0.25, 1}}, 0, 0},
+	} {
+		n0, l0 := refolds(e)
+		same(e, tc.q)
+		if n, lanes := refolds(e); n-n0 != tc.passes || lanes-l0 != tc.lanes {
+			t.Fatalf("sensitivity %v over %v: %d re-folds over %d lanes, want %d over %d",
+				tc.q.Cats, tc.q.Alphas, n-n0, lanes-l0, tc.passes, tc.lanes)
+		}
+	}
+
+	// A full breakdown over three categories misses every subset but the
+	// base and the two singles the curves folded: one re-fold of five
+	// lanes. A re-fold is not a graph walk: the batch counters stay put.
+	batches := e.Metrics().BatchesTotal
+	full := Query{Session: windowed, Op: OpFull, Cats: []string{"dl1", "win", "bw"}}
+	if _, err := e.Query(ctx, full); err != nil {
+		t.Fatal(err)
+	}
+	if n, lanes := refolds(e); n != 3 || lanes != 15 {
+		t.Fatalf("full over three categories: %d re-folds over %d lanes in all, want 3 over 15", n, lanes)
 	}
 	if got := e.Metrics().BatchesTotal; got != batches {
 		t.Fatalf("a windowed re-fold fed the graph batch counter: %d -> %d", batches, got)
 	}
-	same(full)
+	same(e, full)
 
 	// Both queries reach the analyzer before either re-fold can
 	// finish: the onJobStart barrier holds each worker until the other
@@ -358,34 +439,14 @@ func TestWindowedRefolds(t *testing.T) {
 			t.Fatalf("concurrent %s: %v", pair[i].Op, err)
 		}
 	}
-	if n, lanes := refolds(); n != 2 || lanes != 2 {
-		t.Fatalf("two concurrent misses of one subset: %d re-folds over %d lanes in all, want 2 over 2", n, lanes)
+	if n, lanes := refolds(e); n != 4 || lanes != 16 {
+		t.Fatalf("two concurrent misses of one subset: %d re-folds over %d lanes in all, want 4 over 16", n, lanes)
 	}
 	for _, q := range pair {
-		same(q)
+		same(e, q)
 	}
-
-	// Sensitivity reads the same memo: α=0 is a single's binary entry
-	// and α=1 the base, so dl1 and win over the default grid re-fold
-	// their six interior samples in one pass, α=0.6 adds two, and dl1
-	// over {0, 0.25, 1} is all memo reads.
-	for _, tc := range []struct {
-		q             Query
-		passes, lanes int64
-	}{
-		{Query{Op: OpSensitivity, Cats: []string{"dl1", "win"}}, 1, 6},
-		{Query{Op: OpSensitivity, Cats: []string{"dl1", "win"}, Alphas: []float64{0, 0.5, 0.6, 1}}, 1, 2},
-		{Query{Op: OpSensitivity, Cats: []string{"dl1"}, Alphas: []float64{0, 0.25, 1}}, 0, 0},
-	} {
-		n0, l0 := refolds()
-		same(tc.q)
-		if n, lanes := refolds(); n-n0 != tc.passes || lanes-l0 != tc.lanes {
-			t.Fatalf("sensitivity %v over %v: %d re-folds over %d lanes, want %d over %d",
-				tc.q.Cats, tc.q.Alphas, n-n0, lanes-l0, tc.passes, tc.lanes)
-		}
-	}
-	if m := e.Metrics(); m.WindowedBuildsTotal != 1 {
-		t.Fatalf("windowed builds %d, want 1", m.WindowedBuildsTotal)
+	if m := e.Metrics(); m.WindowedBuildsTotal != 1 || m.WindowedBuildLanesTotal != 1 {
+		t.Fatalf("windowed builds %d over %d lanes, want 1 over 1", m.WindowedBuildsTotal, m.WindowedBuildLanesTotal)
 	}
 }
 

@@ -52,8 +52,9 @@ func SimulateStream(ctx context.Context, st *trace.Stream, cfg Config, opt Optio
 // components (after touchCode, if there are any), the rest are
 // stepped, and emit runs after every every-th stepped instruction
 // (never when every is 0). Each segment goes back to the stream once
-// stepped. It returns nil once the stream is drained and complete, or
-// the first error: ctx's, a producer's, a short stream, or emit's.
+// stepped, and a drained stream hands its segment ring on (Release).
+// It returns nil once the stream is drained and complete, or the first
+// error: ctx's, a producer's, a short stream, or emit's.
 // opt.Timing, when set, receives the stage split.
 func (m *machine) consume(ctx context.Context, st *trace.Stream, opt Options, every int, emit func() error) error {
 	if opt.Warmup > 0 {
@@ -114,6 +115,7 @@ func (m *machine) consume(ctx context.Context, st *trace.Stream, opt Options, ev
 		simNS += time.Since(t1).Nanoseconds()
 		st.Recycle(seg)
 	}
+	st.Release()
 	if err := st.Err(); err != nil {
 		return err
 	}

@@ -24,7 +24,7 @@ import (
 // newWindowedMachine builds the ring-storage variant of the machine
 // for n timed instructions with winInsts-instruction emission blocks.
 func newWindowedMachine(prog *program.Program, cfg Config, opt Options, n, winInsts int) *machine {
-	ring := windowedRingSize(&cfg.Graph, winInsts)
+	ring := windowedRingSize(&cfg.Graph, winInsts, n)
 	m := newMachine(prog, cfg, opt, ring)
 	m.n = n
 	m.st.Insts = n
@@ -34,18 +34,21 @@ func newWindowedMachine(prog *program.Program, cfg Config, opt Options, n, winIn
 	return m
 }
 
-// windowedRingSize picks the power-of-two ring length: it must retain
-// every index the step recurrence reads back to (the re-order window
-// and the bandwidth-edge spans) plus a full emission block and the
-// instruction before it (for the MispPrev gate of a block's first
-// instruction).
-func windowedRingSize(gcfg *depgraph.Config, winInsts int) int {
+// windowedRingSize picks the power-of-two ring length for a pass of n
+// timed instructions: it must retain every index the step recurrence
+// reads back to (the re-order window and the bandwidth-edge spans)
+// plus a full emission block and the instruction before it (for the
+// MispPrev gate of a block's first instruction). A ring of n slots
+// holds the whole pass and never wraps, so no pass needs more,
+// whatever the window.
+func windowedRingSize(gcfg *depgraph.Config, winInsts, n int) int {
 	need := winInsts + 2
 	for _, v := range []int{gcfg.Window + 1, gcfg.FetchBW + 1, gcfg.CommitBW + 1} {
 		if v > need {
 			need = v
 		}
 	}
+	need = min(need, n)
 	ring := 1
 	for ring < need {
 		ring <<= 1
@@ -54,13 +57,13 @@ func windowedRingSize(gcfg *depgraph.Config, winInsts int) int {
 }
 
 // WindowedFootprint reports the graph-storage bytes a windowed
-// simulation holds resident: the record ring (typed records plus the
-// flat CSR tables the arena pre-carves) and the node-time ring. A
-// function of the machine configuration and window size only — never
-// of trace length — which is what lets callers budget long-trace
-// analyses up front.
-func WindowedFootprint(gcfg *depgraph.Config, winInsts int) int64 {
-	ring := int64(windowedRingSize(gcfg, winInsts))
+// simulation of n timed instructions holds resident: the record ring
+// (typed records plus the flat CSR tables the arena pre-carves) and the
+// node-time ring. Bounded by the machine configuration and window size
+// whatever the trace length, which is what lets callers budget
+// long-trace analyses up front.
+func WindowedFootprint(gcfg *depgraph.Config, winInsts, n int) int64 {
+	ring := int64(windowedRingSize(gcfg, winInsts, n))
 	const instInfoBytes = 16
 	recBytes := int64(instInfoBytes + 1 + 5*4 + 3*4 + 2) // Info, DDBreak, int32 records, flat tables
 	return ring*recBytes + ring*5*8                      // + five node-time columns

@@ -59,7 +59,7 @@ func TestWindowedGolden(t *testing.T) {
 				wantTimes[k] = want.Graph.ExecTime(id)
 			}
 
-			we, err := depgraph.NewWindowEvalIdeals(cfg.Graph, ids)
+			we, err := depgraph.NewWindowEvalIdeals(cfg.Graph, ids, n-warmup)
 			if err != nil {
 				t.Fatalf("%s: evaluator: %v", name, err)
 			}

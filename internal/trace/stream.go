@@ -35,7 +35,8 @@ type Segment struct {
 //     segment when it hands it back with Recycle, must hand back every
 //     segment it receives, and must not keep the slice; the producer
 //     refills the buffer for a later segment. There is no completed
-//     trace.
+//     trace. A consumer that drains the stream hands the ring on to the
+//     next recycled stream with Release.
 //
 // Recycle is a no-op on a retained stream, so a consumer that recycles
 // every segment it has stepped works on either kind. Channel sends
@@ -55,10 +56,11 @@ type Stream struct {
 	// whether by completion, error, or cancellation.
 	C <-chan Segment
 
-	// free holds a recycled stream's idle segment buffers; nil on a
-	// retained stream. Its capacity is the ring size, so Recycle never
-	// blocks.
-	free chan []DynInst
+	// ring is a recycled stream's segment ring; nil on a retained
+	// stream, and once Release has handed the ring on.
+	ring *segRing
+	// closed is set by Close before C closes.
+	closed atomic.Bool
 
 	genNS   atomic.Int64
 	stallNS atomic.Int64
@@ -66,6 +68,19 @@ type Stream struct {
 	full *Trace
 	err  error
 }
+
+// segRing is a recycled stream's fixed set of segment buffers. free
+// holds the idle ones; its capacity is the ring size, so Recycle never
+// blocks.
+type segRing struct {
+	free   chan []DynInst
+	segLen int
+}
+
+// ringPool holds the segment rings of drained recycled streams for the
+// next stream to reuse, so a windowed pass or a whole-graph build does
+// not allocate its own.
+var ringPool sync.Pool
 
 // Err reports the producer's terminal error (nil on success,
 // context.Canceled/DeadlineExceeded on cancellation, or a generation
@@ -81,9 +96,24 @@ func (s *Stream) Trace() *Trace { return s.full }
 // stream's producer; the consumer must not touch seg.Insts afterwards.
 // A no-op on a retained stream.
 func (s *Stream) Recycle(seg Segment) {
-	if s.free != nil {
-		s.free <- seg.Insts[:0]
+	if s.ring != nil {
+		s.ring.free <- seg.Insts[:0]
 	}
+}
+
+// Release hands a drained recycled stream's segment ring on to the next
+// recycled stream. Call it once C is closed and every segment received
+// has been recycled. The ring goes on only when every buffer is idle: a
+// producer that failed or was canceled may have dropped one it took,
+// and then the ring stays with the stream for the garbage collector. A
+// no-op on a retained stream, and on a stream whose C is still open.
+func (s *Stream) Release() {
+	r := s.ring
+	if r == nil || !s.closed.Load() || len(r.free) != cap(r.free) {
+		return
+	}
+	s.ring = nil
+	ringPool.Put(r)
 }
 
 // GenNS returns the producer time spent generating instructions, in
@@ -117,13 +147,19 @@ func NewStream(prog *program.Program, name string, total, buffer int) (*Stream, 
 // with a send buffer of buffer segments, backed by a ring of buffer+2
 // segLen-instruction buffers: enough for a full send buffer, the
 // segment the consumer is stepping and the one the producer is
-// filling. The producer takes each segment's storage from Buffer.
+// filling. The ring is one a released stream handed on when its shape
+// matches, else a new one. The producer takes each segment's storage
+// from Buffer.
 func NewRecycledStream(prog *program.Program, name string, total, buffer, segLen int) (*Stream, *StreamWriter) {
 	s, w := NewStream(prog, name, total, buffer)
-	s.free = make(chan []DynInst, buffer+2)
-	for range buffer + 2 {
-		s.free <- make([]DynInst, 0, segLen)
+	r, _ := ringPool.Get().(*segRing)
+	if r == nil || cap(r.free) != buffer+2 || r.segLen != segLen {
+		r = &segRing{free: make(chan []DynInst, buffer+2), segLen: segLen}
+		for range buffer + 2 {
+			r.free <- make([]DynInst, 0, segLen)
+		}
 	}
+	s.ring = r
 	return s, w
 }
 
@@ -131,11 +167,12 @@ func NewRecycledStream(prog *program.Program, name string, total, buffer, segLen
 // and the stream's segment capacity, blocking until the consumer
 // recycles one or ctx is done. Time blocked counts as stall.
 func (w *StreamWriter) Buffer(ctx context.Context) ([]DynInst, error) {
-	if w.s.free == nil {
+	if w.s.ring == nil {
 		return nil, fmt.Errorf("trace: Buffer on a retained stream")
 	}
+	free := w.s.ring.free
 	select {
-	case b := <-w.s.free:
+	case b := <-free:
 		return b, nil
 	default:
 	}
@@ -146,7 +183,7 @@ func (w *StreamWriter) Buffer(ctx context.Context) ([]DynInst, error) {
 		w.s.stallNS.Add(w.mark.Sub(start).Nanoseconds())
 	}()
 	select {
-	case b := <-w.s.free:
+	case b := <-free:
 		return b, nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
@@ -178,12 +215,13 @@ func (w *StreamWriter) Send(ctx context.Context, seg Segment) error {
 // failure pass a nil trace and the cause. Must be called exactly once,
 // after the last Send.
 func (w *StreamWriter) Close(full *Trace, err error) {
-	if full == nil && err == nil && w.s.free == nil {
+	if full == nil && err == nil && w.s.ring == nil {
 		err = fmt.Errorf("trace: stream closed with neither trace nor error")
 	}
 	w.s.genNS.Add(time.Since(w.mark).Nanoseconds())
 	w.s.full = full
 	w.s.err = err
+	w.s.closed.Store(true)
 	close(w.ch)
 }
 

@@ -158,7 +158,7 @@ func analyzeIdeals(ctx context.Context, req Request, lanes []depgraph.Ideal, pro
 	groups := make([]*laneGroup, min(procs, len(evalLanes)))
 	for k := range groups {
 		lo, hi := k*len(evalLanes)/len(groups), (k+1)*len(evalLanes)/len(groups)
-		we, err := depgraph.NewWindowEvalIdeals(req.Sim.Graph, evalLanes[lo:hi])
+		we, err := depgraph.NewWindowEvalIdeals(req.Sim.Graph, evalLanes[lo:hi], req.TraceLen)
 		if err != nil {
 			return nil, err
 		}
@@ -215,7 +215,7 @@ func analyzeIdeals(ctx context.Context, req Request, lanes []depgraph.Ideal, pro
 
 	// Every group's rings and every block buffer are resident for the
 	// whole pass, on top of the simulator's rings and its own block.
-	peak := ooo.WindowedFootprint(&req.Sim.Graph, req.WindowInsts) + peakBlock
+	peak := ooo.WindowedFootprint(&req.Sim.Graph, req.WindowInsts, req.TraceLen) + peakBlock
 	for _, b := range bufs {
 		peak += b.win.Bytes()
 	}

@@ -201,6 +201,37 @@ func TestWindowSmallerThanCarryDepth(t *testing.T) {
 	}
 }
 
+// TestHugeWindowBoundedByTrace: a pass sizes the simulator ring and
+// every lane group's fold rings by the instructions it folds, not by
+// the machine's window. At a window of 1<<40 (a carry depth of 2.2e13
+// instructions) a 2,000-instruction pass folds exactly what a window as
+// long as the stream folds — no CD edge reaches past the stream start
+// either way — and holds exactly as many bytes.
+func TestHugeWindowBoundedByTrace(t *testing.T) {
+	req := Request{Bench: "gcc", Seed: 4, TraceLen: 2000, Warmup: 1000, WindowInsts: 512}
+	req.Sim = ooo.DefaultConfig().WithWindow(req.Warmup + req.TraceLen)
+	huge := req
+	huge.Sim = req.Sim.WithWindow(1 << 40)
+	ids := mixedLanes(17)
+	want := fullTimesIdeals(t, req, ids)
+	ref, err := analyzeIdeals(context.Background(), req, ids, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := analyzeIdeals(context.Background(), huge, ids, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range ids {
+		if res.Times[k] != want[k] || ref.Times[k] != want[k] {
+			t.Fatalf("lane %d: window 1<<40 %d, stream-long window %d, whole-graph %d", k, res.Times[k], ref.Times[k], want[k])
+		}
+	}
+	if res.PeakBytes != ref.PeakBytes {
+		t.Fatalf("peak bytes %d at window 1<<40, %d at a stream-long window", res.PeakBytes, ref.PeakBytes)
+	}
+}
+
 // TestAnalyzeValidation pins the request contract.
 func TestAnalyzeValidation(t *testing.T) {
 	base := Request{Bench: "gcc", Seed: 1, TraceLen: 500, WindowInsts: 128, Sim: ooo.DefaultConfig()}
@@ -381,11 +412,11 @@ func TestPeakBytesCountsEveryBuffer(t *testing.T) {
 	ids := mixedLanes(17)
 	var blk depgraph.Window
 	blk.Resize(0, req.WindowInsts)
-	we, err := depgraph.NewWindowEvalIdeals(req.Sim.Graph, ids)
+	we, err := depgraph.NewWindowEvalIdeals(req.Sim.Graph, ids, req.TraceLen)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ooo.WindowedFootprint(&req.Sim.Graph, req.WindowInsts) + (inflight+1)*blk.Bytes() + we.RingBytes()
+	want := ooo.WindowedFootprint(&req.Sim.Graph, req.WindowInsts, req.TraceLen) + (inflight+1)*blk.Bytes() + we.RingBytes()
 	for _, procs := range []int{1, 3} {
 		res, err := analyzeIdeals(context.Background(), req, ids, procs)
 		if err != nil {

@@ -14,7 +14,9 @@ import (
 // TestRecycledStreamMatchesExecute: a recycled stream carries the same
 // dynamic instructions as Execute, in contiguous segments, out of a
 // ring of at most streamBuffer+2 buffers however long the trace, and
-// ends without a completed trace.
+// ends without a completed trace. Each drained stream hands its ring
+// on, so later streams of the same segment length refill buffers an
+// earlier one used.
 func TestRecycledStreamMatchesExecute(t *testing.T) {
 	ctx := context.Background()
 	for _, name := range []string{"gcc", "mcf", "perl"} {
@@ -54,6 +56,7 @@ func TestRecycledStreamMatchesExecute(t *testing.T) {
 			if len(bufs) > streamBuffer+2 {
 				t.Fatalf("%s/%d: %d distinct segment buffers, ring holds %d", name, segLen, len(bufs), streamBuffer+2)
 			}
+			st.Release()
 		}
 	}
 }
