@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-batch bench-cold bench-fleet bench-graph bench-sens bench-shard bench-smoke chaos fuzz fmt vet lint ci
+.PHONY: build test race bench bench-batch bench-cold bench-fleet bench-graph bench-sens bench-smoke chaos fuzz fmt vet lint ci
 
 # Seconds-per-target budget for the fuzz smoke; CI uses the default.
 FUZZTIME ?= 5s
@@ -50,10 +50,10 @@ bench-cold:
 	$(GO) test -run='^$$' -bench=BenchmarkMultisimBreakdown -benchmem -benchtime=$(COLD_BENCHTIME) ./internal/multisim/
 	$(GO) test -run='^$$' -bench=BenchmarkProfilerAnalyze -benchmem -benchtime=$(COLD_BENCHTIME) ./internal/profiler/
 
-# bench-fleet: the ingestion-path numbers BENCH_fleet.json's service
-# view complements — merge throughput, memoized vs cold fleet queries
-# — with -benchmem, since the aggregator is judged on retained bytes
-# as much as on ns/op. The second step is the no-regression guard:
+# bench-fleet: the ingestion-path benchmarks — merge throughput,
+# memoized vs cold fleet queries — with -benchmem, since the
+# aggregator is judged on retained bytes as much as on ns/op. The
+# second step is the no-regression guard:
 # the fleet's memoized query path must stay in the same performance
 # class as the engine's warm (result-cached) query path. CI runs the
 # benchmarks with FLEET_BENCHTIME=1x as a smoke; use the 2s default
@@ -93,22 +93,6 @@ SENS_BENCHTIME ?= 2s
 bench-sens:
 	$(GO) test -run='^$$' -bench='BenchmarkSensitivityCurves' -benchmem -benchtime=$(SENS_BENCHTIME) ./internal/cost/
 	$(GO) test -run='TestRefuteEnvelopeGuard' -count=1 ./internal/refute/
-
-# bench-shard: the horizontal-scaling numbers BENCH_shard.json tracks
-# — saturation sweeps of a direct single shard vs the routed 3-shard
-# cluster, plus the hedged-vs-unhedged tail comparison under a seeded
-# slow-forward perturbation. The injected per-query service time
-# (icostload -service) pins shard capacity to worker count, so the
-# sweep measures topology rather than host CPU count. The second step
-# is the no-regression guard CI leans on: a short in-process run that
-# must show the cluster out-sustaining the single shard at comparable
-# p50 — relative within one process, so machine speed never matters.
-SHARD_DURATION ?= 2s
-
-bench-shard:
-	$(GO) run ./cmd/icostload -duration $(SHARD_DURATION) -sweep 100,200,400,800 -rate 150 -json BENCH_shard.json
-	$(GO) test -run='TestShardBenchGuard' -count=1 ./cmd/icostload/
-	$(MAKE) bench-smoke
 
 # bench-smoke: the end-to-end benchmark harness (icostbench, its own
 # module, so `go build ./...` and `go test ./...` never compile it)
@@ -161,10 +145,13 @@ vet:
 lint: vet
 	$(GO) run ./cmd/icostvet ./...
 
+# ci: everything above, then the no-regression guards. The shard
+# topology guard (TestShardBenchGuard) skips under -race, so it gets
+# its own non-race step.
 ci: fmt lint build race chaos bench
 	$(MAKE) bench-cold COLD_BENCHTIME=1x
 	$(MAKE) bench-fleet FLEET_BENCHTIME=1x
 	$(MAKE) bench-graph GRAPH_BENCHTIME=1x
 	$(MAKE) bench-sens SENS_BENCHTIME=1x
-	$(GO) test -run='TestShardBenchGuard' -count=1 ./cmd/icostload/
+	$(GO) test -run='TestShardBenchGuard' -count=1 ./internal/router/
 	$(MAKE) bench-smoke

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"icost/internal/daemon"
 	"icost/internal/engine"
 	"icost/internal/faultinject"
 	"icost/internal/fleet"
@@ -45,7 +46,7 @@ func TestChaosDaemonQueryFault(t *testing.T) {
 func TestChaosBuildFaultMapsTo500(t *testing.T) {
 	leakcheck.Check(t)
 	e := engine.New(engine.Config{Workers: 1, BuildRetries: -1, BuildFailTTL: -1})
-	srv := httptest.NewServer(newHandler(e, fleet.NewAggregator(fleet.Config{}), false, nil))
+	srv := httptest.NewServer(daemon.NewHandler(e, fleet.NewAggregator(fleet.Config{}), daemon.Options{}))
 	t.Cleanup(func() {
 		srv.Close()
 		e.Close()
@@ -69,7 +70,7 @@ func TestChaosBuildFaultMapsTo500(t *testing.T) {
 func TestChaosStallMapsTo504(t *testing.T) {
 	leakcheck.Check(t)
 	e := engine.New(engine.Config{Workers: 1, QueryTimeout: 200 * time.Millisecond})
-	srv := httptest.NewServer(newHandler(e, fleet.NewAggregator(fleet.Config{}), false, nil))
+	srv := httptest.NewServer(daemon.NewHandler(e, fleet.NewAggregator(fleet.Config{}), daemon.Options{}))
 	t.Cleanup(func() {
 		srv.Close()
 		e.Close()

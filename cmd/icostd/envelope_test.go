@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"icost/internal/daemon"
 	"icost/internal/engine"
 	"icost/internal/fleet"
 )
@@ -56,7 +57,7 @@ func TestSensitivityEndpointAdvertisesEnvelope(t *testing.T) {
 		Workers:  2,
 		Accuracy: map[string]float64{"dl1": 0.0005, "win": 0.001},
 	})
-	srv := httptest.NewServer(newHandler(e, fleet.NewAggregator(fleet.Config{}), false, nil))
+	srv := httptest.NewServer(daemon.NewHandler(e, fleet.NewAggregator(fleet.Config{}), daemon.Options{}))
 	t.Cleanup(func() {
 		srv.Close()
 		e.Close()

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"icost/internal/daemon"
 	"icost/internal/engine"
 	"icost/internal/fleet"
 )
@@ -87,7 +88,7 @@ func TestPprofEndpoints(t *testing.T) {
 	e := engine.New(engine.Config{Workers: 1})
 	defer e.Close()
 
-	on := httptest.NewServer(newHandler(e, fleet.NewAggregator(fleet.Config{}), true, nil))
+	on := httptest.NewServer(daemon.NewHandler(e, fleet.NewAggregator(fleet.Config{}), daemon.Options{Pprof: true}))
 	defer on.Close()
 	resp, err := http.Get(on.URL + "/debug/pprof/")
 	if err != nil {
@@ -98,7 +99,7 @@ func TestPprofEndpoints(t *testing.T) {
 		t.Fatalf("pprof enabled: index returned %d", resp.StatusCode)
 	}
 
-	off := httptest.NewServer(newHandler(e, fleet.NewAggregator(fleet.Config{}), false, nil))
+	off := httptest.NewServer(daemon.NewHandler(e, fleet.NewAggregator(fleet.Config{}), daemon.Options{}))
 	defer off.Close()
 	resp, err = http.Get(off.URL + "/debug/pprof/")
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -17,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"icost/internal/daemon"
 	"icost/internal/engine"
 	"icost/internal/faultinject"
 	"icost/internal/fleet"
@@ -102,7 +104,7 @@ func newFleetServer(t *testing.T, cfg fleet.Config) (*fleet.Aggregator, *httptes
 	t.Helper()
 	e := engine.New(engine.Config{Workers: 2})
 	agg := fleet.NewAggregator(cfg)
-	srv := httptest.NewServer(newHandler(e, agg, false, nil))
+	srv := httptest.NewServer(daemon.NewHandler(e, agg, daemon.Options{}))
 	t.Cleanup(func() {
 		srv.Close()
 		e.Close()
@@ -111,19 +113,21 @@ func newFleetServer(t *testing.T, cfg fleet.Config) (*fleet.Aggregator, *httptes
 }
 
 // TestIngestAndFleetQuery is the end-to-end data plane: two hosts
-// stream batches in, the aggregate answers cost/icost/breakdown, the
-// second identical query is memoized, and misses map to 404.
+// stream two batches each, the aggregate answers cost/icost/breakdown,
+// the second identical query is memoized, and misses map to 404.
 func TestIngestAndFleetQuery(t *testing.T) {
 	agg, srv := newFleetServer(t, fleet.Config{Profiler: hostProfCfg(1)})
 
-	for i, seed := range []uint64{7, 8} {
+	for i := 0; i < 2; i++ {
 		h := fleet.Header{Binary: "gzip", Seed: 42, Group: "prod", Host: fmt.Sprintf("host-%02d", i)}
-		resp, out := postIngest(t, srv, encodeStream(t, h, hostBatch(t, seed)))
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("ingest %d: status %d (%v)", i, resp.StatusCode, out)
-		}
-		if out["batches"] != float64(1) || out["key"] != "gzip@42/prod" {
-			t.Fatalf("ingest %d summary: %v", i, out)
+		for _, seed := range []uint64{7, 8} {
+			resp, out := postIngest(t, srv, encodeStream(t, h, hostBatch(t, seed)))
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("ingest %d/%d: status %d (%v)", i, seed, resp.StatusCode, out)
+			}
+			if out["batches"] != float64(1) || out["key"] != "gzip@42/prod" {
+				t.Fatalf("ingest %d/%d summary: %v", i, seed, out)
+			}
 		}
 	}
 
@@ -132,7 +136,7 @@ func TestIngestAndFleetQuery(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("fleet cost: status %d (%v)", resp.StatusCode, out)
 	}
-	if out["hosts"] != float64(2) || out["batches"] != float64(2) {
+	if out["hosts"] != float64(2) || out["batches"] != float64(4) {
 		t.Fatalf("aggregate shape: %v", out)
 	}
 	if _, ok := out["value"].(float64); !ok {
@@ -170,21 +174,31 @@ func TestIngestAndFleetQuery(t *testing.T) {
 		t.Fatalf("bad fleet op: status %d, want 400", resp.StatusCode)
 	}
 
-	// /metrics carries both metric sets in one flat object.
+	// /metrics carries both metric sets in one flat object. Hosts
+	// count once however many batches they send, and the memoized
+	// repeat is the one memo hit.
 	mresp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m metricsSnapshot
-	if err := json.NewDecoder(mresp.Body).Decode(&m); err != nil {
+	raw, err := io.ReadAll(mresp.Body)
+	mresp.Body.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	mresp.Body.Close()
-	if m.IngestBatchesTotal != 2 || m.HostsSeen != 2 || m.AggregatesLive != 1 {
-		t.Fatalf("fleet metrics: %+v", m.fleetMetrics)
+	var em engine.Snapshot
+	var fm fleet.Snapshot
+	if err := json.Unmarshal(raw, &em); err != nil {
+		t.Fatal(err)
 	}
-	if m.Workers != 2 {
-		t.Fatalf("engine metrics lost in combined snapshot: %+v", m.engineMetrics)
+	if err := json.Unmarshal(raw, &fm); err != nil {
+		t.Fatal(err)
+	}
+	if fm.IngestBatchesTotal != 4 || fm.HostsSeen != 2 || fm.AggregatesLive != 1 || fm.MemoHitsTotal != 1 {
+		t.Fatalf("fleet metrics: %+v", fm)
+	}
+	if em.Workers != 2 {
+		t.Fatalf("engine metrics lost in combined snapshot: %+v", em)
 	}
 	_ = agg
 }

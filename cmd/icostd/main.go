@@ -167,7 +167,7 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 		return 2
 	}
 	if o.faults != "" {
-		rules, err := parseFaultSpec(o.faults)
+		rules, err := faultinject.ParseSpec(o.faults)
 		if err != nil {
 			fmt.Fprintln(stderr, "icostd: -faults:", err)
 			return 2
@@ -248,7 +248,7 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 	ready := &atomic.Bool{}
 	ready.Store(true)
 	srv := &http.Server{
-		Handler:           newHandler(e, agg, o.pprof, ready),
+		Handler:           daemon.NewHandler(e, agg, daemon.Options{Pprof: o.pprof, Ready: ready}),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	errCh := make(chan error, 1)
@@ -369,33 +369,6 @@ func runRouter(o *options, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 		fmt.Fprintln(stderr, "icostd: shutdown:", err)
 	}
 	return 0
-}
-
-// metricsSnapshot flattens the engine and fleet metric sets into one
-// JSON object (the aliases sidestep the embedded-name clash between
-// the two Snapshot types). Kept here for the daemon's tests; the
-// serving copy lives in internal/daemon.
-type (
-	engineMetrics = engine.Snapshot
-	fleetMetrics  = fleet.Snapshot
-)
-
-type metricsSnapshot struct {
-	engineMetrics
-	fleetMetrics
-}
-
-// newHandler builds the daemon's routing table. The implementation
-// moved to internal/daemon so the sharding router can spawn in-process
-// shards; this wrapper keeps the daemon's historical constructor.
-func newHandler(e *engine.Engine, agg *fleet.Aggregator, pprofOn bool, ready *atomic.Bool) http.Handler {
-	return daemon.NewHandler(e, agg, daemon.Options{Pprof: pprofOn, Ready: ready})
-}
-
-// writeQueryError maps engine and fleet errors onto HTTP semantics
-// (see daemon.WriteQueryError).
-func writeQueryError(w http.ResponseWriter, err error) {
-	daemon.WriteQueryError(w, err)
 }
 
 // loadEnvelope reads the accuracy envelope out of a BENCH_sens.json

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"icost/internal/daemon"
 	"icost/internal/engine"
 	"icost/internal/fleet"
 )
@@ -17,7 +18,7 @@ import (
 func newTestServer(t *testing.T) (*engine.Engine, *httptest.Server) {
 	t.Helper()
 	e := engine.New(engine.Config{Workers: 2})
-	srv := httptest.NewServer(newHandler(e, fleet.NewAggregator(fleet.Config{}), false, nil))
+	srv := httptest.NewServer(daemon.NewHandler(e, fleet.NewAggregator(fleet.Config{}), daemon.Options{}))
 	t.Cleanup(func() {
 		srv.Close()
 		e.Close()
@@ -99,13 +100,16 @@ func TestQueryWindowedSession(t *testing.T) {
 }
 
 func TestQueryValidationErrors(t *testing.T) {
-	_, srv := newTestServer(t)
+	e, srv := newTestServer(t)
 	cases := []string{
 		`{"session":{"bench":"nosuch"},"op":"cost","cats":["dmiss"]}`,
 		`{"session":{"bench":"mcf"},"op":"bogus"}`,
 		`{"session":{"bench":"mcf"},"op":"cost","cats":["zap"]}`,
 		`not json at all`,
 		`{"session":{"bench":"mcf"},"op":"cost","unknown_field":1}`,
+		// Past the bound the snapshot codec restores: 1<<40 whole-graph
+		// instructions would ask for about 100 TB.
+		`{"session":{"bench":"mcf","trace_len":1099511627776},"op":"exectime"}`,
 	}
 	for _, body := range cases {
 		resp, out := postQuery(t, srv, body)
@@ -115,6 +119,10 @@ func TestQueryValidationErrors(t *testing.T) {
 		if out["error"] == "" {
 			t.Errorf("body %q: no error message", body)
 		}
+	}
+	// Every refusal comes before admission: nothing was built.
+	if n := e.Metrics().SessionsBuiltTotal; n != 0 {
+		t.Fatalf("refused queries built %d sessions", n)
 	}
 	// Wrong method.
 	resp, err := http.Get(srv.URL + "/query")
@@ -160,7 +168,7 @@ func TestMetricsAndHealthz(t *testing.T) {
 
 func TestClosedEngineUnavailable(t *testing.T) {
 	e := engine.New(engine.Config{Workers: 1})
-	srv := httptest.NewServer(newHandler(e, fleet.NewAggregator(fleet.Config{}), false, nil))
+	srv := httptest.NewServer(daemon.NewHandler(e, fleet.NewAggregator(fleet.Config{}), daemon.Options{}))
 	defer srv.Close()
 	e.Close()
 	resp, out := postQueryRaw(t, srv, `{"session":{"bench":"mcf"},"op":"slack"}`)

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"icost/internal/daemon"
 	"icost/internal/engine"
 	"icost/internal/fleet"
 )
@@ -27,7 +28,7 @@ func TestReadyzEndpoint(t *testing.T) {
 	defer e.Close()
 	ready := &atomic.Bool{}
 	ready.Store(true)
-	srv := httptest.NewServer(newHandler(e, fleet.NewAggregator(fleet.Config{}), false, ready))
+	srv := httptest.NewServer(daemon.NewHandler(e, fleet.NewAggregator(fleet.Config{}), daemon.Options{Ready: ready}))
 	defer srv.Close()
 
 	get := func(path string) (int, string) {
@@ -71,13 +72,13 @@ func TestWriteQueryErrorMapping(t *testing.T) {
 	}
 	for _, c := range cases {
 		rec := httptest.NewRecorder()
-		writeQueryError(rec, c.err)
+		daemon.WriteQueryError(rec, c.err)
 		if rec.Code != c.want {
 			t.Errorf("%v -> %d, want %d", c.err, rec.Code, c.want)
 		}
 	}
 	rec := httptest.NewRecorder()
-	writeQueryError(rec, &engine.QueueFullError{RetryAfter: 2 * time.Second})
+	daemon.WriteQueryError(rec, &engine.QueueFullError{RetryAfter: 2 * time.Second})
 	if rec.Header().Get("Retry-After") != "2" {
 		t.Errorf("429 without Retry-After header")
 	}

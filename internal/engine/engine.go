@@ -255,7 +255,7 @@ func (e *Engine) Query(ctx context.Context, q Query) (*Response, error) {
 		cp := *resp
 		cp.Cached = true
 		cp.Elapsed = time.Since(start)
-		e.met.latency.record(cp.Elapsed)
+		e.met.latency.Record(cp.Elapsed)
 		return &cp, nil
 	}
 	e.met.cacheMisses.Add(1)
@@ -315,7 +315,7 @@ func (e *Engine) Query(ctx context.Context, q Query) (*Response, error) {
 	e.met.queries.Add(1)
 	resp := *fl.resp
 	resp.Elapsed = time.Since(start)
-	e.met.latency.record(resp.Elapsed)
+	e.met.latency.Record(resp.Elapsed)
 	return &resp, nil
 }
 
@@ -407,8 +407,8 @@ func (e *Engine) run(ctx context.Context, j *job) (*Response, error) {
 		return nil, err
 	}
 	// Fault hook on the worker itself: a latency rule here holds this
-	// worker for its duration, which is how load harnesses pin
-	// per-query service time.
+	// worker for its duration, which is how the shard topology guard
+	// pins per-query service time.
 	if err := faultinject.Hit(ctx, faultinject.EngineExec); err != nil {
 		e.countErr(err)
 		return nil, err
@@ -563,13 +563,13 @@ func (e *Engine) Metrics() Snapshot {
 		QueueDepth: len(e.jobs),
 		QueueCap:   e.cfg.QueueDepth,
 
-		LatencyP50us: e.met.latency.quantile(0.50),
-		LatencyP95us: e.met.latency.quantile(0.95),
-		LatencyP99us: e.met.latency.quantile(0.99),
+		LatencyP50us: e.met.latency.Quantile(0.50),
+		LatencyP95us: e.met.latency.Quantile(0.95),
+		LatencyP99us: e.met.latency.Quantile(0.99),
 
-		SessionBuildP50us: e.met.sessionBuild.quantile(0.50),
-		SessionBuildP95us: e.met.sessionBuild.quantile(0.95),
-		SessionBuildP99us: e.met.sessionBuild.quantile(0.99),
+		SessionBuildP50us: e.met.sessionBuild.Quantile(0.50),
+		SessionBuildP95us: e.met.sessionBuild.Quantile(0.95),
+		SessionBuildP99us: e.met.sessionBuild.Quantile(0.99),
 		ColdGenNS:         e.met.coldGenNS.Load(),
 		ColdGenStallNS:    e.met.coldGenStallNS.Load(),
 		ColdSimNS:         e.met.coldSimNS.Load(),

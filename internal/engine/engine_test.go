@@ -14,6 +14,7 @@ import (
 	"icost/internal/cost"
 	"icost/internal/depgraph"
 	"icost/internal/ooo"
+	"icost/internal/stats"
 	"icost/internal/workload"
 )
 
@@ -475,21 +476,21 @@ func TestResultCacheLRU(t *testing.T) {
 }
 
 func TestLatencyHistQuantiles(t *testing.T) {
-	var h latencyHist
+	var h stats.LatencyHist
 	for i := 0; i < 90; i++ {
-		h.record(3 * time.Microsecond)
+		h.Record(3 * time.Microsecond)
 	}
 	for i := 0; i < 10; i++ {
-		h.record(3 * time.Millisecond)
+		h.Record(3 * time.Millisecond)
 	}
-	if p50 := h.quantile(0.50); p50 > 8 {
+	if p50 := h.Quantile(0.50); p50 > 8 {
 		t.Fatalf("p50 = %dus, want <= 8us", p50)
 	}
-	if p99 := h.quantile(0.99); p99 < 2000 {
+	if p99 := h.Quantile(0.99); p99 < 2000 {
 		t.Fatalf("p99 = %dus, want >= 2000us", p99)
 	}
-	var empty latencyHist
-	if empty.quantile(0.5) != 0 {
+	var empty stats.LatencyHist
+	if empty.Quantile(0.5) != 0 {
 		t.Fatal("empty histogram quantile not 0")
 	}
 }
@@ -499,19 +500,19 @@ func TestLatencyHistQuantiles(t *testing.T) {
 // honest lower bound (2^26µs, ~67s) — never a doubled upper bound the
 // histogram cannot actually distinguish.
 func TestLatencyHistOverflowClamp(t *testing.T) {
-	var h latencyHist
-	h.record(200 * time.Second) // far past the ~67s boundary
+	var h stats.LatencyHist
+	h.Record(200 * time.Second) // far past the ~67s boundary
 	want := int64(1) << 26
 	for _, q := range []float64{0.5, 0.95, 0.99} {
-		if got := h.quantile(q); got != want {
+		if got := h.Quantile(q); got != want {
 			t.Fatalf("quantile(%v) = %dus, want clamped to %dus", q, got, want)
 		}
 	}
 	// The boundary value itself also lands in (and reports) the
 	// overflow bucket.
-	h = latencyHist{}
-	h.record((1 << 26) * time.Microsecond)
-	if got := h.quantile(0.99); got != want {
+	h = stats.LatencyHist{}
+	h.Record((1 << 26) * time.Microsecond)
+	if got := h.Quantile(0.99); got != want {
 		t.Fatalf("boundary quantile = %dus, want %dus", got, want)
 	}
 }

@@ -2,59 +2,9 @@ package engine
 
 import (
 	"sync/atomic"
-	"time"
+
+	"icost/internal/stats"
 )
-
-// histBuckets is the number of latency histogram buckets: bucket i
-// counts latencies in [2^i, 2^(i+1)) microseconds for i below the
-// last bucket, which absorbs everything from 2^26µs (~67s) up.
-// Reported quantiles are clamped to that ~67s overflow boundary — an
-// overflow latency is "at least 67s", never a fabricated 134s.
-const histBuckets = 27
-
-// latencyHist is a lock-free log-scaled histogram. Recording is one
-// atomic increment; quantiles are estimated as the upper bound of the
-// bucket holding the target rank (≤ 2x error, plenty for p50/p95/p99
-// service gauges).
-type latencyHist struct {
-	counts [histBuckets]atomic.Int64
-	total  atomic.Int64
-}
-
-func (h *latencyHist) record(d time.Duration) {
-	us := d.Microseconds()
-	b := 0
-	for us > 1 && b < histBuckets-1 {
-		us >>= 1
-		b++
-	}
-	h.counts[b].Add(1)
-	h.total.Add(1)
-}
-
-// quantile returns the estimated q-quantile (0 < q < 1) in
-// microseconds, or 0 when nothing was recorded. The snapshot is not
-// atomic across buckets; for monitoring that is fine.
-func (h *latencyHist) quantile(q float64) int64 {
-	total := h.total.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := int64(q * float64(total))
-	var seen int64
-	for b := 0; b < histBuckets; b++ {
-		seen += h.counts[b].Load()
-		if seen > rank {
-			if b == histBuckets-1 {
-				// Overflow bucket: its only honest bound is the
-				// lower one (~67s); don't invent an upper bound.
-				return int64(1) << uint(b)
-			}
-			return int64(1) << uint(b+1) // bucket upper bound in µs
-		}
-	}
-	return int64(1) << uint(histBuckets-1)
-}
 
 // batchHistBuckets is the number of batch-size histogram buckets:
 // bucket i counts batched graph evaluations with lane count in
@@ -90,7 +40,7 @@ type metrics struct {
 	snapshotLoadErrors atomic.Int64
 
 	inFlight atomic.Int64
-	latency  latencyHist
+	latency  stats.LatencyHist
 
 	// Cold-path pipeline instrumentation: the session-build wall-time
 	// histogram plus per-stage time totals. gen/sim are productive time
@@ -98,7 +48,7 @@ type metrics struct {
 	// the stall counters are time each side spent blocked on the
 	// segment channel — together they show whether the pipeline
 	// overlaps or serializes.
-	sessionBuild   latencyHist
+	sessionBuild   stats.LatencyHist
 	coldGenNS      atomic.Int64
 	coldGenStallNS atomic.Int64
 	coldSimNS      atomic.Int64

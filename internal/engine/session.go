@@ -50,7 +50,24 @@ type SessionSpec struct {
 	WindowInsts int `json:"window_insts,omitempty"`
 }
 
-// normalize fills defaults and validates the spec.
+// Session spec bounds, shared by normalize and the snapshot decoder,
+// so that every session the engine builds is one its snapshots
+// restore. maxSpecInsts bounds trace_len, warmup, window_insts and
+// the stream warmup + trace_len they make; window is capped at that
+// stream's length. maxGraphInsts bounds a whole-graph session's
+// trace_len, which sizes its resident graph.
+const (
+	maxSpecInsts  int64 = 1 << 31
+	maxGraphInsts int64 = 1 << 24
+)
+
+// normalize fills defaults and validates the spec. It resolves the
+// re-order window to at most the stream's length, warmup included: a
+// window that long never fills, and no CD edge reaches past the
+// stream start on any lane, so every longer window simulates and
+// analyzes identically. The session key, the snapshot and machine()
+// all see the resolved value, and one taken from a request cannot
+// size rings or overflow Window × WindowIdealFactor.
 func (s SessionSpec) normalize() (SessionSpec, error) {
 	if s.Bench == "" {
 		return s, errValidation("engine: session needs a benchmark name")
@@ -92,6 +109,18 @@ func (s SessionSpec) normalize() (SessionSpec, error) {
 	if s.WindowInsts < 0 {
 		return s, errValidation("engine: bad window_insts %d", s.WindowInsts)
 	}
+	stream := int64(s.Warmup) + int64(s.TraceLen)
+	if int64(s.TraceLen) > maxSpecInsts || int64(s.Warmup) > maxSpecInsts || stream > maxSpecInsts {
+		return s, errValidation("engine: trace_len %d + warmup %d exceeds %d instructions", s.TraceLen, s.Warmup, maxSpecInsts)
+	}
+	if int64(s.WindowInsts) > maxSpecInsts {
+		return s, errValidation("engine: window_insts %d exceeds %d", s.WindowInsts, maxSpecInsts)
+	}
+	if s.WindowInsts == 0 && int64(s.TraceLen) > maxGraphInsts {
+		return s, errValidation("engine: trace_len %d exceeds %d for a whole-graph session; set window_insts to stream it",
+			s.TraceLen, maxGraphInsts)
+	}
+	s.Window = int(min(int64(s.Window), stream))
 	if s.WindowInsts > 0 {
 		cfg := s.machine()
 		if err := cfg.Graph.ValidateWindowed(); err != nil {
@@ -116,16 +145,11 @@ func (s SessionSpec) Key() (string, error) {
 	return hex.EncodeToString(sum[:8]), nil
 }
 
-// machine resolves the simulated machine. The re-order window is
-// capped at the stream's length, warmup included: a window that long
-// never fills, and no CD edge reaches past the stream start on any
-// lane, so every longer window simulates and analyzes identically —
-// and one taken from a request cannot size rings or overflow
-// Window × WindowIdealFactor.
+// machine resolves the simulated machine of a normalized spec.
 func (s SessionSpec) machine() ooo.Config {
 	return ooo.DefaultConfig().
 		WithDL1Latency(s.DL1Latency).
-		WithWindow(min(s.Window, s.Warmup+s.TraceLen)).
+		WithWindow(s.Window).
 		WithWakeupExtra(s.WakeupExtra).
 		WithBranchRecovery(s.BranchRecovery)
 }
@@ -223,7 +247,7 @@ func build(ctx context.Context, q Query, met *metrics) (*session, error) {
 	res.Times = nil
 	built := time.Since(start)
 	if met != nil {
-		met.sessionBuild.record(built)
+		met.sessionBuild.Record(built)
 		met.coldGenNS.Add(st.GenNS())
 		met.coldGenStallNS.Add(st.StallNS())
 		met.coldSimNS.Add(tm.SimNS)
@@ -268,7 +292,7 @@ func buildWindowed(ctx context.Context, spec SessionSpec, met *metrics, key stri
 	}
 	s.built = time.Since(start)
 	if met != nil {
-		met.sessionBuild.record(s.built)
+		met.sessionBuild.Record(s.built)
 		met.windowedBuilds.Add(1)
 	}
 	return s, nil

@@ -315,7 +315,7 @@ func decodeSnapshot(r io.Reader, met *metrics) (*session, error) {
 		ints = append(ints, &sp.WindowInsts)
 	}
 	for _, dst := range ints {
-		v, err := getSnapUv(br, 1<<31)
+		v, err := getSnapUv(br, uint64(maxSpecInsts))
 		if err != nil {
 			return nil, err
 		}
@@ -352,7 +352,7 @@ func decodeSnapshot(r io.Reader, met *metrics) (*session, error) {
 		return nil, errValidation("engine: unknown snapshot kind %d", kind)
 	}
 
-	n64, err := getSnapUv(br, 1<<24)
+	n64, err := getSnapUv(br, uint64(maxGraphInsts))
 	if err != nil {
 		return nil, err
 	}

@@ -362,3 +362,103 @@ func TestChaosSnapshotFaults(t *testing.T) {
 		t.Fatalf("post-chaos load: %d, %v", n, err)
 	}
 }
+
+// TestSpecBounds: normalize accepts exactly the specs the snapshot
+// decoder restores. trace_len, warmup, window_insts and the stream
+// warmup + trace_len stop at 1<<31 instructions and a whole-graph
+// trace_len at 1<<24, each refused as a *ValidationError before any
+// build; window resolves to at most the stream's length.
+func TestSpecBounds(t *testing.T) {
+	const maxInt = int(^uint(0) >> 1)
+	base := SessionSpec{Bench: "mcf", Warmup: 1000}
+	cases := []struct {
+		name                      string
+		traceLen, warmup, winInst int
+		window                    int
+		ok                        bool
+		wantWindow                int
+	}{
+		{"whole graph at 1<<24", 1 << 24, 1000, 0, 0, true, 64},
+		{"whole graph past 1<<24", 1<<24 + 1, 1000, 0, 0, false, 0},
+		{"whole graph at 1<<40", 1 << 40, 1000, 0, 0, false, 0},
+		{"windowed stream at 1<<31", 1<<31 - 1000, 1000, 4096, 0, true, 64},
+		{"windowed stream past 1<<31", 1<<31 - 999, 1000, 4096, 0, false, 0},
+		{"windowed trace_len past 1<<31", 1<<31 + 1, 1000, 4096, 0, false, 0},
+		{"windowed trace_len at 1<<40", 1 << 40, 1000, 4096, 0, false, 0},
+		{"warmup past 1<<31", 1000, 1<<31 + 1, 4096, 0, false, 0},
+		{"warmup MaxInt overflows the stream", 1, maxInt, 0, 0, false, 0},
+		{"window_insts at 1<<31", 1000, 1000, 1 << 31, 0, true, 64},
+		{"window_insts past 1<<31", 1000, 1000, 1<<31 + 1, 0, false, 0},
+		{"window resolves to the stream", 1000, 1000, 0, 1 << 40, true, 2000},
+		{"window MaxInt resolves to the stream", 1000, 1000, 512, maxInt, true, 2000},
+		{"window under the stream stays", 1000, 1000, 0, 1999, true, 1999},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sp := base
+			sp.TraceLen, sp.Warmup, sp.WindowInsts, sp.Window = tc.traceLen, tc.warmup, tc.winInst, tc.window
+			got, err := sp.normalize()
+			if !tc.ok {
+				var ve *ValidationError
+				if !errors.As(err, &ve) {
+					t.Fatalf("normalize(%+v) = %v, want a *ValidationError", sp, err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("normalize(%+v): %v", sp, err)
+			}
+			if got.Window != tc.wantWindow {
+				t.Fatalf("window %d resolved to %d, want %d", tc.window, got.Window, tc.wantWindow)
+			}
+		})
+	}
+}
+
+// TestHugeWindowSnapshotRoundTrip: a session asked for with window
+// 1<<40, whole-graph and windowed, snapshots, restores into a second
+// engine and answers byte-identically there, with no build.
+func TestHugeWindowSnapshotRoundTrip(t *testing.T) {
+	ctx := context.Background()
+	for _, windowInsts := range []int{0, 512} {
+		spec := SessionSpec{Bench: "gcc", Seed: 4, TraceLen: 2000, Warmup: 1000, Window: 1 << 40, WindowInsts: windowInsts}
+		mix := windowedQueryMix(spec)
+		e1 := New(Config{Workers: 2, MaxSessions: 2})
+		key, err := e1.Warm(ctx, spec)
+		if err != nil {
+			t.Fatalf("window_insts %d: warm: %v", windowInsts, err)
+		}
+		var want [][]byte
+		for _, q := range mix {
+			resp, err := e1.Query(ctx, q)
+			if err != nil {
+				t.Fatalf("window_insts %d: %s: %v", windowInsts, q.Op, err)
+			}
+			want = append(want, canonicalResponse(t, resp))
+		}
+		var snap bytes.Buffer
+		if err := e1.SnapshotSession(ctx, key, &snap); err != nil {
+			t.Fatalf("window_insts %d: snapshot: %v", windowInsts, err)
+		}
+		e1.Close()
+
+		e2 := New(Config{Workers: 2, MaxSessions: 2})
+		if gotKey, err := e2.RestoreSession(ctx, &snap); err != nil || gotKey != key {
+			t.Fatalf("window_insts %d: restore = %q, %v; want key %q", windowInsts, gotKey, err, key)
+		}
+		for i, q := range mix {
+			resp, err := e2.Query(ctx, q)
+			if err != nil {
+				t.Fatalf("window_insts %d: restored %s: %v", windowInsts, q.Op, err)
+			}
+			if got := canonicalResponse(t, resp); !bytes.Equal(got, want[i]) {
+				t.Fatalf("window_insts %d: %s diverged after restore:\n  built:    %s\n  restored: %s",
+					windowInsts, q.Op, want[i], got)
+			}
+		}
+		if m := e2.Metrics(); m.SessionBuildP50us != 0 || m.WindowedBuildsTotal != 0 {
+			t.Fatalf("window_insts %d: restored engine ran a cold build", windowInsts)
+		}
+		e2.Close()
+	}
+}

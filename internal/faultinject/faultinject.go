@@ -58,9 +58,9 @@ const (
 	EngineAdmit Point = "engine.admit"
 	// EngineExec fires when a worker picks a query job up, before any
 	// session or analysis work. A latency rule here occupies the
-	// worker for its duration — the knob load harnesses use to pin
-	// per-query service time so shard capacity is measurable
-	// independent of host CPU count.
+	// worker for its duration — the knob the shard topology guard
+	// (internal/router) uses to pin per-query service time, so shard
+	// capacity follows worker count, not the host's CPU count.
 	EngineExec Point = "engine.exec"
 	// EngineBuild fires at the top of every session-build attempt
 	// (inside the retry loop, so Count=1 exercises retry-then-succeed).

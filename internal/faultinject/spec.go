@@ -1,8 +1,7 @@
 package faultinject
 
-// Fault-spec parsing, shared by every binary that arms a plan from a
-// flag (icostd -faults, icostload -perturb). The grammar is a
-// comma-separated list of rules:
+// Fault-spec parsing for plans armed from a flag (icostd -faults).
+// The grammar is a comma-separated list of rules:
 //
 //	point:action[*count][@after][%prob]
 //
@@ -32,8 +31,8 @@ import (
 
 // SpecError is the typed failure for fault-spec parsing: Rule carries
 // the offending rule text (empty for spec-level failures) and Detail
-// says what was wrong. Callers that build specs programmatically
-// (icostload -perturb) can errors.As it apart from transport errors.
+// says what was wrong. Callers that build specs programmatically can
+// errors.As it apart from other failures.
 type SpecError struct {
 	Rule   string
 	Detail string

@@ -2,6 +2,7 @@ package faultinject
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -78,6 +79,68 @@ func TestParseSpecBoundaryProb(t *testing.T) {
 	for _, spec := range []string{"engine.build:err%1", "engine.build:err%1e-9"} {
 		if _, err := ParseSpec(spec); err != nil {
 			t.Fatalf("ParseSpec(%q): %v", spec, err)
+		}
+	}
+}
+
+// TestParseSpecModifierOrder: modifiers may appear in any order after
+// the action.
+func TestParseSpecModifierOrder(t *testing.T) {
+	for _, spec := range []string{
+		"workload.gen:err*3@2%0.25",
+		"workload.gen:err%0.25@2*3",
+		"workload.gen:err@2%0.25*3",
+	} {
+		rules, err := ParseSpec(spec)
+		if err != nil {
+			t.Fatalf("%q: %v", spec, err)
+		}
+		r := rules[0]
+		if r.Count != 3 || r.After != 2 || r.Prob != 0.25 || r.Err == nil {
+			t.Fatalf("%q parsed to %+v", spec, r)
+		}
+	}
+}
+
+// TestParseSpecRejects: every rejection says what was wrong, so an
+// operator can fix the flag from the message alone.
+func TestParseSpecRejects(t *testing.T) {
+	cases := map[string]string{
+		"":                        "empty",
+		"   , ,  ":                "empty",
+		"engine.build":            "missing ':'",
+		"nosuch.point:err":        "unknown point",
+		"engine.build:zap":        "unknown action",
+		"engine.build:err%0":      "probability",
+		"engine.build:err%1.5":    "probability",
+		"engine.build:err%zap":    "probability",
+		"engine.build:err@-1":     "@after",
+		"engine.build:err*0":      "count",
+		"engine.build:lat=zap":    "latency",
+		"engine.build:lat=-5ms":   "latency",
+		"icostd.query:lat=":       "latency",
+		"engine.build:err,bad":    "missing ':'",
+		"engine.build:cancel@zap": "@after",
+	}
+	for spec, wantSub := range cases {
+		if _, err := ParseSpec(spec); err == nil {
+			t.Errorf("%q accepted", spec)
+		} else if !strings.Contains(err.Error(), wantSub) {
+			t.Errorf("%q: error %q does not mention %q", spec, err, wantSub)
+		}
+	}
+}
+
+// TestParseSpecUnknownPointListsKnown: the error for a typo'd point
+// names the valid ones, so the operator is one read away from the fix.
+func TestParseSpecUnknownPointListsKnown(t *testing.T) {
+	_, err := ParseSpec("engine.biuld:err")
+	if err == nil {
+		t.Fatal("typo accepted")
+	}
+	for _, pt := range Points() {
+		if !strings.Contains(err.Error(), string(pt)) {
+			t.Fatalf("error %q does not list point %s", err, pt)
 		}
 	}
 }

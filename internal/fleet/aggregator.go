@@ -160,7 +160,7 @@ func (a *Aggregator) Ingest(ctx context.Context, h Header, s *profiler.Samples) 
 	}
 	a.met.ingestDetails.Add(details)
 	a.met.ingestInsts.Add(int64(s.Insts))
-	a.met.ingestLatency.record(time.Since(start))
+	a.met.ingestLatency.Record(time.Since(start))
 	return nil
 }
 
@@ -303,7 +303,7 @@ func (a *Aggregator) Query(ctx context.Context, q Query) (*Response, error) {
 	}
 	a.met.queries.Add(1)
 	resp.Elapsed = time.Since(start)
-	a.met.queryLatency.record(resp.Elapsed)
+	a.met.queryLatency.Record(resp.Elapsed)
 	return resp, nil
 }
 

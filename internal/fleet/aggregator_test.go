@@ -301,20 +301,3 @@ func TestMetricsSnapshotJSON(t *testing.T) {
 		t.Fatalf("latency quantiles not recorded: %+v", m)
 	}
 }
-
-func TestLatencyHist(t *testing.T) {
-	var h latencyHist
-	if h.quantile(0.5) != 0 {
-		t.Fatal("empty hist nonzero quantile")
-	}
-	for i := 0; i < 100; i++ {
-		h.record(100e3) // 100µs -> bucket upper bound 128µs
-	}
-	if q := h.quantile(0.5); q != 128 {
-		t.Fatalf("p50 = %dµs, want 128", q)
-	}
-	h.record(1 << 40) // absurd duration lands in the overflow bucket
-	if q := h.quantile(0.999); q < 128 {
-		t.Fatalf("p99.9 = %dµs after overflow record", q)
-	}
-}

@@ -23,8 +23,7 @@
 //     re-stitch fragments on every refresh.
 //
 // cmd/icostd serves the data plane over HTTP (/ingest, /query with a
-// "fleet" target) and cmd/icostfeed is the load generator that drives
-// it.
+// "fleet" target).
 package fleet
 
 import "fmt"

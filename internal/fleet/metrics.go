@@ -2,53 +2,9 @@ package fleet
 
 import (
 	"sync/atomic"
-	"time"
+
+	"icost/internal/stats"
 )
-
-// histBuckets matches the engine's latency histogram shape: bucket i
-// counts durations in [2^i, 2^(i+1)) microseconds, with the last
-// bucket absorbing everything from 2^26µs (~67s) up. Quantiles are
-// bucket upper bounds, clamped to the honest overflow lower bound.
-const histBuckets = 27
-
-// latencyHist is a lock-free log-scaled histogram (one atomic
-// increment to record).
-type latencyHist struct {
-	counts [histBuckets]atomic.Int64
-	total  atomic.Int64
-}
-
-func (h *latencyHist) record(d time.Duration) {
-	us := d.Microseconds()
-	b := 0
-	for us > 1 && b < histBuckets-1 {
-		us >>= 1
-		b++
-	}
-	h.counts[b].Add(1)
-	h.total.Add(1)
-}
-
-// quantile estimates the q-quantile in microseconds (0 when nothing
-// was recorded). Not atomic across buckets; fine for monitoring.
-func (h *latencyHist) quantile(q float64) int64 {
-	total := h.total.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := int64(q * float64(total))
-	var seen int64
-	for b := 0; b < histBuckets; b++ {
-		seen += h.counts[b].Load()
-		if seen > rank {
-			if b == histBuckets-1 {
-				return int64(1) << uint(b)
-			}
-			return int64(1) << uint(b+1)
-		}
-	}
-	return int64(1) << uint(histBuckets-1)
-}
 
 // metrics is the aggregator's observability state — atomics only, the
 // ingest hot path never takes a lock to count.
@@ -66,8 +22,8 @@ type metrics struct {
 	memoHits     atomic.Int64
 	calibrations atomic.Int64
 
-	ingestLatency latencyHist
-	queryLatency  latencyHist
+	ingestLatency stats.LatencyHist
+	queryLatency  stats.LatencyHist
 }
 
 // Snapshot is the aggregator's point-in-time metrics export, served
@@ -139,11 +95,11 @@ func (a *Aggregator) Metrics() Snapshot {
 		MaxBytes:       a.cfg.MaxBytes,
 		HostsSeen:      hosts,
 
-		IngestP50us: a.met.ingestLatency.quantile(0.50),
-		IngestP95us: a.met.ingestLatency.quantile(0.95),
-		IngestP99us: a.met.ingestLatency.quantile(0.99),
-		QueryP50us:  a.met.queryLatency.quantile(0.50),
-		QueryP95us:  a.met.queryLatency.quantile(0.95),
-		QueryP99us:  a.met.queryLatency.quantile(0.99),
+		IngestP50us: a.met.ingestLatency.Quantile(0.50),
+		IngestP95us: a.met.ingestLatency.Quantile(0.95),
+		IngestP99us: a.met.ingestLatency.Quantile(0.99),
+		QueryP50us:  a.met.queryLatency.Quantile(0.50),
+		QueryP95us:  a.met.queryLatency.Quantile(0.95),
+		QueryP99us:  a.met.queryLatency.Quantile(0.99),
 	}
 }

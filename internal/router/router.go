@@ -56,10 +56,20 @@ type Config struct {
 	// requests/s; TenantRate <= 0 disables the quota layer.
 	TenantRate  float64
 	TenantBurst int
-	// Client is the HTTP client used for all backend traffic (default
-	// http.DefaultClient; tests inject one with tight timeouts).
+	// Client is the HTTP client used for all backend traffic. Nil gets
+	// one that keeps backendIdleConns idle connections per backend and
+	// bounds each exchange by backendTimeout.
 	Client *http.Client
 }
+
+// backendIdleConns is how many idle connections the default client
+// keeps to each backend, twice the standard library's default, so
+// concurrent forwards reuse connections instead of dialing anew.
+const backendIdleConns = 4
+
+// backendTimeout bounds one backend exchange under the default client,
+// a cold session build included.
+const backendTimeout = 2 * time.Minute
 
 func (c Config) withDefaults() Config {
 	if c.Replicas <= 0 {
@@ -69,7 +79,10 @@ func (c Config) withDefaults() Config {
 		c.HotThreshold = 3
 	}
 	if c.Client == nil {
-		c.Client = http.DefaultClient
+		c.Client = &http.Client{
+			Transport: &http.Transport{MaxIdleConnsPerHost: backendIdleConns},
+			Timeout:   backendTimeout,
+		}
 	}
 	return c
 }

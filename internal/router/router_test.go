@@ -129,6 +129,38 @@ func TestRouterRoutingStability(t *testing.T) {
 	}
 }
 
+// TestDefaultClient: a router given no Client forwards through one
+// that keeps 4 idle connections per backend and gives up after 2
+// minutes, not through http.DefaultClient (2 idle connections, no
+// timeout); an injected Client is kept as given.
+func TestDefaultClient(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	backends := []string{"http://127.0.0.1:1"}
+	rt, err := New(ctx, Config{Backends: backends})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	c := rt.client
+	if c == nil || c == http.DefaultClient || c.Timeout != 2*time.Minute {
+		t.Fatalf("default client %+v, want a 2m timeout of its own", c)
+	}
+	if tr, ok := c.Transport.(*http.Transport); !ok || tr.MaxIdleConnsPerHost != 4 {
+		t.Fatalf("default transport %#v, want MaxIdleConnsPerHost 4", c.Transport)
+	}
+
+	own := &http.Client{Timeout: time.Second}
+	rt2, err := New(ctx, Config{Backends: backends, Client: own})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt2.Close()
+	if rt2.client != own {
+		t.Fatal("injected client replaced")
+	}
+}
+
 // awaitReplication drives queries until the router reports the
 // session replicated (>= 2 homes), then returns the replica shard
 // indices.

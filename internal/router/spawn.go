@@ -6,7 +6,6 @@ import (
 	"net"
 	"net/http"
 	"sync"
-	"time"
 
 	"icost/internal/daemon"
 	"icost/internal/engine"
@@ -15,9 +14,9 @@ import (
 
 // ClusterConfig sizes an in-process cluster: N real shard daemons
 // (each a full engine + aggregator behind daemon.NewHandler on a
-// loopback listener) fronted by one Router. Tests and the icostload
-// harness use it to exercise the exact production HTTP path — routed
-// requests cross real sockets — without managing child processes.
+// loopback listener) fronted by one Router. Tests use it to exercise
+// the exact production HTTP path — routed requests cross real sockets —
+// without managing child processes.
 type ClusterConfig struct {
 	// Backends is the shard count (default 3).
 	Backends int
@@ -28,7 +27,7 @@ type ClusterConfig struct {
 	// default).
 	FleetMaxBytes int64
 	// Router configures the routing tier. Backends is filled in by
-	// StartCluster; a nil Client gets one with sane local timeouts.
+	// StartCluster.
 	Router Config
 }
 
@@ -71,9 +70,6 @@ func StartCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 	}
 	rcfg := cfg.Router
 	rcfg.Backends = c.BackendURLs()
-	if rcfg.Client == nil {
-		rcfg.Client = &http.Client{Timeout: 30 * time.Second}
-	}
 	rt, err := New(ctx, rcfg)
 	if err != nil {
 		c.Close()

@@ -1,6 +1,8 @@
 // Package stats provides the small statistical toolkit the
 // experiment harnesses use: summaries of repeated measurements
-// (multi-seed runs) and error aggregation for validation tables.
+// (multi-seed runs) and error aggregation for validation tables; and
+// LatencyHist, the latency histogram the engine and the fleet
+// aggregator export their quantiles from.
 package stats
 
 import (
