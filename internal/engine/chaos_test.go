@@ -427,25 +427,34 @@ func TestChaosSeededStormReplays(t *testing.T) {
 }
 
 // TestChaosWindowed drives faults through the windowed pipeline,
-// whose fold runs on worker goroutines behind the simulator and whose
-// trace arrives in recycled segments from a generator goroutine ahead
-// of it: an ooo.sim error, a workload.gen error, and a mid-pass
-// context cancellation fired from either side, each during a windowed
-// build (opened by a cost query, and by a sensitivity query whose
-// build folds α-scaled lanes), a windowed sensitivity re-fold, and the
-// re-fold of a memo miss outside what the build folded. Every faulted
-// call returns a typed error, leaves no fold or generator goroutine
-// behind and memoizes nothing — so the retry re-folds exactly the
-// lanes an unfaulted pass does — and the same query then answers
-// exactly as the whole-graph session does.
+// whose fold runs on worker goroutines behind the simulator (or the
+// block-log replay) and whose trace arrives in recycled segments from a
+// generator goroutine ahead of it: an ooo.sim error, a workload.gen
+// error, and a mid-pass context cancellation fired from either side,
+// each during a windowed build (opened by a cost query, and by a
+// sensitivity query whose build folds α-scaled lanes), a windowed
+// sensitivity re-fold, and the re-fold of a memo miss outside what the
+// build folded; and a window.replay error and cancellation in the
+// middle of those two re-folds replaying the build's log. A re-fold
+// replays while the engine's slot holds its session's log, so the
+// simulator and generator faults fire in a re-fold only after another
+// windowed build has taken the slot. Every faulted call returns a typed
+// error, leaves no fold or generator goroutine behind and memoizes
+// nothing — so the retry re-folds exactly the lanes an unfaulted pass
+// does, replaying or simulating as the faulted pass did — and the same
+// query then answers exactly as the whole-graph session does.
 func TestChaosWindowed(t *testing.T) {
 	ctx := context.Background()
-	// 1024-instruction trace segments: the fault fires at segment 7
-	// of 13, once some twenty 256-instruction blocks have been folded
-	// and every recycled segment buffer has gone round at least once.
+	// 1024-instruction trace segments: the simulator and generator
+	// faults fire at segment 7 of 13, once some twenty 256-instruction
+	// blocks have been folded and every recycled segment buffer has
+	// gone round at least once; the replay faults fire at block 21 of
+	// 47.
 	spec := SessionSpec{Bench: "gcc", Seed: 5, TraceLen: 12000, Warmup: 1000, WindowInsts: 256}
 	whole := spec
 	whole.WindowInsts = 0
+	other := spec
+	other.Seed = 6
 	passes := []struct {
 		name  string
 		q     Query
@@ -459,17 +468,23 @@ func TestChaosWindowed(t *testing.T) {
 		{"miss", Query{Session: spec, Op: OpExecTime, Cats: []string{"dl1", "win", "bw"}}, true, 0, 1},
 	}
 	faults := []struct {
-		name string
-		rule faultinject.Rule
-		want error
+		name   string
+		rule   faultinject.Rule
+		want   error
+		replay bool // the fault point is the log replay's
 	}{
-		{"sim-error", faultinject.Rule{Point: faultinject.OOOSim, Err: errBoom, After: 6}, errBoom},
-		{"cancel", faultinject.Rule{Point: faultinject.OOOSim, Cancel: true, After: 6}, context.Canceled},
-		{"gen-error", faultinject.Rule{Point: faultinject.WorkloadGen, Err: errBoom, After: 6}, errBoom},
-		{"gen-cancel", faultinject.Rule{Point: faultinject.WorkloadGen, Cancel: true, After: 6}, context.Canceled},
+		{"sim-error", faultinject.Rule{Point: faultinject.OOOSim, Err: errBoom, After: 6}, errBoom, false},
+		{"cancel", faultinject.Rule{Point: faultinject.OOOSim, Cancel: true, After: 6}, context.Canceled, false},
+		{"gen-error", faultinject.Rule{Point: faultinject.WorkloadGen, Err: errBoom, After: 6}, errBoom, false},
+		{"gen-cancel", faultinject.Rule{Point: faultinject.WorkloadGen, Cancel: true, After: 6}, context.Canceled, false},
+		{"replay-error", faultinject.Rule{Point: faultinject.WindowReplay, Err: errBoom, After: 20}, errBoom, true},
+		{"replay-cancel", faultinject.Rule{Point: faultinject.WindowReplay, Cancel: true, After: 20}, context.Canceled, true},
 	}
 	for _, p := range passes {
 		for _, f := range faults {
+			if f.replay && !p.warm {
+				continue // a build simulates; only a re-fold replays
+			}
 			t.Run(p.name+"/"+f.name, func(t *testing.T) {
 				leakcheck.Check(t)
 				e := New(Config{Workers: 1, BuildRetries: -1, BuildFailTTL: -1})
@@ -487,10 +502,18 @@ func TestChaosWindowed(t *testing.T) {
 						t.Fatal(err)
 					}
 					known = len(e.sessionByKey(key).analyzer.Known())
+					if !f.replay {
+						// Another windowed build takes the log slot, so
+						// spec's re-fold re-simulates.
+						if _, err := e.Warm(ctx, other); err != nil {
+							t.Fatal(err)
+						}
+					}
 				}
 				faultinject.Enable(13, f.rule)
 				defer faultinject.Disable()
 
+				replays := e.Metrics().WindowedReplaysTotal
 				if _, err := e.Query(ctx, p.q); !errors.Is(err, f.want) {
 					t.Fatalf("faulted %s: %v, want %v", p.name, err, f.want)
 				}
@@ -505,6 +528,9 @@ func TestChaosWindowed(t *testing.T) {
 				}
 				faultinject.Disable()
 				before := e.Metrics()
+				if before.WindowedReplaysTotal != replays {
+					t.Fatalf("faulted %s counted %d replays", p.name, before.WindowedReplaysTotal-replays)
+				}
 				resp, err := e.Query(ctx, p.q)
 				if err != nil {
 					t.Fatalf("%s after the fault: %v", p.name, err)
@@ -515,6 +541,13 @@ func TestChaosWindowed(t *testing.T) {
 				}
 				if lanes := after.WindowedRefoldLanesTotal - before.WindowedRefoldLanesTotal; lanes != p.lanes {
 					t.Fatalf("%s after the fault re-folded %d lanes, want %d", p.name, lanes, p.lanes)
+				}
+				wantReplays := int64(0)
+				if f.replay {
+					wantReplays = 1
+				}
+				if n := after.WindowedReplaysTotal - before.WindowedReplaysTotal; n != wantReplays {
+					t.Fatalf("%s after the fault replayed %d times, want %d", p.name, n, wantReplays)
 				}
 				if !resp.Windowed || resp.Insts != spec.TraceLen {
 					t.Fatalf("degenerate response after recovery: windowed %v, insts %d", resp.Windowed, resp.Insts)

@@ -147,6 +147,7 @@ type Engine struct {
 
 	results *resultCache
 	met     metrics
+	logs    logSlot
 	started time.Time
 
 	// onJobStart, when set (tests), runs at the top of every worker
@@ -520,7 +521,7 @@ func (e *Engine) buildOnce(ctx context.Context, q Query) (*session, error) {
 	if err := faultinject.Hit(ctx, faultinject.EngineBuild); err != nil {
 		return nil, err
 	}
-	return build(ctx, q, &e.met)
+	return build(ctx, q, &e.met, &e.logs)
 }
 
 // Metrics snapshots the engine's observability state.
@@ -545,6 +546,8 @@ func (e *Engine) Metrics() Snapshot {
 		WindowedBuildLanesTotal:  e.met.windowedBuildLanes.Load(),
 		WindowedRefoldsTotal:     e.met.windowedRefolds.Load(),
 		WindowedRefoldLanesTotal: e.met.windowedRefoldLanes.Load(),
+		WindowedReplaysTotal:     e.met.windowedReplays.Load(),
+		WindowedLogBytes:         e.logs.bytes(),
 
 		SnapshotsSavedTotal:     e.met.snapshotsSaved.Load(),
 		SnapshotsLoadedTotal:    e.met.snapshotsLoaded.Load(),

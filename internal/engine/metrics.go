@@ -30,10 +30,13 @@ type metrics struct {
 	// windowedBuildLanes counts the lanes windowed build passes were
 	// asked to fold. windowedRefolds and windowedRefoldLanes count the
 	// windowed passes run after a session's build — analyzer memo misses
-	// and sensitivity curves — and the lanes they were asked to fold.
+	// and sensitivity curves — and the lanes they were asked to fold;
+	// windowedReplays counts those that replayed the build's block log
+	// instead of re-simulating.
 	windowedBuildLanes  atomic.Int64
 	windowedRefolds     atomic.Int64
 	windowedRefoldLanes atomic.Int64
+	windowedReplays     atomic.Int64
 
 	snapshotsSaved     atomic.Int64
 	snapshotsLoaded    atomic.Int64
@@ -108,6 +111,13 @@ type Snapshot struct {
 	WindowedBuildLanesTotal  int64 `json:"windowed_build_lanes_total"`
 	WindowedRefoldsTotal     int64 `json:"windowed_refolds_total"`
 	WindowedRefoldLanesTotal int64 `json:"windowed_refold_lanes_total"`
+	// WindowedReplaysTotal counts the re-folds (included in
+	// WindowedRefoldsTotal) that replayed the session's recorded block
+	// log instead of regenerating and re-simulating its stream.
+	// WindowedLogBytes is the memory of the one block log the engine
+	// holds: the newest windowed build's recording, 0 when none is held.
+	WindowedReplaysTotal int64 `json:"windowed_replays_total"`
+	WindowedLogBytes     int64 `json:"windowed_log_bytes"`
 
 	// SnapshotsSavedTotal / SnapshotsLoadedTotal count sessions written
 	// to and restored from durable snapshots; SnapshotLoadErrorsTotal

@@ -55,10 +55,18 @@ type SessionSpec struct {
 // restore. maxSpecInsts bounds trace_len, warmup, window_insts and
 // the stream warmup + trace_len they make; window is capped at that
 // stream's length. maxGraphInsts bounds a whole-graph session's
-// trace_len, which sizes its resident graph.
+// trace_len, which sizes its resident graph. maxSpecLatency bounds
+// dl1_latency, wakeup_extra and branch_recovery, in cycles: the
+// simulator's functional-unit schedule (fu.Sched) keeps a per-cycle
+// ring spanning its booking horizon, which grows with the latencies
+// (one 20k-instruction mcf pass allocates 1.1 MiB at a dl1_latency of
+// 2 and 18 MiB at 65,536, 85% of it growing that ring), so an
+// unbounded latency could exhaust memory. The paper's machines use at
+// most 15 cycles.
 const (
-	maxSpecInsts  int64 = 1 << 31
-	maxGraphInsts int64 = 1 << 24
+	maxSpecInsts   int64 = 1 << 31
+	maxGraphInsts  int64 = 1 << 24
+	maxSpecLatency int64 = 1 << 10
 )
 
 // normalize fills defaults and validates the spec. It resolves the
@@ -105,6 +113,10 @@ func (s SessionSpec) normalize() (SessionSpec, error) {
 	}
 	if s.DL1Latency < 0 || s.Window < 1 || s.WakeupExtra < 0 || s.BranchRecovery < 0 {
 		return s, errValidation("engine: bad machine parameters in %+v", s)
+	}
+	if int64(s.DL1Latency) > maxSpecLatency || int64(s.WakeupExtra) > maxSpecLatency || int64(s.BranchRecovery) > maxSpecLatency {
+		return s, errValidation("engine: dl1_latency %d, wakeup_extra %d or branch_recovery %d exceeds %d cycles",
+			s.DL1Latency, s.WakeupExtra, s.BranchRecovery, maxSpecLatency)
 	}
 	if s.WindowInsts < 0 {
 		return s, errValidation("engine: bad window_insts %d", s.WindowInsts)
@@ -171,12 +183,17 @@ type session struct {
 
 	// Windowed-session state (spec.WindowInsts > 0): insts folded,
 	// blocks emitted, and peak analysis bytes, from the build pass; the
-	// engine metrics every pass reports to (nil outside an engine).
+	// engine metrics every pass reports to and the engine's block-log
+	// slot (both nil outside an engine; a restored session has no slot,
+	// since snapshots carry no logs); and the log the build pass records
+	// into, published to the slot once the build succeeds.
 	windowed  bool
 	insts     int
 	windows   int
 	peakBytes int64
 	met       *metrics
+	logs      *logSlot
+	rec       *window.Log
 }
 
 // instCount is the session's timed instruction count, independent of
@@ -212,15 +229,16 @@ func (s *session) release() {
 // pool as soon as the simulation returns. A windowed session folds
 // what q reads instead (buildWindowed); a whole-graph build ignores
 // the op. ctx cancels both pipeline stages. met (nil in benchmarks)
-// receives the build histogram and per-stage time counters.
-func build(ctx context.Context, q Query, met *metrics) (*session, error) {
+// receives the build histogram and per-stage time counters; a windowed
+// build records its pass into logs (nil: records nothing).
+func build(ctx context.Context, q Query, met *metrics, logs *logSlot) (*session, error) {
 	key, err := q.Session.Key()
 	if err != nil {
 		return nil, err
 	}
 	spec, _ := q.Session.normalize()
 	if spec.WindowInsts > 0 {
-		return buildWindowed(ctx, spec, met, key, q.reads())
+		return buildWindowed(ctx, spec, met, logs, key, q.reads())
 	}
 	start := time.Now()
 	w, err := workload.Cached(spec.Bench, spec.Seed)
@@ -278,18 +296,21 @@ func (s SessionSpec) windowRequest() window.Request {
 
 // buildWindowed constructs a windowed session whose build pass folds
 // reads — the base and the idealizations the opening query reads —
-// through the session's own cost.Eval (fold), the pass every later
-// memo miss runs, into the analyzer's memo, α-scaled entries included.
-// No trace, graph or node times are retained — peak memory during the
-// build and the session's resident size are both bounded by the window
-// budget, which is what lets a session cover tens of millions of
-// instructions.
-func buildWindowed(ctx context.Context, spec SessionSpec, met *metrics, key string, reads []depgraph.Ideal) (*session, error) {
+// through the session's own cost.Eval (fold) into the analyzer's memo,
+// α-scaled entries included, and publishes the pass's block log to the
+// engine's slot for the session's later misses to replay. No trace,
+// graph or node times are retained — peak memory during the build and
+// the session's resident size are both bounded by the window budget
+// (the one log the engine holds is capped at window.LogCap), which is
+// what lets a session cover tens of millions of instructions.
+func buildWindowed(ctx context.Context, spec SessionSpec, met *metrics, logs *logSlot, key string, reads []depgraph.Ideal) (*session, error) {
 	start := time.Now()
-	s := newWindowedSession(&session{key: key, spec: spec, met: met}, nil)
+	s := newWindowedSession(&session{key: key, spec: spec, met: met, logs: logs, rec: logs.take()}, nil)
 	if err := s.analyzer.PrewarmIdealsCtx(ctx, reads); err != nil {
 		return nil, err
 	}
+	logs.put(key, s.rec)
+	s.rec = nil
 	s.built = time.Since(start)
 	if met != nil {
 		met.sessionBuild.Record(s.built)
@@ -312,20 +333,19 @@ func newWindowedSession(s *session, known map[depgraph.Flags]int64) *session {
 
 // fold is a windowed session's cost.Eval: one pass over the session's
 // stream that folds the given idealizations only. The first pass is the
-// build's: it records the session's cycles and run shape, before the
-// session is published, so no reader races it. Every later pass is a
-// re-fold, and the replay is deterministic, so it must reproduce those
-// cycles; a pass that disagrees answers nothing.
+// build's: it records the session's cycles and run shape, and its
+// blocks into the log buildWindowed took from the engine's slot, before
+// the session is published, so no reader races it. Every later pass is
+// a re-fold: a replay of that log while the slot still holds it, else a
+// fresh simulation. Both are deterministic, so they must reproduce the
+// build's cycles — a replay's base lane is checked against the cycles
+// its recording simulated — and a pass that disagrees answers nothing.
 func (s *session) fold(ctx context.Context, ids []depgraph.Ideal) ([]int64, error) {
-	pass := "re-fold"
 	if s.result == nil {
-		pass = "build"
-	}
-	wres, err := window.AnalyzeIdeals(ctx, s.spec.windowRequest(), ids)
-	if err != nil {
-		return nil, fmt.Errorf("engine: windowed %s of %s: %w", pass, s.spec.Bench, err)
-	}
-	if s.result == nil {
+		wres, err := window.Record(ctx, s.spec.windowRequest(), ids, s.rec)
+		if err != nil {
+			return nil, fmt.Errorf("engine: windowed build of %s: %w", s.spec.Bench, err)
+		}
 		s.result = &ooo.Result{Cycles: wres.Cycles, Stats: wres.Stats}
 		s.insts, s.windows, s.peakBytes = int(wres.Insts), wres.Windows, wres.PeakBytes
 		if s.met != nil {
@@ -333,13 +353,29 @@ func (s *session) fold(ctx context.Context, ids []depgraph.Ideal) ([]int64, erro
 		}
 		return wres.Times, nil
 	}
+	pass := "re-fold"
+	var wres *window.Result
+	var err error
+	if h := s.logs.acquire(s.key); h != nil {
+		pass = "replay"
+		wres, err = window.Replay(ctx, h.log, ids)
+		s.logs.release(h)
+	} else {
+		wres, err = window.AnalyzeIdeals(ctx, s.spec.windowRequest(), ids)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("engine: windowed %s of %s: %w", pass, s.spec.Bench, err)
+	}
 	if wres.Cycles != s.result.Cycles {
-		return nil, fmt.Errorf("engine: windowed re-fold of %s simulated %d cycles, session has %d",
-			s.spec.Bench, wres.Cycles, s.result.Cycles)
+		return nil, fmt.Errorf("engine: windowed %s of %s simulated %d cycles, session has %d",
+			pass, s.spec.Bench, wres.Cycles, s.result.Cycles)
 	}
 	if s.met != nil {
 		s.met.windowedRefolds.Add(1)
 		s.met.windowedRefoldLanes.Add(int64(len(ids)))
+		if pass == "replay" {
+			s.met.windowedReplays.Add(1)
+		}
 	}
 	return wres.Times, nil
 }

@@ -310,16 +310,23 @@ func decodeSnapshot(r io.Reader, met *metrics) (*session, error) {
 	if sp.Seed, err = getSnapUv(br, 1<<63); err != nil {
 		return nil, err
 	}
-	ints := []*int{&sp.TraceLen, &sp.Warmup, &sp.DL1Latency, &sp.Window, &sp.WakeupExtra, &sp.BranchRecovery}
-	if version >= snapVersion2 {
-		ints = append(ints, &sp.WindowInsts)
+	type field struct {
+		dst *int
+		max int64
 	}
-	for _, dst := range ints {
-		v, err := getSnapUv(br, uint64(maxSpecInsts))
+	fields := []field{
+		{&sp.TraceLen, maxSpecInsts}, {&sp.Warmup, maxSpecInsts}, {&sp.DL1Latency, maxSpecLatency},
+		{&sp.Window, maxSpecInsts}, {&sp.WakeupExtra, maxSpecLatency}, {&sp.BranchRecovery, maxSpecLatency},
+	}
+	if version >= snapVersion2 {
+		fields = append(fields, field{&sp.WindowInsts, maxSpecInsts})
+	}
+	for _, f := range fields {
+		v, err := getSnapUv(br, uint64(f.max))
 		if err != nil {
 			return nil, err
 		}
-		*dst = int(v)
+		*f.dst = int(v)
 	}
 	builtNS, err := getSnapUv(br, 1<<62)
 	if err != nil {

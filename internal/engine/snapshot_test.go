@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"os"
@@ -412,6 +413,94 @@ func TestSpecBounds(t *testing.T) {
 				t.Fatalf("window %d resolved to %d, want %d", tc.window, got.Window, tc.wantWindow)
 			}
 		})
+	}
+}
+
+// TestSpecLatencyBounds: dl1_latency, wakeup_extra and branch_recovery
+// stop at 1<<10 cycles, in normalize and in the snapshot decoder alike.
+// A query past the bound is a *ValidationError before admission, so no
+// session is built — at 1<<29 a build would grow the simulator's
+// functional-unit ring past the host's memory — and whole-graph and
+// windowed sessions at the bound answer, and snapshot and restore.
+func TestSpecLatencyBounds(t *testing.T) {
+	base := SessionSpec{Bench: "mcf", TraceLen: 2000, Warmup: 1000}
+	set := map[string]func(*SessionSpec, int){
+		"dl1_latency":     func(s *SessionSpec, v int) { s.DL1Latency = v },
+		"wakeup_extra":    func(s *SessionSpec, v int) { s.WakeupExtra = v },
+		"branch_recovery": func(s *SessionSpec, v int) { s.BranchRecovery = v },
+	}
+	for name, setField := range set {
+		for _, tc := range []struct {
+			v  int
+			ok bool
+		}{{1 << 10, true}, {1<<10 + 1, false}, {1 << 29, false}, {1 << 62, false}} {
+			sp := base
+			setField(&sp, tc.v)
+			_, err := sp.normalize()
+			var ve *ValidationError
+			if tc.ok && err != nil {
+				t.Errorf("%s %d: %v", name, tc.v, err)
+			}
+			if !tc.ok && !errors.As(err, &ve) {
+				t.Errorf("%s %d: got %v, want a *ValidationError", name, tc.v, err)
+			}
+		}
+	}
+
+	ctx := context.Background()
+	e := New(Config{Workers: 2, MaxSessions: 4})
+	defer e.Close()
+	huge := base
+	huge.DL1Latency = 1 << 29
+	var ve *ValidationError
+	if _, err := e.Query(ctx, Query{Session: huge, Op: OpCost, Cats: []string{"dl1"}}); !errors.As(err, &ve) {
+		t.Fatalf("dl1_latency 1<<29: got %v, want a *ValidationError", err)
+	}
+	if m := e.Metrics(); m.SessionsBuiltTotal != 0 {
+		t.Fatalf("a refused query built %d sessions", m.SessionsBuiltTotal)
+	}
+
+	whole := base
+	whole.DL1Latency, whole.WakeupExtra, whole.BranchRecovery = 1<<10, 1<<10, 1<<10
+	windowed := base
+	windowed.DL1Latency, windowed.BranchRecovery, windowed.WindowInsts = 1<<10, 1<<10, 512
+	for _, spec := range []SessionSpec{whole, windowed} {
+		q := Query{Session: spec, Op: OpCost, Cats: []string{"dl1"}}
+		resp, err := e.Query(ctx, q)
+		if err != nil {
+			t.Fatalf("window_insts %d at the latency bound: %v", spec.WindowInsts, err)
+		}
+		if resp.Value <= 0 {
+			t.Fatalf("window_insts %d: a 1,024-cycle DL1 costs %d cycles", spec.WindowInsts, resp.Value)
+		}
+		var snap bytes.Buffer
+		if err := e.SnapshotSession(ctx, resp.SessionKey, &snap); err != nil {
+			t.Fatal(err)
+		}
+		e2 := New(Config{Workers: 1})
+		if _, err := e2.RestoreSession(ctx, bytes.NewReader(snap.Bytes())); err != nil {
+			t.Fatalf("window_insts %d: restoring at the latency bound: %v", spec.WindowInsts, err)
+		}
+		got, err := e2.Query(ctx, q)
+		e2.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := canonicalResponse(t, got), canonicalResponse(t, resp); !bytes.Equal(g, w) {
+			t.Fatalf("window_insts %d: restored answer diverged:\n  built:    %s\n  restored: %s", spec.WindowInsts, w, g)
+		}
+	}
+
+	// A checksum-valid snapshot whose spec carries a latency past the
+	// bound is refused by the decoder.
+	key, _ := windowed.Key()
+	s := e.sessionByKey(key)
+	past := *s
+	past.spec.DL1Latency = 1<<10 + 1
+	p := binary.AppendUvarint(windowedPayload(&past), 1)
+	p = binary.AppendUvarint(binary.AppendUvarint(p, 0), uint64(s.result.Cycles))
+	if _, err := e.RestoreSession(ctx, bytes.NewReader(snapFrame(snapVersion3, p))); !errors.As(err, &ve) {
+		t.Fatalf("snapshot with dl1_latency past the bound: got %v, want a *ValidationError", err)
 	}
 }
 

@@ -8,10 +8,12 @@ import (
 	"errors"
 	"hash/crc32"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
 	"icost/internal/depgraph"
+	"icost/internal/faultinject"
 	"icost/internal/window"
 )
 
@@ -634,5 +636,184 @@ func TestWindowedSnapshotRejectsBadEntries(t *testing.T) {
 	}
 	if _, err := e.RestoreSession(ctx, bytes.NewReader(body(0, cycles, 3, 7))); err != nil {
 		t.Fatalf("well-formed sparse body: %v", err)
+	}
+}
+
+// TestWindowedBreakdownThenSensitivityReplays: the long-trace study's
+// shape on a fresh windowed session — a breakdown opens it, a
+// sensitivity query follows. The breakdown builds and records the
+// session's block log; the sensitivity query's misses replay it, with
+// no trace generation or simulation at all, and answer exactly as the
+// whole-graph session does.
+func TestWindowedBreakdownThenSensitivityReplays(t *testing.T) {
+	ctx := context.Background()
+	whole := SessionSpec{Bench: "gzip", Seed: 7, TraceLen: 6000, Warmup: 500}
+	spec := whole
+	spec.WindowInsts = 1000
+	e := New(Config{Workers: 2})
+	defer e.Close()
+	if _, err := e.Query(ctx, Query{Session: spec, Op: OpBreakdown}); err != nil {
+		t.Fatal(err)
+	}
+	if m := e.Metrics(); m.WindowedLogBytes <= 0 {
+		t.Fatalf("the build left %d log bytes held", m.WindowedLogBytes)
+	}
+	q := Query{Session: spec, Op: OpSensitivity, Cats: []string{"dl1", "win", "bmisp"}}
+	faultinject.Enable(1) // no rules: count hits only
+	got, err := e.Query(ctx, q)
+	hits := faultinject.Snapshot().Hits
+	faultinject.Disable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits[faultinject.WorkloadGen] != 0 || hits[faultinject.OOOSim] != 0 || hits[faultinject.WindowReplay] == 0 {
+		t.Fatalf("sensitivity after a breakdown: %d workload.gen, %d ooo.sim and %d window.replay hits, want 0, 0 and some",
+			hits[faultinject.WorkloadGen], hits[faultinject.OOOSim], hits[faultinject.WindowReplay])
+	}
+	if m := e.Metrics(); m.WindowedBuildsTotal != 1 || m.WindowedReplaysTotal != 1 || m.WindowedRefoldsTotal != 1 {
+		t.Fatalf("%d builds, %d replays, %d re-folds, want 1 of each", m.WindowedBuildsTotal, m.WindowedReplaysTotal, m.WindowedRefoldsTotal)
+	}
+	q.Session = whole
+	want, err := e.Query(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := answerOnly(t, got), answerOnly(t, want); !bytes.Equal(g, w) {
+		t.Fatalf("replayed sensitivity diverged:\n  whole:    %s\n  windowed: %s", w, g)
+	}
+}
+
+// TestWindowedLogHandOff runs replays on session A while session B's
+// build takes the engine's one log slot. The replays in flight keep
+// their own reference and answer byte-identically to the whole-graph
+// session; B records into a fresh log, never into the one A's replays
+// read (under -race, a write to it would also be a reported race); A's
+// next miss re-simulates; and once no replay reads B's log, the next
+// build recycles it.
+func TestWindowedLogHandOff(t *testing.T) {
+	ctx := context.Background()
+	wholeA := SessionSpec{Bench: "mcf", Seed: 3, TraceLen: 8000, Warmup: 500}
+	specA := wholeA
+	specA.WindowInsts = 512
+	// B's trace is longer than A's, so a recording into A's log would
+	// show in its instruction count too.
+	specB := SessionSpec{Bench: "gcc", Seed: 4, TraceLen: 9000, Warmup: 500, WindowInsts: 512}
+	specC := specB
+	specC.Seed = 5
+	e := New(Config{Workers: 4, MaxSessions: 8})
+	defer e.Close()
+	keyA, err := e.Warm(ctx, specA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := func() *heldLog {
+		e.logs.mu.Lock()
+		defer e.logs.mu.Unlock()
+		return e.logs.held
+	}
+	hA := held()
+	if hA == nil || hA.key != keyA {
+		t.Fatal("A's build left no log in the slot")
+	}
+	logA, instsA := hA.log, hA.log.Insts()
+
+	// Each replay on A holds its reference at the gate until B's build
+	// has taken the slot, then folds while B records.
+	const replays = 3
+	entered := make(chan struct{}, replays)
+	gate := make(chan struct{})
+	e.logs.mu.Lock()
+	e.logs.onReplay = func() {
+		entered <- struct{}{}
+		<-gate
+	}
+	e.logs.mu.Unlock()
+	missesA := []Query{
+		{Session: specA, Op: OpExecTime, Cats: []string{"dl1", "win"}},
+		{Session: specA, Op: OpCost, Cats: []string{"dmiss", "bw"}},
+		{Session: specA, Op: OpSensitivity, Cats: []string{"bmisp"}},
+	}
+	got := make([]*Response, len(missesA))
+	errs := make([]error, len(missesA))
+	var wg sync.WaitGroup
+	for i, q := range missesA {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = e.Query(ctx, q)
+		}()
+	}
+	for range replays {
+		<-entered
+	}
+	buildB := make(chan error, 1)
+	go func() {
+		_, err := e.Warm(ctx, specB)
+		buildB <- err
+	}()
+	keyB, _ := specB.Key()
+	for h := held(); h != nil && h.key != keyB; h = held() {
+		runtime.Gosched()
+	}
+	close(gate)
+	wg.Wait()
+	if err := <-buildB; err != nil {
+		t.Fatal(err)
+	}
+	e.logs.mu.Lock()
+	e.logs.onReplay = nil
+	e.logs.mu.Unlock()
+
+	for i, q := range missesA {
+		if errs[i] != nil {
+			t.Fatalf("replay %s on A: %v", q.Op, errs[i])
+		}
+		q.Session = wholeA
+		want, err := e.Query(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := answerOnly(t, got[i]), answerOnly(t, want); !bytes.Equal(g, w) {
+			t.Fatalf("replay %s on A diverged while B built:\n  whole:    %s\n  windowed: %s", q.Op, w, g)
+		}
+	}
+	hB := held()
+	if hB == nil || hB.key != keyB || hB.log == logA {
+		t.Fatal("B's build did not record into a fresh log while A's replays read A's")
+	}
+	if !logA.Complete() || logA.Insts() != instsA {
+		t.Fatal("A's log changed under its replays")
+	}
+	m := e.Metrics()
+	if m.WindowedReplaysTotal != replays || m.WindowedBuildsTotal != 2 {
+		t.Fatalf("%d replays over %d builds, want %d over 2", m.WindowedReplaysTotal, m.WindowedBuildsTotal, replays)
+	}
+
+	// A's next miss re-simulates.
+	q := Query{Session: specA, Op: OpExecTime, Cats: []string{"dl1", "dmiss", "win"}}
+	resp, err := e.Query(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := e.Metrics(); after.WindowedReplaysTotal != m.WindowedReplaysTotal || after.WindowedRefoldsTotal != m.WindowedRefoldsTotal+1 {
+		t.Fatalf("A's miss after B's build: %d replays, %d re-folds, want %d and %d",
+			after.WindowedReplaysTotal, after.WindowedRefoldsTotal, m.WindowedReplaysTotal, m.WindowedRefoldsTotal+1)
+	}
+	q.Session = wholeA
+	want, err := e.Query(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := answerOnly(t, resp), answerOnly(t, want); !bytes.Equal(g, w) {
+		t.Fatalf("re-simulated miss on A diverged:\n  whole:    %s\n  windowed: %s", w, g)
+	}
+
+	// No replay reads B's log now: C's build records into it.
+	keyC, err := e.Warm(ctx, specC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hC := held(); hC == nil || hC.key != keyC || hC.log != hB.log {
+		t.Fatal("C's build did not recycle B's unread log")
 	}
 }

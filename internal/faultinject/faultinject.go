@@ -9,7 +9,8 @@
 // Design:
 //
 //   - Named injection points (Point) are threaded through the cold
-//     path (trace generation, simulation, graph build/walk), the
+//     path (trace generation, simulation, block-log replay, graph
+//     build/walk), the
 //     engine (queue admission, session build, result-cache put) and
 //     the icostd query handler. Each point is one call to Hit.
 //   - When no plan is armed, Hit is a single atomic pointer load and
@@ -49,6 +50,9 @@ const (
 	// OOOGraph fires after the stream is drained, just before the
 	// dependence graph is finalized (replay check + assembly).
 	OOOGraph Point = "ooo.graph"
+	// WindowReplay fires in a windowed pass that replays a recorded
+	// block log instead of simulating, once per decoded block.
+	WindowReplay Point = "window.replay"
 	// GraphWalk fires at the entry of every cancellable graph walk
 	// (scalar recurrence, batched evaluation, latest-times pass).
 	// Walks issued through the infallible background-context wrappers
@@ -96,7 +100,7 @@ const (
 // coverage loops.
 func Points() []Point {
 	return []Point{
-		WorkloadGen, OOOSim, OOOGraph, GraphWalk,
+		WorkloadGen, OOOSim, OOOGraph, WindowReplay, GraphWalk,
 		EngineAdmit, EngineExec, EngineBuild, EngineCachePut, DaemonQuery,
 		FleetIngest, FleetMerge, FleetSnapshot,
 		RouterForward, RouterReplicate,

@@ -168,6 +168,9 @@ func ReadStream(r io.Reader, fn func(Header, *profiler.Samples) error) (Header, 
 		return h, 0, err
 	}
 
+	// One frame buffer serves every batch. It grows as frame bytes
+	// arrive, never to a declared length alone.
+	var frame bytes.Buffer
 	n := 0
 	for {
 		rec, err := br.ReadByte()
@@ -180,26 +183,20 @@ func ReadStream(r io.Reader, fn func(Header, *profiler.Samples) error) (Header, 
 			if err != nil {
 				return h, n, err
 			}
-			lr := io.LimitReader(br, int64(plen))
-			s, err := profiler.ReadSamples(lr)
-			if err != nil {
-				return h, n, malformed(err, "fleet: batch %d", n)
-			}
-			// Realign to the frame boundary: the decoder's internal
-			// buffering may leave frame bytes unconsumed in lr.
-			if _, err := io.Copy(io.Discard, lr); err != nil {
+			frame.Reset()
+			if _, err := frame.ReadFrom(io.LimitReader(br, int64(plen))); err != nil {
 				return h, n, fmt.Errorf("fleet: batch %d: %w", n, err)
+			}
+			if uint64(frame.Len()) != plen {
+				return h, n, fmt.Errorf("fleet: stream truncated in batch %d (%d of %d bytes): %w",
+					n, frame.Len(), plen, io.ErrUnexpectedEOF)
 			}
 			// A frame must be exactly the canonical encoding of its
-			// batch — a longer frame means slack bytes the decoder
-			// silently ignored (length and payload disagree).
-			var cw countWriter
-			if err := profiler.WriteSamples(&cw, s); err != nil {
-				return h, n, fmt.Errorf("fleet: batch %d: %w", n, err)
-			}
-			if cw.n != int64(plen) {
-				return h, n, errValidation("fleet: batch %d: frame is %d bytes, canonical encoding is %d",
-					n, plen, cw.n)
+			// batch: no bytes past it and no padded varints, or length
+			// and payload disagree.
+			s, err := profiler.DecodeSamples(frame.Bytes())
+			if err != nil {
+				return h, n, malformed(err, "fleet: batch %d", n)
 			}
 			if err := fn(h, s); err != nil {
 				return h, n, err
@@ -266,14 +263,6 @@ func readHeader(br *bufio.Reader) (Header, error) {
 // unconsumed bytes verbatim.
 func PeekHeader(r io.Reader) (Header, error) {
 	return readHeader(bufio.NewReader(r))
-}
-
-// countWriter measures a canonical re-encoding without keeping it.
-type countWriter struct{ n int64 }
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	c.n += int64(len(p))
-	return len(p), nil
 }
 
 func writeString(w *bufio.Writer, s string) {

@@ -14,12 +14,10 @@ import (
 )
 
 // Allocation bound for one ReadStream call. Decoded batches stay
-// within a small multiple of their bytes (real streams of one to four
-// gzip, gcc and mcf batches measure 6.6-8.1× beyond the constants
-// below); each batch attempted costs two 4 KiB bufio buffers (the
-// sample decoder's reader and the canonical re-encoding's writer)
-// plus its map; the stream's own reader and header strings declared
-// up to maxNameLen fit the constant.
+// within a small multiple of their bytes, the frame buffer included
+// (it grows as frame bytes arrive); each batch attempted costs its map
+// and decoder; the stream's own reader and header strings declared up
+// to maxNameLen fit the constant.
 const (
 	streamAllocPerByte  = 16
 	streamAllocPerBatch = 16 << 10

@@ -17,7 +17,11 @@ import (
 // for bit. Any mishandled cross-window reference — a clamp that was
 // actually binding, a ring slot read after reuse, a mispredict gate
 // lost at a block's first instruction — or a block buffer recycled
-// before every group folded it shows up as a divergence here.
+// before every group folded it shows up as a divergence here. The
+// replay arm records the pass into a block log and folds the input
+// again from the log alone: a reference the encoding dropped while the
+// fold could still read it, or a mispredict gate re-derived wrong,
+// diverges too.
 func FuzzWindowFold(f *testing.F) {
 	f.Add(uint64(1), uint16(512), uint16(40), uint8(0), uint8(3), uint8(0))
 	f.Add(uint64(2), uint16(1), uint16(200), uint8(0xff), uint8(0), uint8(1))
@@ -57,10 +61,28 @@ func FuzzWindowFold(f *testing.F) {
 		if res.Cycles != full.Cycles {
 			t.Fatalf("%s seed %d win %d procs %d: cycles %d != %d", bench, req.Seed, req.WindowInsts, procs, res.Cycles, full.Cycles)
 		}
-		for k := range lanes {
-			if res.Times[k] != want[k] {
-				t.Fatalf("%s seed %d win %d len %d warm %d procs %d lane %v: windowed %d != whole-graph %d",
-					bench, req.Seed, req.WindowInsts, req.TraceLen, req.Warmup, procs, lanes[k], res.Times[k], want[k])
+		var log Log
+		rec, err := analyze(context.Background(), req, ids, procs, &log, nil)
+		if err != nil {
+			t.Fatalf("record: %v", err)
+		}
+		rep, err := analyze(context.Background(), req, ids, procs, nil, &log)
+		if err != nil {
+			t.Fatalf("replay: %v", err)
+		}
+		for _, r := range []struct {
+			arm string
+			res *Result
+		}{{"windowed", res}, {"recorded", rec}, {"replayed", rep}} {
+			if r.res.Cycles != full.Cycles || r.res.Windows != res.Windows {
+				t.Fatalf("%s seed %d win %d procs %d: %s cycles %d over %d blocks, simulated %d over %d",
+					bench, req.Seed, req.WindowInsts, procs, r.arm, r.res.Cycles, r.res.Windows, full.Cycles, res.Windows)
+			}
+			for k := range lanes {
+				if r.res.Times[k] != want[k] {
+					t.Fatalf("%s seed %d win %d len %d warm %d procs %d lane %v: %s %d != whole-graph %d",
+						bench, req.Seed, req.WindowInsts, req.TraceLen, req.Warmup, procs, lanes[k], r.arm, r.res.Times[k], want[k])
+				}
 			}
 		}
 	})

@@ -11,7 +11,10 @@
 // execution time is bit-identical to what a whole-trace graph walk
 // would produce (proven by the golden tests and FuzzWindowFold), and
 // every run self-checks by folding a base lane and comparing it
-// against the simulator's cycle count.
+// against the simulator's cycle count. A pass can also record its
+// blocks into a compact block log (Record), which later passes over
+// the same stream fold instead of regenerating and re-simulating it
+// (Replay, log.go).
 package window
 
 import (
@@ -22,6 +25,7 @@ import (
 	"sync/atomic"
 
 	"icost/internal/depgraph"
+	"icost/internal/faultinject"
 	"icost/internal/ooo"
 	"icost/internal/workload"
 )
@@ -58,9 +62,11 @@ type Result struct {
 	Windows int
 	Insts   int64
 	// PeakBytes is the peak graph-analysis storage held resident:
-	// simulator rings and emission block, every lane group's carry
-	// rings, and the block copies in flight to the fold workers.
-	// Bounded by configuration and window size, not trace length.
+	// simulator rings and emission block (a replay has none), every
+	// lane group's carry rings, and the block copies in flight to the
+	// fold workers. Bounded by configuration and window size, not trace
+	// length. A block log, which does grow with the trace, is not
+	// counted: Log.Bytes reports it.
 	PeakBytes int64
 }
 
@@ -92,12 +98,35 @@ func AnalyzeIdeals(ctx context.Context, req Request, lanes []depgraph.Ideal) (*R
 	return analyzeIdeals(ctx, req, lanes, runtime.GOMAXPROCS(0))
 }
 
+// Record is AnalyzeIdeals that also records the pass's blocks into
+// log, for Replay. The encoding runs on one more consumer goroutine of
+// the in-flight blocks, beside the lane groups, not on the simulator's
+// goroutine. log's chunks are reused; it must not be read by a
+// replay during the recording. On success log is complete, unless the
+// recording outgrew LogCap and was abandoned — the pass's answer
+// stands either way. On error log is left incomplete.
+func Record(ctx context.Context, req Request, lanes []depgraph.Ideal, log *Log) (*Result, error) {
+	return analyze(ctx, req, lanes, runtime.GOMAXPROCS(0), log, nil)
+}
+
+// Replay folds lanes over a recorded pass: it decodes the log's blocks
+// into the pass's in-flight blocks and feeds them to the same lane
+// groups, without generating the trace or simulating it. Every replay
+// runs the base-lane self-check against the cycles the recording
+// simulated. Replay only reads log, so replays may share it.
+func Replay(ctx context.Context, log *Log, lanes []depgraph.Ideal) (*Result, error) {
+	if !log.Complete() {
+		return nil, fmt.Errorf("window: replay of an incomplete block log")
+	}
+	return analyze(ctx, log.req, lanes, runtime.GOMAXPROCS(0), nil, log)
+}
+
 // inflight is how many block copies rotate between the simulator and
 // the fold workers: one being filled while up to two wait or fold.
 const inflight = 3
 
-// block is one emitted window in flight; pending counts the lane
-// groups that have yet to fold it.
+// block is one emitted window in flight; pending counts the consumers
+// (lane groups and the recorder) that have yet to read it.
 type block struct {
 	win     depgraph.Window
 	pending atomic.Int32
@@ -112,9 +141,9 @@ type laneGroup struct {
 }
 
 // fold feeds each queued block to the group's evaluator and returns
-// the block to free once every group has folded it. After an error
+// the block to free once every consumer has read it. After an error
 // (or cancellation, which Feed polls) it keeps draining without
-// folding, so the simulator never waits on a buffer that will not come
+// folding, so the producer never waits on a buffer that will not come
 // back.
 func (g *laneGroup) fold(ctx context.Context, free chan<- *block, wg *sync.WaitGroup) {
 	defer wg.Done()
@@ -128,9 +157,97 @@ func (g *laneGroup) fold(ctx context.Context, free chan<- *block, wg *sync.WaitG
 	}
 }
 
+// record encodes each queued block into log, the recorder consumer.
+func record(log *Log, in <-chan *block, free chan<- *block, wg *sync.WaitGroup) {
+	defer wg.Done()
+	for b := range in {
+		log.encode(&b.win)
+		if b.pending.Add(-1) == 0 {
+			free <- b
+		}
+	}
+}
+
+// pass is one windowed pass's fan-out: the lane groups, an optional
+// recorder, and the block buffers rotating between the producer (the
+// simulator or a log replay) and them.
+type pass struct {
+	groups []*laneGroup
+	rec    chan *block // the recorder's queue; nil unless recording
+	free   chan *block
+	bufs   []*block
+	wg     sync.WaitGroup
+	n      int32 // consumers of each block
+	blocks int   // blocks sent
+}
+
+// start launches the consumers.
+func (p *pass) start(ctx context.Context, log *Log) {
+	p.free = make(chan *block, inflight)
+	p.bufs = make([]*block, inflight)
+	for k := range p.bufs {
+		p.bufs[k] = &block{}
+		p.free <- p.bufs[k]
+	}
+	p.n = int32(len(p.groups))
+	for _, g := range p.groups {
+		p.wg.Add(1)
+		go g.fold(ctx, p.free, &p.wg)
+	}
+	if log != nil {
+		// Like a group's queue, the recorder's holds every block there is.
+		p.rec = make(chan *block, inflight)
+		p.n++
+		p.wg.Add(1)
+		go record(log, p.rec, p.free, &p.wg)
+	}
+}
+
+// next takes a free block for the producer to fill.
+func (p *pass) next(ctx context.Context) (*block, error) {
+	select {
+	case b := <-p.free:
+		return b, nil
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+// send hands a filled block to every consumer. It never blocks: a
+// consumer's queue holds only blocks taken from free, and there are
+// inflight of them.
+func (p *pass) send(b *block) {
+	p.blocks++
+	b.pending.Store(p.n)
+	for _, g := range p.groups {
+		g.in <- b
+	}
+	if p.rec != nil {
+		p.rec <- b
+	}
+}
+
+// stop closes the consumers' queues and waits for them to drain.
+func (p *pass) stop() {
+	for _, g := range p.groups {
+		close(g.in)
+	}
+	if p.rec != nil {
+		close(p.rec)
+	}
+	p.wg.Wait()
+}
+
 // analyzeIdeals is AnalyzeIdeals with the lanes split into
 // min(procs, lanes) groups.
 func analyzeIdeals(ctx context.Context, req Request, lanes []depgraph.Ideal, procs int) (*Result, error) {
+	return analyze(ctx, req, lanes, procs, nil, nil)
+}
+
+// analyze runs one pass over min(procs, lanes) lane groups. The blocks
+// come from simulating req's stream, recorded into rec when it is
+// non-nil, or, when from is non-nil, from replaying that log.
+func analyze(ctx context.Context, req Request, lanes []depgraph.Ideal, procs int, rec, from *Log) (*Result, error) {
 	if len(lanes) == 0 {
 		return nil, fmt.Errorf("window: no idealization lanes")
 	}
@@ -151,76 +268,39 @@ func analyzeIdeals(ctx context.Context, req Request, lanes []depgraph.Ideal, pro
 		baseAt = 0
 	}
 
-	w, err := workload.Cached(req.Bench, req.Seed)
-	if err != nil {
-		return nil, err
-	}
-	groups := make([]*laneGroup, min(procs, len(evalLanes)))
-	for k := range groups {
-		lo, hi := k*len(evalLanes)/len(groups), (k+1)*len(evalLanes)/len(groups)
+	var p pass
+	p.groups = make([]*laneGroup, min(procs, len(evalLanes)))
+	for k := range p.groups {
+		lo, hi := k*len(evalLanes)/len(p.groups), (k+1)*len(evalLanes)/len(p.groups)
 		we, err := depgraph.NewWindowEvalIdeals(req.Sim.Graph, evalLanes[lo:hi], req.TraceLen)
 		if err != nil {
 			return nil, err
 		}
-		groups[k] = &laneGroup{we: we, in: make(chan *block, inflight)}
+		p.groups[k] = &laneGroup{we: we, in: make(chan *block, inflight)}
 	}
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	st, err := w.ExecuteRecycled(ctx, req.Warmup+req.TraceLen, req.Seed+1, 0)
-	if err != nil {
-		return nil, err
+	var res *ooo.Result
+	var peak int64
+	var err error
+	if from != nil {
+		res, err = p.replay(ctx, from)
+	} else {
+		res, peak, err = p.simulate(ctx, req, rec)
 	}
-	free := make(chan *block, inflight)
-	bufs := make([]*block, inflight)
-	for k := range bufs {
-		bufs[k] = &block{}
-		free <- bufs[k]
-	}
-	var wg sync.WaitGroup
-	for _, g := range groups {
-		wg.Add(1)
-		go g.fold(ctx, free, &wg)
-	}
-	var windows int
-	var peakBlock int64
-	res, err := ooo.SimulateWindowed(ctx, st, req.Sim, ooo.Options{Warmup: req.Warmup}, req.WindowInsts,
-		func(win *depgraph.Window) error {
-			windows++
-			if b := win.Bytes(); b > peakBlock {
-				peakBlock = b
-			}
-			var b *block
-			select {
-			case b = <-free:
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-			b.win.CopyFrom(win)
-			b.pending.Store(int32(len(groups)))
-			// Never blocks: a group's queue holds only blocks taken
-			// from free, and there are inflight of them.
-			for _, g := range groups {
-				g.in <- b
-			}
-			return nil
-		})
-	for _, g := range groups {
-		close(g.in)
-	}
-	wg.Wait()
+	p.stop()
 	if err != nil {
 		return nil, err
 	}
 
 	// Every group's rings and every block buffer are resident for the
-	// whole pass, on top of the simulator's rings and its own block.
-	peak := ooo.WindowedFootprint(&req.Sim.Graph, req.WindowInsts, req.TraceLen) + peakBlock
-	for _, b := range bufs {
+	// whole pass, on top of the producer's own storage.
+	for _, b := range p.bufs {
 		peak += b.win.Bytes()
 	}
 	times := make([]int64, 0, len(evalLanes))
-	for _, g := range groups {
+	for _, g := range p.groups {
 		if g.err != nil {
 			return nil, g.err
 		}
@@ -230,9 +310,13 @@ func analyzeIdeals(ctx context.Context, req Request, lanes []depgraph.Ideal, pro
 	// The windowed exactness invariant, checked on every analysis:
 	// the fold of the un-idealized lane must reproduce the simulated
 	// cycle count exactly — the streaming analogue of the whole-graph
-	// replay check the monolithic simulator runs.
+	// replay check the monolithic simulator runs. A replay checks
+	// against the cycles its recording simulated.
 	if times[baseAt] != res.Cycles {
 		return nil, fmt.Errorf("window: base-lane fold %d != simulated %d cycles", times[baseAt], res.Cycles)
+	}
+	if rec != nil {
+		rec.finish(res)
 	}
 	if len(evalLanes) != len(lanes) {
 		times = times[1:]
@@ -246,8 +330,66 @@ func analyzeIdeals(ctx context.Context, req Request, lanes []depgraph.Ideal, pro
 		Times:     times,
 		Cycles:    res.Cycles,
 		Stats:     res.Stats,
-		Windows:   windows,
-		Insts:     groups[0].we.Insts(),
+		Windows:   p.blocks,
+		Insts:     p.groups[0].we.Insts(),
 		PeakBytes: peak,
 	}, nil
+}
+
+// simulate produces the pass's blocks by generating and simulating
+// req's stream, recording them into rec unless it is nil, and returns
+// the simulated result and the simulator's resident bytes: its rings
+// and its own emission block.
+func (p *pass) simulate(ctx context.Context, req Request, rec *Log) (*ooo.Result, int64, error) {
+	if rec != nil {
+		rec.reset(req)
+	}
+	w, err := workload.Cached(req.Bench, req.Seed)
+	if err != nil {
+		return nil, 0, err
+	}
+	st, err := w.ExecuteRecycled(ctx, req.Warmup+req.TraceLen, req.Seed+1, 0)
+	if err != nil {
+		return nil, 0, err
+	}
+	p.start(ctx, rec)
+	var peakBlock int64
+	res, err := ooo.SimulateWindowed(ctx, st, req.Sim, ooo.Options{Warmup: req.Warmup}, req.WindowInsts,
+		func(win *depgraph.Window) error {
+			if b := win.Bytes(); b > peakBlock {
+				peakBlock = b
+			}
+			b, err := p.next(ctx)
+			if err != nil {
+				return err
+			}
+			b.win.CopyFrom(win)
+			p.send(b)
+			return nil
+		})
+	if err != nil {
+		return nil, 0, err
+	}
+	return res, ooo.WindowedFootprint(&req.Sim.Graph, req.WindowInsts, req.TraceLen) + peakBlock, nil
+}
+
+// replay produces the pass's blocks by decoding log straight into the
+// in-flight block buffers, in the recording's block size, behind the
+// window.replay fault point, and returns the recorded result.
+func (p *pass) replay(ctx context.Context, log *Log) (*ooo.Result, error) {
+	p.start(ctx, nil)
+	r := logReader{l: log}
+	size := int64(log.req.WindowInsts)
+	for r.abs < log.insts {
+		if err := faultinject.Hit(ctx, faultinject.WindowReplay); err != nil {
+			return nil, err
+		}
+		b, err := p.next(ctx)
+		if err != nil {
+			return nil, err
+		}
+		r.decode(&b.win, int(min(size, log.insts-r.abs)))
+		p.send(b)
+	}
+	return &ooo.Result{Cycles: log.cycles, Stats: log.stats}, nil
 }
