@@ -10,9 +10,13 @@ import (
 	"testing"
 	"time"
 
+	"icost/internal/cost"
 	"icost/internal/daemon"
+	"icost/internal/depgraph"
 	"icost/internal/engine"
 	"icost/internal/fleet"
+	"icost/internal/ooo"
+	"icost/internal/workload"
 )
 
 func newTestServer(t *testing.T) (*engine.Engine, *httptest.Server) {
@@ -64,38 +68,52 @@ func TestQueryEndpoint(t *testing.T) {
 	}
 }
 
-// TestQueryWindowedSession: window_insts in the session spec routes
-// the build through the bounded-memory windowed pipeline, answers
-// identically to the whole-graph session, and reports the windowed
-// shape in the response. Slack, which needs a resident graph, is
-// refused before any windowed build runs.
+// TestQueryWindowedSession: window_insts in the session spec sets the
+// block size of the session's windowed passes; every response reports
+// the build's block count and peak bytes, and the answers equal the
+// library's whole-graph walk whatever the block size. Slack simulates a
+// whole graph, so it answers up to 1<<24 instructions and is refused
+// past that before any build runs.
 func TestQueryWindowedSession(t *testing.T) {
 	e, srv := newTestServer(t)
-	// Slack has no resident graph to walk on a windowed session.
-	resp, out := postQuery(t, srv, `{"session":{"bench":"mcf","seed":7,"trace_len":2000,"warmup":1000,"window_insts":256},"op":"slack"}`)
+	resp, out := postQuery(t, srv, `{"session":{"bench":"mcf","seed":7,"trace_len":16777217,"window_insts":256},"op":"slack"}`)
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("slack on windowed session: status %d: %v", resp.StatusCode, out)
+		t.Fatalf("slack past 1<<24 instructions: status %d: %v", resp.StatusCode, out)
 	}
 	if n := e.Metrics().WindowedBuildsTotal; n != 0 {
-		t.Fatalf("a refused slack query ran %d windowed builds", n)
+		t.Fatalf("a refused slack query ran %d builds", n)
 	}
-	whole := `{"session":{"bench":"mcf","seed":7,"trace_len":2000,"warmup":1000},
-	           "op":"cost","cats":["dmiss"]}`
-	windowed := `{"session":{"bench":"mcf","seed":7,"trace_len":2000,"warmup":1000,"window_insts":256},
-	              "op":"cost","cats":["dmiss"]}`
-	resp, want := postQuery(t, srv, whole)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("whole-graph status %d: %v", resp.StatusCode, want)
+	tr, err := workload.Load("mcf", 7, 3000)
+	if err != nil {
+		t.Fatal(err)
 	}
-	resp, got := postQuery(t, srv, windowed)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("windowed status %d: %v", resp.StatusCode, got)
+	res, err := ooo.Simulate(tr, ooo.DefaultConfig(), ooo.Options{KeepGraph: true, Warmup: 1000})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got["windowed"] != true || got["windows"] != float64(8) {
-		t.Fatalf("windowed shape missing: %v", got)
-	}
-	if got["value"] != want["value"] || got["base_cycles"] != want["base_cycles"] {
-		t.Fatalf("windowed answer diverged: %v vs %v", got, want)
+	want := cost.New(res.Graph).Cost(depgraph.IdealDMiss)
+	for _, tc := range []struct {
+		blocks  string
+		windows float64
+	}{{"", 1}, {`,"window_insts":256`, 8}} {
+		spec := `{"bench":"mcf","seed":7,"trace_len":2000,"warmup":1000` + tc.blocks + `}`
+		resp, got := postQuery(t, srv, `{"session":`+spec+`,"op":"cost","cats":["dmiss"]}`)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %v", spec, resp.StatusCode, got)
+		}
+		if got["windows"] != tc.windows || got["peak_bytes"] == nil {
+			t.Fatalf("%s: run shape missing: %v", spec, got)
+		}
+		if got["value"] != float64(want) || got["base_cycles"] != float64(res.Cycles) {
+			t.Fatalf("%s: answer %v, base %v; library %d, %d", spec, got["value"], got["base_cycles"], want, res.Cycles)
+		}
+		resp, sl := postQuery(t, srv, `{"session":`+spec+`,"op":"slack"}`)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: slack status %d: %v", spec, resp.StatusCode, sl)
+		}
+		if m, _ := sl["slack"].(map[string]any); m == nil || m["insts"] != float64(2000) {
+			t.Fatalf("%s: slack answer %v", spec, sl)
+		}
 	}
 }
 

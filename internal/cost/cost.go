@@ -68,10 +68,9 @@ type Analyzer struct {
 	g    *depgraph.Graph // nil for non-graph backends
 	eval Eval
 
-	mu      sync.Mutex
-	memo    map[memoKey]int64
-	flight  map[memoKey]*evalFlight
-	onBatch func(lanes int)
+	mu     sync.Mutex
+	memo   map[memoKey]int64
+	flight map[memoKey]*evalFlight
 }
 
 // memoKey is the canonical identity of an idealization. A
@@ -133,20 +132,13 @@ func New(g *depgraph.Graph) *Analyzer {
 			}
 			return []int64{t}, nil
 		}
-		times, err := g.EvalBatch(ctx, ids)
-		a.mu.Lock()
-		onBatch := a.onBatch
-		a.mu.Unlock()
-		if onBatch != nil {
-			onBatch(len(ids))
-		}
-		return times, err
+		return g.EvalBatch(ctx, ids)
 	}
 	return a
 }
 
 // NewFromEval builds an analyzer over any backend — multisim's
-// re-simulation, the engine's windowed re-fold. known seeds the memo
+// re-simulation, the engine's windowed passes. known seeds the memo
 // with whole-category times already evaluated (nil for none); those
 // are never re-evaluated. Event-set methods that need a graph
 // (CostSet, ICostSets) panic on such an analyzer.
@@ -160,16 +152,6 @@ func NewFromEval(eval Eval, known map[depgraph.Flags]int64) *Analyzer {
 		a.memo[memoKey{f: f}] = t
 	}
 	return a
-}
-
-// SetBatchObserver installs a hook invoked with the lane count of
-// every batched graph walk a graph-backed analyzer runs — the engine
-// uses it to export a batch-size distribution. Install it before the
-// analyzer is shared between goroutines.
-func (a *Analyzer) SetBatchObserver(fn func(lanes int)) {
-	a.mu.Lock()
-	a.onBatch = fn
-	a.mu.Unlock()
 }
 
 // Graph returns the underlying graph, or nil for a non-graph backend.

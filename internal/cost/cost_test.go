@@ -550,7 +550,11 @@ func TestICostSetsScaledThroughBatch(t *testing.T) {
 		{Global: depgraph.IdealDMiss, Scale: depgraph.ScaleUniform(depgraph.IdealDMiss, half)},
 	}
 	var lanes []int
-	a.SetBatchObserver(func(n int) { lanes = append(lanes, n) })
+	walk := a.eval
+	a.eval = func(ctx context.Context, ids []depgraph.Ideal) ([]int64, error) {
+		lanes = append(lanes, len(ids))
+		return walk(ctx, ids)
+	}
 	got := a.ICostSets(sets...)
 	if len(lanes) != 1 || lanes[0] != 4 {
 		t.Fatalf("backend calls %v, want one of 4 lanes", lanes)

@@ -151,30 +151,25 @@ func TestRestoreErrorStatuses(t *testing.T) {
 	}
 }
 
-// lyingSnapshots hand-encodes two ICSS v2 frames whose declared
+// lyingSnapshots hand-encodes two ICSS v4 frames whose declared
 // lengths outrun their bytes: a 14-byte body whose length prefix
 // claims a 1 GiB payload, and a checksum-valid frame whose few dozen
-// payload bytes claim a 16M-instruction graph.
+// payload bytes claim all 256 memo entries and carry none.
 func lyingSnapshots() map[string][]byte {
-	magic := []byte{'I', 'C', 'S', 'S', 2}
+	magic := []byte{'I', 'C', 'S', 'S', 4}
 	hugeLen := append(append(magic[:5:5], 0, 0, 0, 0), binary.AppendUvarint(nil, 1<<30)...)
 
 	p := append(binary.AppendUvarint(nil, 3), "gcc"...)
 	// seed, trace_len, warmup, dl1, window, wakeup, recovery,
-	// window_insts, build ns, cycles; kind 0 (graph); instruction
-	// count; the twelve graph-config fields.
-	for _, v := range []uint64{1, 1 << 24, 1, 2, 64, 0, 8, 0, 0, 0} {
+	// window_insts, build ns, cycles, insts, windows, peak bytes, and
+	// the entry count.
+	for _, v := range []uint64{1, 1 << 24, 1, 2, 64, 0, 8, 4096, 0, 1, 1 << 24, 4096, 1 << 20, 256} {
 		p = binary.AppendUvarint(p, v)
 	}
-	p = append(p, 0)
-	p = binary.AppendUvarint(p, 1<<24)
-	for _, v := range []uint64{4, 4, 64, 20, 1, 1, 8, 0, 2, 10, 100, 30} {
-		p = binary.AppendUvarint(p, v)
-	}
-	hugeGraph := append(magic[:5:5], 0, 0, 0, 0)
-	binary.LittleEndian.PutUint32(hugeGraph[5:], crc32.Checksum(p, crc32.MakeTable(crc32.Castagnoli)))
-	hugeGraph = append(binary.AppendUvarint(hugeGraph, uint64(len(p))), p...)
-	return map[string][]byte{"payload length": hugeLen, "instruction count": hugeGraph}
+	hugeMemo := append(magic[:5:5], 0, 0, 0, 0)
+	binary.LittleEndian.PutUint32(hugeMemo[5:], crc32.Checksum(p, crc32.MakeTable(crc32.Castagnoli)))
+	hugeMemo = append(binary.AppendUvarint(hugeMemo, uint64(len(p))), p...)
+	return map[string][]byte{"payload length": hugeLen, "entry count": hugeMemo}
 }
 
 // TestRestoreRejectsLyingLengths: a /restore body that declares more
@@ -206,46 +201,38 @@ func TestRestoreRejectsLyingLengths(t *testing.T) {
 
 // malformedSnapshots hand-encodes six /restore bodies that are not
 // snapshots: a wrong magic, a 2-byte body, and four checksum-valid
-// ICSS v2 frames whose payloads break the format — a spec with
-// window_insts 256 but the whole-graph kind byte, a windowed table of
-// 255 entries, a table whose base lane disagrees with the cycles, and
-// a well-formed windowed payload followed by one more byte.
+// ICSS v4 frames whose payloads break the format — a run shape
+// disagreeing with the spec's trace_len, 257 memo entries, entries
+// whose base lane disagrees with the cycles, and a well-formed payload
+// followed by one more byte.
 func malformedSnapshots() map[string][]byte {
 	const cycles = 5000
 	frame := func(p []byte) []byte {
-		f := []byte{'I', 'C', 'S', 'S', 2, 0, 0, 0, 0}
+		f := []byte{'I', 'C', 'S', 'S', 4, 0, 0, 0, 0}
 		binary.LittleEndian.PutUint32(f[5:], crc32.Checksum(p, crc32.MakeTable(crc32.Castagnoli)))
 		return append(binary.AppendUvarint(f, uint64(len(p))), p...)
 	}
-	// kind follows the spec fields (bench gcc; seed, trace_len,
+	// table is a payload: the spec (bench gcc; seed, trace_len 1000,
 	// warmup, dl1, window, wakeup, recovery, window_insts 256), the
-	// build ns and the cycles.
-	spec := func(kind byte) []byte {
+	// build ns, the cycles, the run shape (insts, windows, peak bytes),
+	// then n entries, flags 0..n-1, the first one base.
+	table := func(insts uint64, n int, base uint64) []byte {
 		p := append(binary.AppendUvarint(nil, 3), "gcc"...)
-		for _, v := range []uint64{1, 1000, 100, 2, 64, 0, 8, 256, 0, cycles} {
-			p = binary.AppendUvarint(p, v)
-		}
-		return append(p, kind)
-	}
-	// table is a windowed body: insts, windows and peak bytes, then
-	// n subset times, the first one base.
-	table := func(n int, base uint64) []byte {
-		p := spec(1)
-		for _, v := range []uint64{1000, 4, 0, uint64(n), base} {
+		for _, v := range []uint64{1, 1000, 100, 2, 64, 0, 8, 256, 0, cycles, insts, 4, 0, uint64(n), 0, base} {
 			p = binary.AppendUvarint(p, v)
 		}
 		for i := 1; i < n; i++ {
-			p = binary.AppendUvarint(p, cycles-uint64(i))
+			p = binary.AppendUvarint(binary.AppendUvarint(p, uint64(i)), cycles-uint64(i))
 		}
 		return p
 	}
 	return map[string][]byte{
-		"magic ICSX":            append([]byte("ICSX\x02"), make([]byte, 5)...),
+		"magic ICSX":            append([]byte("ICSX\x04"), make([]byte, 5)...),
 		"2-byte body":           []byte("IC"),
-		"window_insts, kind 0":  frame(spec(0)),
-		"255 table entries":     frame(table(255, cycles)),
-		"base lane != cycles":   frame(table(256, cycles+1)),
-		"trailing payload byte": frame(append(table(256, cycles), 0)),
+		"insts != trace_len":    frame(table(999, 1, cycles)),
+		"257 entries":           frame(table(1000, 257, cycles)),
+		"base lane != cycles":   frame(table(1000, 256, cycles+1)),
+		"trailing payload byte": frame(append(table(1000, 256, cycles), 0)),
 	}
 }
 

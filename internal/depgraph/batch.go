@@ -69,19 +69,12 @@ func (g *Graph) evalBatch(ctx context.Context, ids []Ideal, width int) ([]int64,
 		}
 	}
 	view := g.view()
-	// setCarry caps the horizon at the graph's length. Where the carry
-	// argument does not hold, that horizon of n is the walk, and it is
-	// exact by construction.
-	carry := n
-	if g.Cfg.ValidateWindowed() == nil {
-		carry = g.Cfg.CarryDepth()
-	}
 	chunks := (len(ids) + width - 1) / width
 	workers := min(runtime.GOMAXPROCS(0), chunks)
 	if workers <= 1 {
 		for s := 0; s < len(ids); s += width {
 			e := min(s+width, len(ids))
-			if err := g.evalChunk(ctx, view, carry, ids[s:e], out[s:e]); err != nil {
+			if err := g.evalChunk(ctx, view, ids[s:e], out[s:e]); err != nil {
 				return nil, err
 			}
 		}
@@ -107,7 +100,7 @@ func (g *Graph) evalBatch(ctx context.Context, ids []Ideal, width int) ([]int64,
 				}
 				s := c * width
 				e := min(s+width, len(ids))
-				if err := g.evalChunk(cctx, view, carry, ids[s:e], out[s:e]); err != nil {
+				if err := g.evalChunk(cctx, view, ids[s:e], out[s:e]); err != nil {
 					errMu.Lock()
 					if firstErr == nil {
 						firstErr = err
@@ -148,16 +141,17 @@ func (g *Graph) view() *Window {
 }
 
 // evalChunk folds the whole graph once for the lanes of ids, with
-// node-time rings sized by setCarry drawn from the package allocator.
+// node-time rings at the configuration's horizon (Config.Horizon)
+// drawn from the package allocator.
 // Budget: the evaluator itself, which the masked lanes' tables point
 // into; setLanes adds the lane constants and tables, sized by chunk
 // width, not graph length.
 //
 //lint:hotpath allocs=1
-func (g *Graph) evalChunk(ctx context.Context, view *Window, carry int, ids []Ideal, out []int64) error {
+func (g *Graph) evalChunk(ctx context.Context, view *Window, ids []Ideal, out []int64) error {
 	we := WindowEval{cfg: g.Cfg}
 	we.setLanes(ids)
-	size := we.setCarry(carry, view.N) * len(ids)
+	size := we.setCarry(view.N) * len(ids)
 	a := acquireArena(3*size, 0, 0, 0)
 	defer releaseArena(a)
 	we.d, we.p, we.c = a.i64s(size), a.i64s(size), a.i64s(size)

@@ -39,13 +39,15 @@ import (
 // package's tests prove this against full simulations.
 //
 // The argument holds over a whole graph too, so the batch walk
-// (EvalBatch) is this same fold over the graph's columns as one block,
-// with a K-deep ring instead of n rows per lane. The horizon is
-// min(K, n), and a ring longer than the graph carves only its first n
-// rows, so a huge window costs no more than the graph's length. A
-// configuration that fails ValidateWindowed gets a horizon of n: that
-// walk never wraps and ignores nothing, so it is exact by
-// construction.
+// (EvalBatch) is this same fold over the graph's columns as one block.
+//
+// The horizon rule (Horizon) is the one place every pass reads its
+// reach from — the simulator's ring and producer horizon, the fold's
+// carry, the block log's reach and EvalBatch: min(K, n) for a pass of
+// n instructions, and n for a configuration that fails
+// ValidateWindowed. A horizon of n ignores nothing and never wraps a
+// ring, so that pass is exact by construction; it only costs n ring
+// rows per lane.
 //
 // The arrays are per-kind edge columns exactly like Graph's — the
 // same CSR layout, windowed.
@@ -141,20 +143,51 @@ func (c *Config) CarryDepth() int {
 	return k
 }
 
-// ValidateWindowed extends Validate with the windowed-exactness
+// ValidateWindowed extends Validate with the carry argument's
 // precondition: a producer beyond the re-order window must never bind
-// through its PR edge, which requires the wakeup latency not to
-// exceed the dispatch-to-ready plus complete-to-commit path (see the
-// package comment above; the Table 6 machine satisfies it with room).
+// through its PR edge, which requires the wakeup latency not to exceed
+// the dispatch-to-ready plus complete-to-commit path (see the package
+// comment above; the Table 6 machine satisfies it with room). A
+// configuration that fails it is still evaluated exactly, at a horizon
+// of the whole stream (Horizon).
 func (c *Config) ValidateWindowed() error {
 	if err := c.Validate(); err != nil {
 		return err
 	}
 	if c.WakeupExtra > c.DispatchToReady+c.CompleteToCommit {
-		return fmt.Errorf("depgraph: windowed evaluation requires WakeupExtra (%d) <= DispatchToReady (%d) + CompleteToCommit (%d)",
+		return fmt.Errorf("depgraph: carry argument requires WakeupExtra (%d) <= DispatchToReady (%d) + CompleteToCommit (%d)",
 			c.WakeupExtra, c.DispatchToReady, c.CompleteToCommit)
 	}
 	return nil
+}
+
+// Horizon is how far back, in instructions, a pass over n instructions
+// keeps and reads references: min(CarryDepth, n) where the carry
+// argument holds, and n where it does not, a horizon at which nothing
+// is ignored and no ring wraps.
+func (c *Config) Horizon(n int) int {
+	if c.ValidateWindowed() != nil {
+		return n
+	}
+	return min(c.CarryDepth(), n)
+}
+
+// FoldRows is the node-time ring rows one lane of a fold over n
+// instructions holds: the power of two above the horizon, so every
+// instruction the fold reads back to is still resident, and at most n,
+// since a ring longer than the fold never wraps and only its first n
+// rows are touched. A lane's rings are 3 × 8 bytes per row.
+func (c *Config) FoldRows(n int) int {
+	return int(min(ringAbove(c.Horizon(n)), int64(n)))
+}
+
+// ringAbove is the smallest power of two above h.
+func ringAbove(h int) int64 {
+	ring := int64(1)
+	for ring < int64(h)+1 {
+		ring <<= 1
+	}
+	return ring
 }
 
 // WindowEval folds Window blocks into execution times under a fixed
@@ -202,7 +235,7 @@ type foldLane struct {
 // which may carry parametric scale factors. Lanes must be global: a
 // stream has no per-instruction identity to apply a mask against.
 func NewWindowEvalIdeals(cfg Config, ids []Ideal, n int) (*WindowEval, error) {
-	if err := cfg.ValidateWindowed(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if len(ids) == 0 {
@@ -218,7 +251,7 @@ func NewWindowEvalIdeals(cfg Config, ids []Ideal, n int) (*WindowEval, error) {
 	}
 	we := &WindowEval{cfg: cfg}
 	we.setLanes(ids)
-	size := we.setCarry(cfg.CarryDepth(), n) * len(ids)
+	size := we.setCarry(n) * len(ids)
 	we.d = make([]int64, size)
 	we.p = make([]int64, size)
 	we.c = make([]int64, size)
@@ -246,20 +279,12 @@ func (we *WindowEval) setLanes(ids []Ideal) {
 	}
 }
 
-// setCarry sizes the fold for n instructions: the reference horizon
-// is min(carry, n), since a reference at most n back is never ignored,
-// and the rings are the next power of two above it, so every
-// instruction the fold reads back to is still resident. It returns the
-// rows each lane needs: a ring longer than the fold never wraps, so
-// abs&rmask stays below n and only the first n rows are touched.
-func (we *WindowEval) setCarry(carry, n int) int {
-	carry = min(carry, n)
-	ring := int64(1)
-	for ring < int64(carry)+1 {
-		ring <<= 1
-	}
-	we.carry, we.rmask, we.limit = int64(carry), ring-1, int64(n)
-	return int(min(ring, int64(n)))
+// setCarry sizes the fold for n instructions at the configuration's
+// horizon and returns the ring rows each lane needs (FoldRows).
+func (we *WindowEval) setCarry(n int) int {
+	h := we.cfg.Horizon(n)
+	we.carry, we.rmask, we.limit = int64(h), ringAbove(h)-1, int64(n)
+	return we.cfg.FoldRows(n)
 }
 
 // Insts returns how many instructions have been folded.

@@ -1,105 +1,107 @@
 package engine
 
 import (
+	"container/list"
 	"sync"
 
 	"icost/internal/window"
 )
 
-// logSlot is the engine's one block log: the recording of the newest
-// windowed build's pass, which that session's later passes replay
-// instead of regenerating and re-simulating its stream. One slot, not
-// one log per session: a log costs about 3.3 bytes per instruction,
-// and eight resident 300k-instruction sessions holding one each more
-// than doubled long-trace's peak RSS, while a session's misses come
-// mostly right after its build.
-//
-// A build takes the slot before it records (take), so the held log
-// changes hands build by build. A replay holds its own reference
-// (acquire/release): the log it reads is never recycled under it, and
-// a build that finds the held log still read records into a fresh
-// one. A session whose log is gone re-simulates, as does a restored
-// one — snapshots carry no logs.
-type logSlot struct {
-	mu   sync.Mutex
-	held *heldLog // nil when no log is held
+// logBudget bounds the block logs the engine holds, in bytes. A log
+// costs about 3.3 bytes per timed instruction, in 64 KiB chunks: a
+// default 30k-instruction session's is two chunks, so eight of them
+// (one engine's default session store) take 1 MiB, while a
+// 300k-instruction session's takes 1 MiB alone. 1.5 MiB holds all
+// eight of the first, and one of the second at a time, which is what
+// the long-trace study needs: a session's misses come mostly right
+// after its build.
+const logBudget = 3 << 19
 
-	// onReplay, when set (tests), runs with a replay's reference held,
-	// before it folds.
+// logStore holds the engine's block logs, one per session at most,
+// under logBudget, evicting the least recently used. A session whose
+// log is held replays it on a memo miss instead of regenerating and
+// re-simulating its stream; any other pass simulates and records a new
+// log (put). The newest log is held even when it alone exceeds the
+// budget. A log is never recycled: a replay reading an evicted log
+// finishes on it, and the log then falls to the garbage collector.
+type logStore struct {
+	mu    sync.Mutex
+	logs  map[string]*list.Element // -> *heldLog
+	lru   list.List                // front = most recently used
+	bytes int64
+
+	// onReplay, when set (tests), runs after acquire has found a log,
+	// before the replay folds it.
 	onReplay func()
 }
 
-// heldLog is a complete log and the session key whose build recorded
+// heldLog is a complete log and the session key whose pass recorded
 // it.
 type heldLog struct {
-	key     string
-	log     *window.Log
-	readers int // replays reading log; guarded by logSlot.mu
+	key string
+	log *window.Log
 }
 
-// take empties the slot for a build about to record, and returns the
-// log to record into: the dropped log, whose chunks the recording
-// reuses, when no replay reads it; else a fresh one. A nil slot (a
-// build outside an engine) records nothing.
-func (sl *logSlot) take() *window.Log {
-	if sl == nil {
-		return nil
-	}
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	h := sl.held
-	sl.held = nil
-	if h != nil && h.readers == 0 {
-		return h.log
-	}
-	return new(window.Log)
-}
-
-// put publishes a build's complete log as the held one; an incomplete
-// (abandoned or failed) recording leaves the slot empty.
-func (sl *logSlot) put(key string, log *window.Log) {
-	if sl == nil || log == nil || !log.Complete() {
+// put holds a pass's complete log as key's, replacing any it held,
+// and evicts the least recently used others while the total exceeds
+// logBudget. An incomplete (abandoned) recording is dropped.
+func (ls *logStore) put(key string, log *window.Log) {
+	if ls == nil || log == nil || !log.Complete() {
 		return
 	}
-	sl.mu.Lock()
-	sl.held = &heldLog{key: key, log: log}
-	sl.mu.Unlock()
+	ls.mu.Lock()
+	defer ls.mu.Unlock()
+	ls.dropLocked(key)
+	if ls.logs == nil {
+		ls.logs = map[string]*list.Element{}
+	}
+	ls.logs[key] = ls.lru.PushFront(&heldLog{key: key, log: log})
+	ls.bytes += log.Bytes()
+	for ls.bytes > logBudget && ls.lru.Len() > 1 {
+		ls.dropLocked(ls.lru.Back().Value.(*heldLog).key)
+	}
 }
 
-// acquire returns the held log if the session key recorded it, with a
-// reference the caller must release; nil otherwise.
-func (sl *logSlot) acquire(key string) *heldLog {
-	if sl == nil {
+// acquire returns key's held log, most recently used now, or nil. A
+// complete log is immutable, so the caller may read it for as long as
+// it likes: eviction only unlinks it.
+func (ls *logStore) acquire(key string) *window.Log {
+	if ls == nil {
 		return nil
 	}
-	sl.mu.Lock()
-	h := sl.held
-	if h == nil || h.key != key {
-		sl.mu.Unlock()
+	ls.mu.Lock()
+	el, ok := ls.logs[key]
+	if !ok {
+		ls.mu.Unlock()
 		return nil
 	}
-	h.readers++
-	hook := sl.onReplay
-	sl.mu.Unlock()
+	ls.lru.MoveToFront(el)
+	hook := ls.onReplay
+	ls.mu.Unlock()
 	if hook != nil {
 		hook()
 	}
-	return h
+	return el.Value.(*heldLog).log
 }
 
-// release drops a replay's reference.
-func (sl *logSlot) release(h *heldLog) {
-	sl.mu.Lock()
-	h.readers--
-	sl.mu.Unlock()
+// drop forgets key's log: its session left the store.
+func (ls *logStore) drop(key string) {
+	ls.mu.Lock()
+	ls.dropLocked(key)
+	ls.mu.Unlock()
 }
 
-// bytes is the memory the held log occupies.
-func (sl *logSlot) bytes() int64 {
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	if sl.held == nil {
-		return 0
+func (ls *logStore) dropLocked(key string) {
+	if el, ok := ls.logs[key]; ok {
+		ls.bytes -= el.Value.(*heldLog).log.Bytes()
+		ls.lru.Remove(el)
+		delete(ls.logs, key)
 	}
-	return sl.held.log.Bytes()
+}
+
+// total is the memory the held logs occupy.
+func (ls *logStore) total() int64 {
+	ls.mu.Lock()
+	defer ls.mu.Unlock()
+	return ls.bytes
 }

@@ -431,18 +431,19 @@ func TestChaosSeededStormReplays(t *testing.T) {
 // block-log replay) and whose trace arrives in recycled segments from a
 // generator goroutine ahead of it: an ooo.sim error, a workload.gen
 // error, and a mid-pass context cancellation fired from either side,
-// each during a windowed build (opened by a cost query, and by a
-// sensitivity query whose build folds α-scaled lanes), a windowed
-// sensitivity re-fold, and the re-fold of a memo miss outside what the
-// build folded; and a window.replay error and cancellation in the
-// middle of those two re-folds replaying the build's log. A re-fold
-// replays while the engine's slot holds its session's log, so the
-// simulator and generator faults fire in a re-fold only after another
-// windowed build has taken the slot. Every faulted call returns a typed
-// error, leaves no fold or generator goroutine behind and memoizes
-// nothing — so the retry re-folds exactly the lanes an unfaulted pass
-// does, replaying or simulating as the faulted pass did — and the same
-// query then answers exactly as the whole-graph session does.
+// each during a build (opened by a cost query, and by a sensitivity
+// query whose build folds α-scaled lanes), a sensitivity re-fold, the
+// re-fold of a memo miss outside what the build folded, and slack's
+// whole-graph simulation; and a window.replay error and cancellation in
+// the middle of those two re-folds replaying the build's log, and of a
+// restored session's second miss, replaying the log its first miss
+// recorded. A re-fold replays while the engine holds its session's log,
+// so the simulator and generator faults fire in a re-fold of a session
+// restored from a snapshot, which carries no log. Every faulted call
+// returns a typed error, leaves no fold or generator goroutine behind
+// and memoizes nothing — so the retry folds exactly the lanes an
+// unfaulted pass does, replaying or simulating as the faulted pass did
+// — and the same query then answers exactly as the library does.
 func TestChaosWindowed(t *testing.T) {
 	ctx := context.Background()
 	// 1024-instruction trace segments: the simulator and generator
@@ -451,21 +452,40 @@ func TestChaosWindowed(t *testing.T) {
 	// gone round at least once; the replay faults fire at block 21 of
 	// 47.
 	spec := SessionSpec{Bench: "gcc", Seed: 5, TraceLen: 12000, Warmup: 1000, WindowInsts: 256}
-	whole := spec
-	whole.WindowInsts = 0
-	other := spec
-	other.Seed = 6
+	ref := newReference(t, spec)
+	// snap is spec's session after a base-only build: restoring it gives
+	// a session without a log.
+	var snap bytes.Buffer
+	{
+		e := New(Config{Workers: 1})
+		key, err := e.Warm(ctx, spec)
+		if err == nil {
+			err = e.SnapshotSession(ctx, key, &snap)
+		}
+		e.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	const (
+		fresh    = iota // the fault hits the build
+		built           // built, its log held: a miss replays
+		restored        // restored from snap: a miss simulates
+		oneMiss         // restored, and one miss recorded a log: the next replays
+	)
 	passes := []struct {
 		name  string
 		q     Query
-		warm  bool  // build the session first, so the fault hits the re-fold
+		setup int   // fresh, or built for replay faults and restored for the rest
 		build int64 // lanes the unfaulted retry builds
 		lanes int64 // lanes an unfaulted pass re-folds after the build
 	}{
-		{"build", Query{Session: spec, Op: OpCost, Cats: []string{"dmiss"}}, false, 2, 0},
-		{"sensitivity-build", Query{Session: spec, Op: OpSensitivity, Cats: []string{"dl1", "win"}}, false, 9, 0},
-		{"sensitivity", Query{Session: spec, Op: OpSensitivity, Cats: []string{"dl1", "win"}}, true, 0, 8},
-		{"miss", Query{Session: spec, Op: OpExecTime, Cats: []string{"dl1", "win", "bw"}}, true, 0, 1},
+		{"build", Query{Session: spec, Op: OpCost, Cats: []string{"dmiss"}}, fresh, 2, 0},
+		{"sensitivity-build", Query{Session: spec, Op: OpSensitivity, Cats: []string{"dl1", "win"}}, fresh, 9, 0},
+		{"sensitivity", Query{Session: spec, Op: OpSensitivity, Cats: []string{"dl1", "win"}}, built, 0, 8},
+		{"miss", Query{Session: spec, Op: OpExecTime, Cats: []string{"dl1", "win", "bw"}}, built, 0, 1},
+		{"restored-miss", Query{Session: spec, Op: OpExecTime, Cats: []string{"dl1", "win", "bw"}}, oneMiss, 0, 1},
+		{"slack", Query{Session: spec, Op: OpSlack}, built, 0, 0},
 	}
 	faults := []struct {
 		name   string
@@ -482,33 +502,38 @@ func TestChaosWindowed(t *testing.T) {
 	}
 	for _, p := range passes {
 		for _, f := range faults {
-			if f.replay && !p.warm {
-				continue // a build simulates; only a re-fold replays
+			setup := p.setup
+			switch {
+			case f.replay && (setup == fresh || p.q.Op == OpSlack):
+				continue // builds and slack simulate; only a re-fold replays
+			case !f.replay && setup == oneMiss:
+				continue // its second miss replays
+			case !f.replay && setup == built && p.q.Op != OpSlack:
+				setup = restored
 			}
 			t.Run(p.name+"/"+f.name, func(t *testing.T) {
 				leakcheck.Check(t)
 				e := New(Config{Workers: 1, BuildRetries: -1, BuildFailTTL: -1})
 				defer e.Close()
-				wq := p.q
-				wq.Session = whole
-				want, err := e.Query(ctx, wq)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var known int
-				if p.warm {
-					key, err := e.Warm(ctx, spec)
-					if err != nil {
+				key, _ := spec.Key()
+				switch setup {
+				case built:
+					if _, err := e.Warm(ctx, spec); err != nil {
 						t.Fatal(err)
 					}
-					known = len(e.sessionByKey(key).analyzer.Known())
-					if !f.replay {
-						// Another windowed build takes the log slot, so
-						// spec's re-fold re-simulates.
-						if _, err := e.Warm(ctx, other); err != nil {
-							t.Fatal(err)
-						}
+				case restored, oneMiss:
+					if _, err := e.RestoreSession(ctx, bytes.NewReader(snap.Bytes())); err != nil {
+						t.Fatal(err)
 					}
+				}
+				if setup == oneMiss {
+					if _, err := e.Query(ctx, Query{Session: spec, Op: OpCost, Cats: []string{"dmiss"}}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				var known int
+				if setup != fresh {
+					known = len(e.sessionByKey(key).analyzer.Known())
 				}
 				faultinject.Enable(13, f.rule)
 				defer faultinject.Disable()
@@ -520,8 +545,7 @@ func TestChaosWindowed(t *testing.T) {
 				if got := faultinject.Snapshot().Fired[f.rule.Point]; got != 1 {
 					t.Fatalf("%s fired %d times, want 1", f.rule.Point, got)
 				}
-				if p.warm {
-					key, _ := spec.Key()
+				if setup != fresh {
 					if got := len(e.sessionByKey(key).analyzer.Known()); got != known {
 						t.Fatalf("faulted %s memoized %d entries, want %d", p.name, got, known)
 					}
@@ -549,12 +573,10 @@ func TestChaosWindowed(t *testing.T) {
 				if n := after.WindowedReplaysTotal - before.WindowedReplaysTotal; n != wantReplays {
 					t.Fatalf("%s after the fault replayed %d times, want %d", p.name, n, wantReplays)
 				}
-				if !resp.Windowed || resp.Insts != spec.TraceLen {
-					t.Fatalf("degenerate response after recovery: windowed %v, insts %d", resp.Windowed, resp.Insts)
+				if resp.Insts != spec.TraceLen {
+					t.Fatalf("degenerate response after recovery: insts %d", resp.Insts)
 				}
-				if g, w := answerOnly(t, resp), answerOnly(t, want); !bytes.Equal(g, w) {
-					t.Fatalf("%s after the fault diverged:\n  whole:    %s\n  windowed: %s", p.name, w, g)
-				}
+				sameAsLibrary(t, ref, p.q, resp)
 			})
 		}
 	}

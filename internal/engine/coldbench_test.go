@@ -4,11 +4,11 @@ import (
 	"testing"
 )
 
-// BenchmarkSessionBuild isolates the cold path: one full session
-// build (workload generation + simulation + graph construction +
-// analyzer wiring) per iteration, with the artifacts torn down so
-// allocation reuse across builds is visible in bytes/op. This is the
-// number BENCH_coldpath.json tracks; run via `make bench-cold`.
+// BenchmarkSessionBuild isolates the cold path: one session build
+// (workload generation, a windowed simulation that records the block
+// log, and the fold of the base lane) per iteration, so allocation
+// reuse across builds is visible in bytes/op. This is the number
+// BENCH_coldpath.json tracks; run via `make bench-cold`.
 func BenchmarkSessionBuild(b *testing.B) {
 	spec, err := benchSpec("mcf").normalize()
 	if err != nil {
@@ -17,11 +17,9 @@ func BenchmarkSessionBuild(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := buildForBench(spec)
-		if err != nil {
+		if _, err := buildForBench(spec); err != nil {
 			b.Fatal(err)
 		}
-		s.release()
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "sessions/s")
 }

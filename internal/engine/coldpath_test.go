@@ -32,33 +32,6 @@ func TestColdPathMetrics(t *testing.T) {
 	}
 }
 
-// TestSessionReleaseIdempotent pins the release contract: a built
-// session holds its pooled graph and no node times (the build hands
-// those back at once); releasing it returns the graph exactly once,
-// and a second call is a no-op rather than a double-put.
-func TestSessionReleaseIdempotent(t *testing.T) {
-	spec, err := SessionSpec{Bench: "gzip", Seed: 3, TraceLen: 1500, Warmup: 500}.normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := build(context.Background(), Query{Session: spec, Op: OpExecTime}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.pooled {
-		t.Fatal("built session not marked pooled")
-	}
-	if s.result.Graph == nil || s.result.Times != nil {
-		t.Fatalf("built session holds graph %t, node times %t; want the graph only",
-			s.result.Graph != nil, s.result.Times != nil)
-	}
-	s.release()
-	if s.pooled || s.result.Graph != nil {
-		t.Fatalf("release left artifacts attached: %+v", s)
-	}
-	s.release() // must not panic or double-put
-}
-
 // TestCloseReleasesSessions checks that Close drains the store: after
 // Close the engine holds no sessions and a drained store reports
 // empty, while queries are refused.

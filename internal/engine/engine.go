@@ -2,13 +2,15 @@
 // query-oriented analysis service. The paper's efficiency claim —
 // graph idealization answers a cost query in O(|graph|) instead of
 // one re-simulation per idealization set — only pays off when many
-// queries are answered against one shared graph. The engine owns that
+// queries are answered against one simulation. The engine owns that
 // sharing:
 //
-//   - a session store keeps built artifacts (workload trace,
-//     simulation result, dependence graph, memoizing analyzer) keyed
-//     by a content hash of (benchmark, seed, machine parameters), so
-//     repeated queries never rebuild;
+//   - a session store keeps built sessions (a memoizing analyzer over
+//     windowed passes of the session's stream, session.go) keyed by a
+//     content hash of (benchmark, seed, machine parameters), so
+//     repeated queries never rebuild, and a block-log store
+//     (blocklog.go) lets a session's memo misses replay its recorded
+//     pass instead of re-simulating;
 //   - a fixed worker pool executes cost/icost/breakdown/slack/matrix
 //     queries in parallel, with per-query context cancellation
 //     threaded into the graph-walk loops;
@@ -147,7 +149,7 @@ type Engine struct {
 
 	results *resultCache
 	met     metrics
-	logs    logSlot
+	logs    logStore
 	started time.Time
 
 	// onJobStart, when set (tests), runs at the top of every worker
@@ -198,9 +200,8 @@ func New(cfg Config) *Engine {
 }
 
 // Close stops accepting queries, lets queued and in-flight queries
-// finish, and waits for the workers to exit. It then releases every
-// built session's pool-backed artifacts — safe because no worker can
-// still be reading them, and responses never alias session memory.
+// finish, and waits for the workers to exit. It then empties the
+// session store.
 func (e *Engine) Close() {
 	e.submitMu.Lock()
 	if e.closed {
@@ -212,11 +213,8 @@ func (e *Engine) Close() {
 	e.submitMu.Unlock()
 	e.workerWG.Wait()
 	e.storeMu.Lock()
-	sessions := e.store.drain()
+	e.store.drain()
 	e.storeMu.Unlock()
-	for _, s := range sessions {
-		s.release()
-	}
 }
 
 // Query answers one analysis query, blocking until the result is
@@ -242,11 +240,10 @@ func (e *Engine) Query(ctx context.Context, q Query) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	if q.Op == OpSlack && spec.WindowInsts > 0 {
-		// Slack needs per-instruction forward/backward passes over a
-		// resident graph; windowed sessions fold per-window costs and
-		// never hold one. Rejected before admission, so no build runs.
-		return nil, errValidation("engine: slack query unsupported for windowed sessions (window_insts > 0)")
+	if q.Op == OpSlack && int64(spec.TraceLen) > maxGraphInsts {
+		// Slack simulates the session's stream into a whole graph.
+		// Refused before admission, so no build runs.
+		return nil, errValidation("engine: slack needs a whole graph; trace_len %d exceeds %d", spec.TraceLen, maxGraphInsts)
 	}
 	qkey := q.key(skey)
 
@@ -339,9 +336,9 @@ func (e *Engine) leaveFlight(qkey string, fl *flight) {
 }
 
 // Warm builds (or refreshes) a session without running an analysis
-// query, so a daemon can preload its working set at startup. A
-// windowed session's build then folds the base alone, and each later
-// query re-folds for the idealizations it reads.
+// query, so a daemon can preload its working set at startup. Its build
+// then folds the base alone, and each later query folds the
+// idealizations it reads.
 func (e *Engine) Warm(ctx context.Context, spec SessionSpec) (string, error) {
 	resp, err := e.Query(ctx, Query{Session: spec, Op: OpExecTime})
 	if err != nil {
@@ -442,8 +439,8 @@ func (e *Engine) countErr(err error) {
 
 // sessionFor returns the built session for key, building it at most
 // once per store residency regardless of how many queries race; q, the
-// normalized query that elects the builder, tells a windowed build what
-// to fold. A failed build is remembered for BuildFailTTL: until it
+// normalized query that elects the builder, tells the build what to
+// fold. A failed build is remembered for BuildFailTTL: until it
 // expires, queries for the same session share the cached failure
 // instead of stampeding into fresh build attempts.
 func (e *Engine) sessionFor(ctx context.Context, key string, q Query) (*session, error) {
@@ -453,12 +450,6 @@ func (e *Engine) sessionFor(ctx context.Context, key string, q Query) (*session,
 
 	if builder {
 		s, err := e.buildWithRetry(ctx, q)
-		if err == nil && !s.windowed {
-			// Attach before the session is published: every batched
-			// graph walk the analyzer issues feeds the size histogram.
-			// A windowed analyzer's batches are re-folds, counted apart.
-			s.analyzer.SetBatchObserver(e.met.recordBatch)
-		}
 		entry.sess, entry.err = s, err
 		e.storeMu.Lock()
 		if err != nil {
@@ -474,7 +465,7 @@ func (e *Engine) sessionFor(ctx context.Context, key string, q Query) (*session,
 		} else {
 			entry.gen = e.gen.Add(1)
 			e.met.sessionsBuilt.Add(1)
-			e.met.sessionsEvicted.Add(int64(e.store.evict()))
+			e.evictLocked()
 		}
 		e.storeMu.Unlock()
 		close(entry.ready)
@@ -524,6 +515,15 @@ func (e *Engine) buildOnce(ctx context.Context, q Query) (*session, error) {
 	return build(ctx, q, &e.met, &e.logs)
 }
 
+// evictLocked trims the session store to its bound, dropping each
+// evicted session's block log. Call with storeMu held.
+func (e *Engine) evictLocked() {
+	for _, key := range e.store.evict() {
+		e.logs.drop(key)
+		e.met.sessionsEvicted.Add(1)
+	}
+}
+
 // Metrics snapshots the engine's observability state.
 func (e *Engine) Metrics() Snapshot {
 	entries, bytes := e.results.stats()
@@ -547,7 +547,7 @@ func (e *Engine) Metrics() Snapshot {
 		WindowedRefoldsTotal:     e.met.windowedRefolds.Load(),
 		WindowedRefoldLanesTotal: e.met.windowedRefoldLanes.Load(),
 		WindowedReplaysTotal:     e.met.windowedReplays.Load(),
-		WindowedLogBytes:         e.logs.bytes(),
+		WindowedLogBytes:         e.logs.total(),
 
 		SnapshotsSavedTotal:     e.met.snapshotsSaved.Load(),
 		SnapshotsLoadedTotal:    e.met.snapshotsLoaded.Load(),

@@ -570,10 +570,10 @@ func TestQueryCatOrderCanonicalized(t *testing.T) {
 	}
 }
 
-// TestBatchMetrics: a matrix query routes its power-set unions
-// through the analyzer's batched graph walk, and the engine's batch
-// observer must see it: non-zero batch count, lane total covering the
-// k + k(k-1)/2 unions, and a histogram that sums to the batch count.
+// TestBatchMetrics: every windowed pass a session folds is one batch.
+// A matrix query opening a session folds its base and the k + k(k-1)/2
+// unions in the build's one pass; the histogram sums to the batch
+// count; and a repeat, or any query the memo answers, adds none.
 func TestBatchMetrics(t *testing.T) {
 	e := New(Config{Workers: 2})
 	defer e.Close()
@@ -581,13 +581,9 @@ func TestBatchMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := e.Metrics()
-	if m.BatchesTotal == 0 {
-		t.Fatal("matrix query issued no batched evaluations")
-	}
-	// 8 categories -> 8 singles + 28 pairs = 36 distinct masks, all
-	// cold, so at least that many lanes were batch-evaluated.
-	if m.BatchLanesTotal < 36 {
-		t.Fatalf("batch lanes = %d, want >= 36", m.BatchLanesTotal)
+	// 8 categories -> the base, 8 singles and 28 pairs: 37 lanes.
+	if m.BatchesTotal != 1 || m.BatchLanesTotal != 37 {
+		t.Fatalf("matrix build: %d batches over %d lanes, want 1 over 37", m.BatchesTotal, m.BatchLanesTotal)
 	}
 	var hist int64
 	for _, c := range m.BatchSizeHist {
@@ -597,12 +593,16 @@ func TestBatchMetrics(t *testing.T) {
 		t.Fatalf("histogram sums to %d, batches total %d", hist, m.BatchesTotal)
 	}
 
-	// A repeated query is all memo hits: no new batches.
+	// A repeated query, and a cost the matrix folded, are memo reads:
+	// no new batches.
 	before := m.BatchesTotal
-	if _, err := e.Query(context.Background(), Query{Session: testSpec("gcc"), Op: OpMatrix}); err != nil {
-		t.Fatal(err)
+	for _, q := range []Query{{Op: OpMatrix}, {Op: OpCost, Cats: []string{"dl1", "win"}}} {
+		q.Session = testSpec("gcc")
+		if _, err := e.Query(context.Background(), q); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if after := e.Metrics().BatchesTotal; after != before {
-		t.Fatalf("warm matrix query issued %d new batches", after-before)
+		t.Fatalf("warm queries issued %d new batches", after-before)
 	}
 }

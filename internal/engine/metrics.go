@@ -7,7 +7,7 @@ import (
 )
 
 // batchHistBuckets is the number of batch-size histogram buckets:
-// bucket i counts batched graph evaluations with lane count in
+// bucket i counts windowed passes with lane count in
 // [2^i, 2^(i+1)), so the range spans 1 .. 128+ lanes.
 const batchHistBuckets = 8
 
@@ -27,12 +27,12 @@ type metrics struct {
 	buildRetries    atomic.Int64
 	buildFailures   atomic.Int64
 	windowedBuilds  atomic.Int64
-	// windowedBuildLanes counts the lanes windowed build passes were
-	// asked to fold. windowedRefolds and windowedRefoldLanes count the
-	// windowed passes run after a session's build — analyzer memo misses
-	// and sensitivity curves — and the lanes they were asked to fold;
-	// windowedReplays counts those that replayed the build's block log
-	// instead of re-simulating.
+	// windowedBuildLanes counts the lanes build passes were asked to
+	// fold. windowedRefolds and windowedRefoldLanes count the passes run
+	// after a session's build — analyzer memo misses and sensitivity
+	// curves — and the lanes they were asked to fold; windowedReplays
+	// counts those that replayed the session's block log instead of
+	// re-simulating.
 	windowedBuildLanes  atomic.Int64
 	windowedRefolds     atomic.Int64
 	windowedRefoldLanes atomic.Int64
@@ -46,11 +46,12 @@ type metrics struct {
 	latency  stats.LatencyHist
 
 	// Cold-path pipeline instrumentation: the session-build wall-time
-	// histogram plus per-stage time totals. gen/sim are productive time
-	// in the producer (trace generation) and consumer (simulation);
-	// the stall counters are time each side spent blocked on the
-	// segment channel — together they show whether the pipeline
-	// overlaps or serializes.
+	// histogram plus per-stage time totals of every simulated pass
+	// (builds, passes without a log, slack). gen/sim are productive
+	// time in the producer (trace generation) and consumer
+	// (simulation); the stall counters are time each side spent
+	// blocked on the segment channel — together they show whether the
+	// pipeline overlaps or serializes.
 	sessionBuild   stats.LatencyHist
 	coldGenNS      atomic.Int64
 	coldGenStallNS atomic.Int64
@@ -62,10 +63,9 @@ type metrics struct {
 	batchHist  [batchHistBuckets]atomic.Int64
 }
 
-// recordBatch counts one batched multi-lane graph evaluation issued
-// by a session analyzer. Installed as the analyzer's batch observer,
-// so it must stay lock-free: one power-set query can fire it from
-// several worker goroutines.
+// recordBatch counts one pass a session folded, of lanes lanes. It
+// must stay lock-free: one power-set query can fire it from several
+// worker goroutines.
 func (m *metrics) recordBatch(lanes int) {
 	m.batches.Add(1)
 	m.batchLanes.Add(int64(lanes))
@@ -98,13 +98,14 @@ type Snapshot struct {
 	// after all retries (and were negatively cached for BuildFailTTL).
 	BuildRetriesTotal  int64 `json:"session_build_retries_total"`
 	BuildFailuresTotal int64 `json:"session_build_failures_total"`
-	// WindowedBuildsTotal counts sessions built through the windowed
-	// long-trace pipeline instead of a resident whole-trace graph.
+	// WindowedBuildsTotal counts session builds; every session is
+	// built through the windowed pipeline.
 	WindowedBuildsTotal int64 `json:"windowed_builds_total"`
-	// WindowedBuildLanesTotal sums the lanes windowed builds folded:
-	// the base and the idealizations read by the query that opened each
-	// session. WindowedRefoldsTotal counts the windowed passes run after
-	// a build: one per analyzer memo-miss batch.
+	// WindowedBuildLanesTotal sums the lanes builds folded: the base
+	// and the idealizations read by the query that opened each session.
+	// WindowedRefoldsTotal counts the passes run after a build: one per
+	// analyzer memo-miss batch, or more when the batch's rings would
+	// pass the engine's fold budget.
 	// WindowedRefoldLanesTotal sums the lanes they were asked to fold (a
 	// pass adds a base lane for its self-check when none was asked for;
 	// it is not counted).
@@ -114,8 +115,9 @@ type Snapshot struct {
 	// WindowedReplaysTotal counts the re-folds (included in
 	// WindowedRefoldsTotal) that replayed the session's recorded block
 	// log instead of regenerating and re-simulating its stream.
-	// WindowedLogBytes is the memory of the one block log the engine
-	// holds: the newest windowed build's recording, 0 when none is held.
+	// WindowedLogBytes is the memory of the block logs the engine
+	// holds, at most one per session, under a 1.5 MiB budget that
+	// always keeps the newest.
 	WindowedReplaysTotal int64 `json:"windowed_replays_total"`
 	WindowedLogBytes     int64 `json:"windowed_log_bytes"`
 
@@ -151,9 +153,10 @@ type Snapshot struct {
 	ColdSimNS         int64 `json:"coldpath_sim_ns_total"`
 	ColdSimStallNS    int64 `json:"coldpath_sim_stall_ns_total"`
 
-	// Batched graph evaluation: how many multi-lane walks analyzers
-	// issued, the total lanes across them, and a log-scaled size
-	// distribution (bucket i = batches with 2^i .. 2^(i+1)-1 lanes).
+	// Batched evaluation: how many windowed passes sessions folded
+	// (builds and memo misses alike), the total lanes across them, and
+	// a log-scaled size distribution (bucket i = passes with
+	// 2^i .. 2^(i+1)-1 lanes).
 	BatchesTotal    int64   `json:"batches_total"`
 	BatchLanesTotal int64   `json:"batch_lanes_total"`
 	BatchSizeHist   []int64 `json:"batch_size_hist"`

@@ -94,11 +94,8 @@ type Response struct {
 	Slack       *SlackSummary      `json:"slack,omitempty"`
 	Sensitivity *SensitivityResult `json:"sensitivity,omitempty"`
 
-	// Windowed reports that the session was built through the
-	// bounded-memory long-trace pipeline: Windows is the number of
-	// emission blocks folded and PeakBytes the peak graph-analysis
-	// storage held resident during the build.
-	Windowed  bool  `json:"windowed,omitempty"`
+	// Windows is the number of blocks the session's build pass folded
+	// and PeakBytes the peak graph-analysis storage it held resident.
 	Windows   int   `json:"windows,omitempty"`
 	PeakBytes int64 `json:"peak_bytes,omitempty"`
 
@@ -263,10 +260,11 @@ func (q Query) grid() []depgraph.Alpha {
 }
 
 // reads lists the idealizations a normalized query reads through the
-// analyzer memo, the base first: what a windowed build folds so that
-// the query opening the session answers from its build. Each op's list
-// comes from the helper it prewarms or resolves with, so no read set is
-// written twice. Slack reads node times, not the memo.
+// analyzer memo, the base first: what a build folds so that the query
+// opening the session answers from its build. Each op's list comes
+// from the helper it prewarms or resolves with, so no read set is
+// written twice. Slack reads node times, not the memo: its build
+// folds the base alone.
 func (q Query) reads() []depgraph.Ideal {
 	var masks []depgraph.Flags
 	switch q.Op {
@@ -297,8 +295,7 @@ func (e *Engine) execute(ctx context.Context, q Query, s *session) (*Response, e
 		SessionKey: s.key,
 		Bench:      s.spec.Bench,
 		BaseCycles: a.BaseTime(),
-		Insts:      s.instCount(),
-		Windowed:   s.windowed,
+		Insts:      s.insts,
 		Windows:    s.windows,
 		PeakBytes:  s.peakBytes,
 	}
@@ -351,8 +348,7 @@ func (e *Engine) execute(ctx context.Context, q Query, s *session) (*Response, e
 			Accuracy: e.cfg.Accuracy,
 		}
 	case OpSlack:
-		// Query rejects slack on a windowed session, which holds no graph.
-		slacks, err := a.Graph().SlacksCtx(ctx, depgraph.Ideal{})
+		slacks, err := s.slacks(ctx)
 		if err != nil {
 			return nil, err
 		}

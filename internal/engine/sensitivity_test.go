@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"testing"
@@ -101,32 +100,28 @@ func TestSensitivityQuery(t *testing.T) {
 	}
 }
 
-// TestWindowedSensitivityMatchesWholeGraph: a windowed session
-// answers a sensitivity query by re-folding the stream with
-// parametric lanes, bit-identical to the whole-graph session.
+// TestWindowedSensitivityMatchesWholeGraph: a session answers a
+// sensitivity query by folding the stream with parametric lanes — once
+// in the build that opens it, once more in a re-fold replaying its log
+// — bit-identical to the library's whole-graph walk.
 func TestWindowedSensitivityMatchesWholeGraph(t *testing.T) {
 	ctx := context.Background()
 	e := New(Config{Workers: 2, MaxSessions: 4})
 	defer e.Close()
 
-	whole := SessionSpec{Bench: "gcc", Seed: 11, TraceLen: 5000, Warmup: 1000}
-	windowed := whole
-	windowed.WindowInsts = 777
-
-	q := Query{Session: whole, Op: OpSensitivity, Cats: []string{"dl1", "dmiss", "win"}, Alphas: []float64{0, 0.3, 0.6, 1}}
-	want, err := e.Query(ctx, q)
-	if err != nil {
-		t.Fatalf("whole-graph sensitivity: %v", err)
+	spec := SessionSpec{Bench: "gcc", Seed: 11, TraceLen: 5000, Warmup: 1000, WindowInsts: 777}
+	ref := newReference(t, spec)
+	for _, q := range []Query{
+		{Session: spec, Op: OpSensitivity, Cats: []string{"dl1", "dmiss", "win"}, Alphas: []float64{0, 0.3, 0.6, 1}},
+		{Session: spec, Op: OpSensitivity, Cats: []string{"bmisp", "dmiss"}, Alphas: []float64{0.1, 0.9}},
+	} {
+		got, err := e.Query(ctx, q)
+		if err != nil {
+			t.Fatalf("sensitivity %v: %v", q.Cats, err)
+		}
+		sameAsLibrary(t, ref, q, got)
 	}
-	q.Session = windowed
-	got, err := e.Query(ctx, q)
-	if err != nil {
-		t.Fatalf("windowed sensitivity: %v", err)
-	}
-	if !got.Windowed {
-		t.Fatal("windowed response not marked windowed")
-	}
-	if g, w := answerOnly(t, got), answerOnly(t, want); !bytes.Equal(g, w) {
-		t.Fatalf("sensitivity diverged:\n  whole:    %s\n  windowed: %s", w, g)
+	if m := e.Metrics(); m.WindowedBuildsTotal != 1 || m.WindowedReplaysTotal != 1 {
+		t.Fatalf("%d builds, %d replays; want 1 of each", m.WindowedBuildsTotal, m.WindowedReplaysTotal)
 	}
 }

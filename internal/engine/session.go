@@ -19,14 +19,14 @@ import (
 // generation seed, trace length and the machine parameters that vary
 // across the paper's experiments. Zero-valued fields take the
 // defaults of cmd/icost (Table 6 machine, 30k measured instructions
-// after 30k warmup), so a client can say just {"bench":"mcf"}.
+// after 30k warmup, 4096-instruction blocks), so a client can say just
+// {"bench":"mcf"}.
 //
-// Two specs that normalize identically share one session: the trace,
-// simulation and dependence graph are built once and every subsequent
-// query — from any client — reuses them. This is the paper's
-// efficiency argument operationalized: graph idealization is
-// O(|graph|) per cost query only if the graph survives between
-// queries.
+// Two specs that normalize identically share one session: the stream
+// is simulated once, and every subsequent query — from any client —
+// reads the session's memo or replays its block log. This is the
+// paper's efficiency argument operationalized: one simulation, then
+// many graph evaluations.
 type SessionSpec struct {
 	Bench          string `json:"bench"`
 	Seed           uint64 `json:"seed,omitempty"`
@@ -36,33 +36,37 @@ type SessionSpec struct {
 	Window         int    `json:"window,omitempty"`
 	WakeupExtra    int    `json:"wakeup_extra,omitempty"`
 	BranchRecovery int    `json:"branch_recovery,omitempty"`
-	// WindowInsts, when nonzero, builds the session through the
-	// windowed long-trace pipeline: the trace streams through
-	// ring-storage simulation in WindowInsts-instruction blocks, so
-	// peak memory is bounded by the window budget instead of the trace
-	// length. The build pass folds the base and the idealizations the
-	// query that opens the session reads; a later query needing any
-	// other idealization — a wider union, an interior sensitivity α —
-	// re-folds the stream once for all of its missing ones.
-	// Every cost/icost/breakdown query answers with bit-identical
-	// results; only the slack query (which needs per-instruction node
-	// times) is unavailable.
+	// WindowInsts is the block size of the session's windowed passes
+	// (default 4096): the trace streams through ring-storage simulation
+	// in WindowInsts-instruction blocks, so peak memory is bounded by
+	// the block and the machine's horizon instead of the trace length.
+	// The build pass folds the base and the idealizations the query
+	// that opens the session reads; a later query needing any other
+	// idealization — a wider union, an interior sensitivity α — folds
+	// the stream once more for all of its missing ones. Every answer
+	// is bit-identical to a whole-graph walk.
 	WindowInsts int `json:"window_insts,omitempty"`
 }
+
+// defaultWindowInsts is the block size a spec without window_insts
+// gets: the long-trace study's, and the ladder's.
+const defaultWindowInsts = 4096
 
 // Session spec bounds, shared by normalize and the snapshot decoder,
 // so that every session the engine builds is one its snapshots
 // restore. maxSpecInsts bounds trace_len, warmup, window_insts and
 // the stream warmup + trace_len they make; window is capped at that
-// stream's length. maxGraphInsts bounds a whole-graph session's
-// trace_len, which sizes its resident graph. maxSpecLatency bounds
-// dl1_latency, wakeup_extra and branch_recovery, in cycles: the
-// simulator's functional-unit schedule (fu.Sched) keeps a per-cycle
-// ring spanning its booking horizon, which grows with the latencies
-// (one 20k-instruction mcf pass allocates 1.1 MiB at a dl1_latency of
-// 2 and 18 MiB at 65,536, 85% of it growing that ring), so an
-// unbounded latency could exhaust memory. The paper's machines use at
-// most 15 cycles.
+// stream's length. maxGraphInsts bounds the trace_len of a session
+// whose passes hold a horizon of the whole stream (a machine outside
+// the carry argument, depgraph.Config.Horizon) and of a slack query,
+// which simulates a whole graph. maxSpecLatency bounds dl1_latency,
+// wakeup_extra and branch_recovery, in cycles: the simulator's
+// functional-unit schedule (fu.Sched) keeps a per-cycle ring spanning
+// its booking horizon, which grows with the latencies (one
+// 20k-instruction mcf pass allocates 1.1 MiB at a dl1_latency of 2 and
+// 18 MiB at 65,536, 85% of it growing that ring), so an unbounded
+// latency could exhaust memory. The paper's machines use at most 15
+// cycles.
 const (
 	maxSpecInsts   int64 = 1 << 31
 	maxGraphInsts  int64 = 1 << 24
@@ -108,6 +112,9 @@ func (s SessionSpec) normalize() (SessionSpec, error) {
 	if s.BranchRecovery == 0 {
 		s.BranchRecovery = 8
 	}
+	if s.WindowInsts == 0 {
+		s.WindowInsts = defaultWindowInsts
+	}
 	if s.TraceLen < 1 || s.Warmup < 0 {
 		return s, errValidation("engine: bad trace length %d / warmup %d", s.TraceLen, s.Warmup)
 	}
@@ -118,7 +125,7 @@ func (s SessionSpec) normalize() (SessionSpec, error) {
 		return s, errValidation("engine: dl1_latency %d, wakeup_extra %d or branch_recovery %d exceeds %d cycles",
 			s.DL1Latency, s.WakeupExtra, s.BranchRecovery, maxSpecLatency)
 	}
-	if s.WindowInsts < 0 {
+	if s.WindowInsts < 1 {
 		return s, errValidation("engine: bad window_insts %d", s.WindowInsts)
 	}
 	stream := int64(s.Warmup) + int64(s.TraceLen)
@@ -128,16 +135,10 @@ func (s SessionSpec) normalize() (SessionSpec, error) {
 	if int64(s.WindowInsts) > maxSpecInsts {
 		return s, errValidation("engine: window_insts %d exceeds %d", s.WindowInsts, maxSpecInsts)
 	}
-	if s.WindowInsts == 0 && int64(s.TraceLen) > maxGraphInsts {
-		return s, errValidation("engine: trace_len %d exceeds %d for a whole-graph session; set window_insts to stream it",
-			s.TraceLen, maxGraphInsts)
-	}
 	s.Window = int(min(int64(s.Window), stream))
-	if s.WindowInsts > 0 {
-		cfg := s.machine()
-		if err := cfg.Graph.ValidateWindowed(); err != nil {
-			return s, errValidation("engine: %v", err)
-		}
+	if cfg := s.machine(); cfg.Graph.ValidateWindowed() != nil && int64(s.TraceLen) > maxGraphInsts {
+		return s, errValidation("engine: trace_len %d exceeds %d for wakeup_extra %d, whose passes hold the whole stream",
+			s.TraceLen, maxGraphInsts, s.WakeupExtra)
 	}
 	return s, nil
 }
@@ -166,119 +167,60 @@ func (s SessionSpec) machine() ooo.Config {
 		WithBranchRecovery(s.BranchRecovery)
 }
 
-// session is one built artifact set. A whole-graph session holds the
-// simulation result (graph) and a graph-backed analyzer — neither the
-// trace nor the simulation's node times, which no query reads; a
-// windowed session holds no graph at all — just an analyzer whose
-// memo holds the idealizations folded so far (from the build, the
-// base and what its first query read) and whose misses re-fold the
-// stream, plus the windowed run's shape for observability.
+// session is one built microexecution: its normalized spec, an
+// analyzer whose memo holds the idealizations folded so far (from the
+// build, the base and what its first query read), and the shape of its
+// build pass. It holds no trace and no graph: a memo miss folds the
+// stream once more (fold), replaying the session's block log while the
+// engine holds one.
 type session struct {
 	key      string
 	spec     SessionSpec // normalized
-	result   *ooo.Result
 	analyzer *cost.Analyzer
 	built    time.Duration // wall time of the cold build
-	pooled   bool          // artifacts are pool-backed; release returns them
 
-	// Windowed-session state (spec.WindowInsts > 0): insts folded,
-	// blocks emitted, and peak analysis bytes, from the build pass; the
-	// engine metrics every pass reports to and the engine's block-log
-	// slot (both nil outside an engine; a restored session has no slot,
-	// since snapshots carry no logs); and the log the build pass records
-	// into, published to the slot once the build succeeds.
-	windowed  bool
+	// The build pass's simulated cycles, insts folded, blocks emitted
+	// and peak analysis bytes; set before the session is published (or
+	// by a restore), read-only after.
+	cycles    int64
 	insts     int
 	windows   int
 	peakBytes int64
-	met       *metrics
-	logs      *logSlot
-	rec       *window.Log
+
+	// met receives every pass's counters and logs holds the session's
+	// block log; both nil outside an engine.
+	met  *metrics
+	logs *logStore
 }
 
-// instCount is the session's timed instruction count, independent of
-// whether a graph is resident.
-func (s *session) instCount() int {
-	if s.windowed {
-		return s.insts
-	}
-	return s.result.Graph.Len()
-}
-
-// release returns the session's pool-backed graph arena so the next
-// cold build reuses it instead of reallocating. Only called once no
-// reader can still hold the session (engine Close, after the workers
-// exit); evicted sessions are never released, since an in-flight query
-// may still be reading them, and simply fall to the garbage collector.
-func (s *session) release() {
-	if !s.pooled {
-		return
-	}
-	s.pooled = false
-	if s.result != nil && s.result.Graph != nil {
-		s.result.Graph.Release()
-		s.result.Graph = nil
-	}
-}
-
-// build constructs the session of q.Session through the streaming
-// cold path: the workload interpreter produces trace segments into a
-// small ring of recycled buffers while the simulator consumes them,
-// overlapping generation, simulation and graph-edge materialization.
-// The graph lands in pooled storage; the node times go back to their
-// pool as soon as the simulation returns. A windowed session folds
-// what q reads instead (buildWindowed); a whole-graph build ignores
-// the op. ctx cancels both pipeline stages. met (nil in benchmarks)
-// receives the build histogram and per-stage time counters; a windowed
-// build records its pass into logs (nil: records nothing).
-func build(ctx context.Context, q Query, met *metrics, logs *logSlot) (*session, error) {
+// build constructs the session of q.Session: its build pass folds what
+// q reads — the base and the idealizations the opening query reads —
+// through the session's own cost.Eval (fold) into the analyzer's memo,
+// α-scaled entries included, and records the pass's block log into
+// logs for the session's later misses to replay. No trace, graph or
+// node times are retained — peak memory during the build and the
+// session's resident size are bounded by the block size and the
+// machine's horizon, which is what lets a session cover tens of
+// millions of instructions. ctx cancels the pass. met (nil in
+// benchmarks) receives the build histogram and the pass counters; logs
+// (nil: records nothing) holds the log.
+func build(ctx context.Context, q Query, met *metrics, logs *logStore) (*session, error) {
 	key, err := q.Session.Key()
 	if err != nil {
 		return nil, err
 	}
 	spec, _ := q.Session.normalize()
-	if spec.WindowInsts > 0 {
-		return buildWindowed(ctx, spec, met, logs, key, q.reads())
-	}
 	start := time.Now()
-	w, err := workload.Cached(spec.Bench, spec.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("engine: generating %s: %w", spec.Bench, err)
+	s := newSession(&session{key: key, spec: spec, met: met, logs: logs}, nil)
+	if err := s.analyzer.PrewarmIdealsCtx(ctx, q.reads()); err != nil {
+		return nil, err
 	}
-	// The derived cancel stops the producer goroutine on every error
-	// return below; on success the stream is fully drained and the
-	// producer already gone.
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	st, err := w.ExecuteRecycled(ctx, spec.Warmup+spec.TraceLen, spec.Seed+1, 0)
-	if err != nil {
-		return nil, fmt.Errorf("engine: generating %s: %w", spec.Bench, err)
-	}
-	var tm ooo.StreamTiming
-	res, err := ooo.SimulateStream(ctx, st, spec.machine(), ooo.Options{
-		KeepGraph: true, Warmup: spec.Warmup, Timing: &tm,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("engine: simulating %s: %w", spec.Bench, err)
-	}
-	depgraph.ReleaseTimes(res.Times)
-	res.Times = nil
-	built := time.Since(start)
+	s.built = time.Since(start)
 	if met != nil {
-		met.sessionBuild.Record(built)
-		met.coldGenNS.Add(st.GenNS())
-		met.coldGenStallNS.Add(st.StallNS())
-		met.coldSimNS.Add(tm.SimNS)
-		met.coldSimStallNS.Add(tm.WaitNS)
+		met.sessionBuild.Record(s.built)
+		met.windowedBuilds.Add(1)
 	}
-	return &session{
-		key:      key,
-		spec:     spec,
-		result:   res,
-		analyzer: cost.New(res.Graph),
-		built:    built,
-		pooled:   true,
-	}, nil
+	return s, nil
 }
 
 // windowRequest describes one windowed pass over the session's
@@ -294,90 +236,143 @@ func (s SessionSpec) windowRequest() window.Request {
 	}
 }
 
-// buildWindowed constructs a windowed session whose build pass folds
-// reads — the base and the idealizations the opening query reads —
-// through the session's own cost.Eval (fold) into the analyzer's memo,
-// α-scaled entries included, and publishes the pass's block log to the
-// engine's slot for the session's later misses to replay. No trace,
-// graph or node times are retained — peak memory during the build and
-// the session's resident size are both bounded by the window budget
-// (the one log the engine holds is capped at window.LogCap), which is
-// what lets a session cover tens of millions of instructions.
-func buildWindowed(ctx context.Context, spec SessionSpec, met *metrics, logs *logSlot, key string, reads []depgraph.Ideal) (*session, error) {
-	start := time.Now()
-	s := newWindowedSession(&session{key: key, spec: spec, met: met, logs: logs, rec: logs.take()}, nil)
-	if err := s.analyzer.PrewarmIdealsCtx(ctx, reads); err != nil {
-		return nil, err
-	}
-	logs.put(key, s.rec)
-	s.rec = nil
-	s.built = time.Since(start)
-	if met != nil {
-		met.sessionBuild.Record(s.built)
-		met.windowedBuilds.Add(1)
-	}
-	return s, nil
-}
-
-// newWindowedSession completes s — identity and metrics set, and for
-// a restore the result and run shape too — as a windowed session: its
-// analyzer starts from the subset times folded so far (flags → cycles;
-// known[0] is the base; nil for a build) and re-folds the stream for
-// every batch of memo misses, binary or α-scaled alike. Shared by the
-// cold build and snapshot restore.
-func newWindowedSession(s *session, known map[depgraph.Flags]int64) *session {
-	s.windowed = true
+// newSession completes s — identity and metrics set, and for a restore
+// the cycles and run shape too — with an analyzer that starts from the
+// subset times folded so far (flags → cycles; known[0] is the base;
+// nil for a build) and folds the stream for every batch of memo
+// misses, binary or α-scaled alike. Shared by the cold build and
+// snapshot restore.
+func newSession(s *session, known map[depgraph.Flags]int64) *session {
 	s.analyzer = cost.NewFromEval(s.fold, known)
 	return s
 }
 
-// fold is a windowed session's cost.Eval: one pass over the session's
-// stream that folds the given idealizations only. The first pass is the
-// build's: it records the session's cycles and run shape, and its
-// blocks into the log buildWindowed took from the engine's slot, before
-// the session is published, so no reader races it. Every later pass is
-// a re-fold: a replay of that log while the slot still holds it, else a
-// fresh simulation. Both are deterministic, so they must reproduce the
-// build's cycles — a replay's base lane is checked against the cycles
-// its recording simulated — and a pass that disagrees answers nothing.
+// foldBudget bounds the node-time rings one pass holds, in bytes: 3 ×
+// 8 bytes per ring row per lane (depgraph.Config.FoldRows). The
+// default machine's rows are 2,048, so its 256-lane pass (12.5 MB)
+// stays one pass; a machine whose horizon is the whole stream holds a
+// row per instruction, and its batch splits over several passes.
+const foldBudget = 16 << 20
+
+// lanesPerPass is how many lanes one pass of the session folds within
+// foldBudget, leaving room for the base lane a pass adds for its
+// self-check; at least one.
+func (s SessionSpec) lanesPerPass() int {
+	cfg := s.machine().Graph
+	lane := 3 * 8 * int64(cfg.FoldRows(s.TraceLen))
+	return int(max(1, foldBudget/lane-1))
+}
+
+// fold is the session's cost.Eval: the given idealizations, folded
+// over the session's stream in as few passes as foldBudget allows. The
+// build's fold is the first; every later one serves a batch of memo
+// misses.
 func (s *session) fold(ctx context.Context, ids []depgraph.Ideal) ([]int64, error) {
-	if s.result == nil {
-		wres, err := window.Record(ctx, s.spec.windowRequest(), ids, s.rec)
+	building := s.cycles == 0
+	per := s.spec.lanesPerPass()
+	times := make([]int64, 0, len(ids))
+	for lo := 0; lo < len(ids); lo += per {
+		t, err := s.pass(ctx, ids[lo:min(lo+per, len(ids))], building)
 		if err != nil {
-			return nil, fmt.Errorf("engine: windowed build of %s: %w", s.spec.Bench, err)
+			return nil, err
 		}
-		s.result = &ooo.Result{Cycles: wres.Cycles, Stats: wres.Stats}
-		s.insts, s.windows, s.peakBytes = int(wres.Insts), wres.Windows, wres.PeakBytes
-		if s.met != nil {
-			s.met.windowedBuildLanes.Add(int64(len(ids)))
-		}
-		return wres.Times, nil
+		times = append(times, t...)
 	}
-	pass := "re-fold"
+	return times, nil
+}
+
+// pass runs one windowed pass over the session's stream for ids. It
+// replays the session's block log while the engine holds one;
+// otherwise it simulates and records a new log — the build, a restored
+// session's first miss, a session whose log was evicted alike. The
+// first pass sets the session's cycles and run shape, before the
+// session is published, so no reader races it; every later one must
+// reproduce those cycles (a replay's base lane is also checked against
+// the cycles its recording simulated), and a pass that disagrees
+// answers nothing.
+func (s *session) pass(ctx context.Context, ids []depgraph.Ideal, building bool) ([]int64, error) {
+	what := "simulated"
 	var wres *window.Result
 	var err error
-	if h := s.logs.acquire(s.key); h != nil {
-		pass = "replay"
-		wres, err = window.Replay(ctx, h.log, ids)
-		s.logs.release(h)
+	if log := s.logs.acquire(s.key); log != nil {
+		what = "replayed"
+		wres, err = window.Replay(ctx, log, ids)
 	} else {
-		wres, err = window.AnalyzeIdeals(ctx, s.spec.windowRequest(), ids)
+		var rec *window.Log // nil outside an engine: record nothing
+		if s.logs != nil {
+			rec = new(window.Log)
+		}
+		if wres, err = window.Record(ctx, s.spec.windowRequest(), ids, rec); err == nil {
+			s.logs.put(s.key, rec)
+		}
 	}
 	if err != nil {
-		return nil, fmt.Errorf("engine: windowed %s of %s: %w", pass, s.spec.Bench, err)
+		return nil, fmt.Errorf("engine: %s pass of %s: %w", what, s.spec.Bench, err)
 	}
-	if wres.Cycles != s.result.Cycles {
-		return nil, fmt.Errorf("engine: windowed %s of %s simulated %d cycles, session has %d",
-			pass, s.spec.Bench, wres.Cycles, s.result.Cycles)
+	if s.cycles == 0 {
+		s.cycles = wres.Cycles
+		s.insts, s.windows, s.peakBytes = int(wres.Insts), wres.Windows, wres.PeakBytes
+	} else if wres.Cycles != s.cycles {
+		return nil, fmt.Errorf("engine: %s pass of %s ran %d cycles, session has %d",
+			what, s.spec.Bench, wres.Cycles, s.cycles)
 	}
-	if s.met != nil {
-		s.met.windowedRefolds.Add(1)
-		s.met.windowedRefoldLanes.Add(int64(len(ids)))
-		if pass == "replay" {
-			s.met.windowedReplays.Add(1)
+	if m := s.met; m != nil {
+		m.recordBatch(len(ids))
+		m.coldGenNS.Add(wres.Gen)
+		m.coldGenStallNS.Add(wres.GenStall)
+		m.coldSimNS.Add(wres.Sim)
+		m.coldSimStallNS.Add(wres.SimStall)
+		if building {
+			m.windowedBuildLanes.Add(int64(len(ids)))
+		} else {
+			m.windowedRefolds.Add(1)
+			m.windowedRefoldLanes.Add(int64(len(ids)))
+			if what == "replayed" {
+				m.windowedReplays.Add(1)
+			}
 		}
 	}
 	return wres.Times, nil
+}
+
+// slacks simulates the session's stream into a pooled whole graph,
+// walks it for every instruction's slack and releases it: slack needs
+// per-instruction node times over the whole graph, which no session
+// keeps. It is the simulation icostbench's reference runs, and the
+// engine's result cache keeps its answer. Query bounds the stream by
+// maxGraphInsts first.
+func (s *session) slacks(ctx context.Context) ([]int64, error) {
+	sp := s.spec
+	w, err := workload.Cached(sp.Bench, sp.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("engine: generating %s: %w", sp.Bench, err)
+	}
+	// The derived cancel stops the producer goroutine on every error
+	// return below; on success the stream is fully drained and the
+	// producer already gone.
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	st, err := w.ExecuteRecycled(ctx, sp.Warmup+sp.TraceLen, sp.Seed+1, 0)
+	if err != nil {
+		return nil, fmt.Errorf("engine: generating %s: %w", sp.Bench, err)
+	}
+	var tm ooo.StreamTiming
+	res, err := ooo.SimulateStream(ctx, st, sp.machine(), ooo.Options{KeepGraph: true, Warmup: sp.Warmup, Timing: &tm})
+	if err != nil {
+		return nil, fmt.Errorf("engine: simulating %s: %w", sp.Bench, err)
+	}
+	depgraph.ReleaseTimes(res.Times)
+	defer res.Graph.Release()
+	if m := s.met; m != nil {
+		m.coldGenNS.Add(st.GenNS())
+		m.coldGenStallNS.Add(st.StallNS())
+		m.coldSimNS.Add(tm.SimNS)
+		m.coldSimStallNS.Add(tm.WaitNS)
+	}
+	if res.Cycles != s.cycles {
+		return nil, fmt.Errorf("engine: slack simulation of %s ran %d cycles, session has %d", sp.Bench, res.Cycles, s.cycles)
+	}
+	return res.Graph.SlacksCtx(ctx, depgraph.Ideal{})
 }
 
 // sessionStore is an LRU-bounded map of built sessions with
@@ -451,9 +446,9 @@ func (st *sessionStore) drop(key string) {
 }
 
 // evict trims the store to max entries, oldest first, never evicting
-// entries still being built. Returns how many sessions were evicted.
-func (st *sessionStore) evict() int {
-	n := 0
+// entries still being built. Returns the evicted keys.
+func (st *sessionStore) evict() []string {
+	var out []string
 	for st.ll.Len() > st.max {
 		el := st.ll.Back()
 		if el == nil {
@@ -463,34 +458,19 @@ func (st *sessionStore) evict() int {
 		select {
 		case <-e.ready:
 		default:
-			return n // oldest entry still building; stop evicting
+			return out // oldest entry still building; stop evicting
 		}
 		st.ll.Remove(el)
 		delete(st.items, e.key)
-		n++
+		out = append(out, e.key)
 	}
-	return n
+	return out
 }
 
-// drain empties the store and returns every completed session, for
-// Close-time release of their pooled artifacts. Entries still being
-// built (unreachable in practice — drain runs after the workers exit)
-// are discarded without a session.
-func (st *sessionStore) drain() []*session {
-	var out []*session
-	for el := st.ll.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*sessionEntry)
-		select {
-		case <-e.ready:
-			if e.sess != nil {
-				out = append(out, e.sess)
-			}
-		default:
-		}
-	}
+// drain empties the store, at Close.
+func (st *sessionStore) drain() {
 	st.items = map[string]*list.Element{}
 	st.ll.Init()
-	return out
 }
 
 // sessions returns every completed session, most recently used first,

@@ -10,14 +10,12 @@ import (
 	"runtime"
 	"testing"
 	"testing/iotest"
-
-	"icost/internal/ooo"
 )
 
 // Allocation bound for one decode: the payload buffer grows with the
-// bytes that arrive, and a graph instruction costs ~37 bytes resident
-// for at least snapMinInstBytes encoded, so decoding stays within a
-// small multiple of the input plus fixed reader and session overhead.
+// bytes that arrive, and the memo holds at most 256 entries, so
+// decoding stays within a small multiple of the input plus fixed
+// reader and session overhead.
 const (
 	snapAllocPerByte = 16
 	snapAllocConst   = 64 << 10
@@ -25,8 +23,9 @@ const (
 
 // craftedSnapshots returns two hostile ICSS frames: a 14-byte body
 // whose length prefix declares a 1 GiB payload, and a CRC-valid frame
-// whose few dozen payload bytes declare a 16M-instruction graph.
-func craftedSnapshots() (hugeLen, hugeGraph []byte) {
+// whose few dozen payload bytes declare all 256 memo entries and carry
+// none.
+func craftedSnapshots() (hugeLen, hugeMemo []byte) {
 	hugeLen = append([]byte(nil), snapMagic[:]...)
 	hugeLen = append(hugeLen, 0, 0, 0, 0) // checksum, never reached
 	hugeLen = binary.AppendUvarint(hugeLen, maxSnapPayload)
@@ -35,14 +34,10 @@ func craftedSnapshots() (hugeLen, hugeGraph []byte) {
 	bw := bufio.NewWriter(&payload)
 	putSnapString(bw, "gcc")
 	// seed, trace_len, warmup, dl1, window, wakeup, recovery,
-	// window_insts, build ns, cycles
-	for _, v := range []uint64{1, 1 << 24, 1, 2, 64, 0, 8, 0, 0, 0} {
+	// window_insts, build ns, cycles, insts, windows, peak bytes,
+	// entries
+	for _, v := range []uint64{1, 1 << 24, 1, 2, 64, 0, 8, 4096, 0, 1, 1 << 24, 4096, 1 << 20, 256} {
 		putSnapUv(bw, v)
-	}
-	bw.WriteByte(snapKindGraph)
-	putSnapUv(bw, 1<<24)
-	for _, v := range snapCfgFields(ooo.DefaultConfig().Graph) {
-		putSnapUv(bw, uint64(v))
 	}
 	bw.Flush()
 	var frame bytes.Buffer
@@ -65,13 +60,13 @@ func allocBytes(f func()) uint64 {
 // does not carry are rejected as client errors before anything is
 // sized from them.
 func TestReadSnapshotBoundsDeclaredLengths(t *testing.T) {
-	hugeLen, hugeGraph := craftedSnapshots()
+	hugeLen, hugeMemo := craftedSnapshots()
 	for _, tc := range []struct {
 		name string
 		raw  []byte
-	}{{"payload length", hugeLen}, {"instruction count", hugeGraph}} {
+	}{{"payload length", hugeLen}, {"entry count", hugeMemo}} {
 		var err error
-		alloc := allocBytes(func() { _, err = readSnapshot(context.Background(), bytes.NewReader(tc.raw), nil) })
+		alloc := allocBytes(func() { _, err = readSnapshot(context.Background(), bytes.NewReader(tc.raw), nil, nil) })
 		var verr *ValidationError
 		if !errors.As(err, &verr) {
 			t.Fatalf("%s (%d bytes): err %v, want a *ValidationError", tc.name, len(tc.raw), err)
@@ -89,7 +84,7 @@ func TestReadSnapshotReaderFailure(t *testing.T) {
 	hugeLen, _ := craftedSnapshots()
 	errDrop := errors.New("connection dropped")
 	r := io.MultiReader(bytes.NewReader(hugeLen[:7]), iotest.ErrReader(errDrop))
-	_, err := readSnapshot(context.Background(), r, nil)
+	_, err := readSnapshot(context.Background(), r, nil, nil)
 	var verr *ValidationError
 	if !errors.Is(err, errDrop) || errors.As(err, &verr) {
 		t.Fatalf("got %v, want the reader's own error", err)
@@ -115,30 +110,34 @@ func FuzzReadSnapshot(f *testing.F) {
 	ctx := context.Background()
 	e := New(Config{Workers: 1})
 	f.Cleanup(e.Close)
-	for _, spec := range []SessionSpec{
-		{Bench: "gzip", Seed: 3, TraceLen: 300, Warmup: 200},
-		{Bench: "gzip", Seed: 3, TraceLen: 300, Warmup: 200, WindowInsts: 128},
+	// Seeds: two sessions' frames and bare payloads (a base-only build
+	// in default blocks, and one whose breakdown filled 16 entries in
+	// 128-instruction blocks); a machine outside the carry argument; a
+	// version-3 frame; and the two hostile frames with one's payload.
+	for _, q := range []Query{
+		{Session: SessionSpec{Bench: "gzip", Seed: 3, TraceLen: 300, Warmup: 200}, Op: OpExecTime},
+		{Session: SessionSpec{Bench: "gzip", Seed: 3, TraceLen: 300, Warmup: 200, WindowInsts: 128}, Op: OpBreakdown},
+		{Session: SessionSpec{Bench: "mcf", Seed: 4, TraceLen: 300, Warmup: 200, WakeupExtra: 100}, Op: OpExecTime},
 	} {
-		key, err := e.Warm(ctx, spec)
+		resp, err := e.Query(ctx, q)
 		if err != nil {
 			f.Fatal(err)
 		}
 		var snap bytes.Buffer
-		if err := e.SnapshotSession(ctx, key, &snap); err != nil {
+		if err := e.SnapshotSession(ctx, resp.SessionKey, &snap); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(snap.Bytes())
-		f.Add(snapPayload(snap.Bytes()))
-		if spec.WindowInsts > 0 {
-			v2 := denseV2Frame(e.sessionByKey(key), denseTable(f, spec))
-			f.Add(v2)
-			f.Add(snapPayload(v2))
+		if q.Session.WakeupExtra == 0 {
+			f.Add(snapPayload(snap.Bytes()))
+		} else {
+			f.Add(v3Frame(e.sessionByKey(resp.SessionKey)))
 		}
 	}
-	hugeLen, hugeGraph := craftedSnapshots()
+	hugeLen, hugeMemo := craftedSnapshots()
 	f.Add(hugeLen)
-	f.Add(hugeGraph)
-	f.Add(snapPayload(hugeGraph))
+	f.Add(hugeMemo)
+	f.Add(snapPayload(hugeMemo))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var framed bytes.Buffer
 		if err := writeSnapFrame(&framed, data); err != nil {
@@ -146,7 +145,7 @@ func FuzzReadSnapshot(f *testing.F) {
 		}
 		for _, in := range [][]byte{data, framed.Bytes()} {
 			var err error
-			alloc := allocBytes(func() { _, err = readSnapshot(ctx, bytes.NewReader(in), nil) })
+			alloc := allocBytes(func() { _, err = readSnapshot(ctx, bytes.NewReader(in), nil, nil) })
 			if limit := snapAllocPerByte*uint64(len(in)) + snapAllocConst; alloc > limit {
 				t.Fatalf("decoding %d bytes allocated %d, limit %d", len(in), alloc, limit)
 			}

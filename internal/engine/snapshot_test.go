@@ -8,6 +8,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"icost/internal/faultinject"
@@ -366,9 +367,11 @@ func TestChaosSnapshotFaults(t *testing.T) {
 
 // TestSpecBounds: normalize accepts exactly the specs the snapshot
 // decoder restores. trace_len, warmup, window_insts and the stream
-// warmup + trace_len stop at 1<<31 instructions and a whole-graph
-// trace_len at 1<<24, each refused as a *ValidationError before any
-// build; window resolves to at most the stream's length.
+// warmup + trace_len stop at 1<<31 instructions, and the trace_len of
+// a machine whose passes hold the whole stream (the "whole graph"
+// cases: wakeup_extra 100 voids the carry argument) at 1<<24, each
+// refused as a *ValidationError before any build; window resolves to
+// at most the stream's length.
 func TestSpecBounds(t *testing.T) {
 	const maxInt = int(^uint(0) >> 1)
 	base := SessionSpec{Bench: "mcf", Warmup: 1000}
@@ -382,6 +385,7 @@ func TestSpecBounds(t *testing.T) {
 		{"whole graph at 1<<24", 1 << 24, 1000, 0, 0, true, 64},
 		{"whole graph past 1<<24", 1<<24 + 1, 1000, 0, 0, false, 0},
 		{"whole graph at 1<<40", 1 << 40, 1000, 0, 0, false, 0},
+		{"default blocks past 1<<24", 1<<24 + 1, 1000, 0, 0, true, 64},
 		{"windowed stream at 1<<31", 1<<31 - 1000, 1000, 4096, 0, true, 64},
 		{"windowed stream past 1<<31", 1<<31 - 999, 1000, 4096, 0, false, 0},
 		{"windowed trace_len past 1<<31", 1<<31 + 1, 1000, 4096, 0, false, 0},
@@ -398,6 +402,9 @@ func TestSpecBounds(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			sp := base
 			sp.TraceLen, sp.Warmup, sp.WindowInsts, sp.Window = tc.traceLen, tc.warmup, tc.winInst, tc.window
+			if strings.HasPrefix(tc.name, "whole graph") {
+				sp.WakeupExtra = 100
+			}
 			got, err := sp.normalize()
 			if !tc.ok {
 				var ve *ValidationError
@@ -420,8 +427,10 @@ func TestSpecBounds(t *testing.T) {
 // stop at 1<<10 cycles, in normalize and in the snapshot decoder alike.
 // A query past the bound is a *ValidationError before admission, so no
 // session is built — at 1<<29 a build would grow the simulator's
-// functional-unit ring past the host's memory — and whole-graph and
-// windowed sessions at the bound answer, and snapshot and restore.
+// functional-unit ring past the host's memory — and
+// sessions at the bound, in default and 512-instruction blocks (the
+// first at wakeup_extra 1<<10, whose passes hold the whole stream),
+// answer, and snapshot and restore.
 func TestSpecLatencyBounds(t *testing.T) {
 	base := SessionSpec{Bench: "mcf", TraceLen: 2000, Warmup: 1000}
 	set := map[string]func(*SessionSpec, int){
@@ -497,16 +506,17 @@ func TestSpecLatencyBounds(t *testing.T) {
 	s := e.sessionByKey(key)
 	past := *s
 	past.spec.DL1Latency = 1<<10 + 1
-	p := binary.AppendUvarint(windowedPayload(&past), 1)
-	p = binary.AppendUvarint(binary.AppendUvarint(p, 0), uint64(s.result.Cycles))
-	if _, err := e.RestoreSession(ctx, bytes.NewReader(snapFrame(snapVersion3, p))); !errors.As(err, &ve) {
+	p := binary.AppendUvarint(sessionPayload(&past), 1)
+	p = binary.AppendUvarint(binary.AppendUvarint(p, 0), uint64(s.cycles))
+	if _, err := e.RestoreSession(ctx, bytes.NewReader(snapFrame(snapVersion4, p))); !errors.As(err, &ve) {
 		t.Fatalf("snapshot with dl1_latency past the bound: got %v, want a *ValidationError", err)
 	}
 }
 
 // TestHugeWindowSnapshotRoundTrip: a session asked for with window
-// 1<<40, whole-graph and windowed, snapshots, restores into a second
-// engine and answers byte-identically there, with no build.
+// 1<<40, in default and 512-instruction blocks, snapshots, restores
+// into a second engine and answers byte-identically there, with no
+// build.
 func TestHugeWindowSnapshotRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	for _, windowInsts := range []int{0, 512} {

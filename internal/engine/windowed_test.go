@@ -8,17 +8,17 @@ import (
 	"errors"
 	"hash/crc32"
 	"math"
-	"runtime"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
-	"icost/internal/depgraph"
 	"icost/internal/faultinject"
 	"icost/internal/window"
 )
 
-// windowedQueryMix is the query surface a windowed session answers:
-// everything but slack (which needs a resident graph).
+// windowedQueryMix is the whole query surface: every op but
+// sensitivity, which sensitivity_test.go covers.
 func windowedQueryMix(spec SessionSpec) []Query {
 	return []Query{
 		{Session: spec, Op: OpCost, Cats: []string{"dl1"}},
@@ -29,20 +29,20 @@ func windowedQueryMix(spec SessionSpec) []Query {
 		{Session: spec, Op: OpBreakdown},
 		{Session: spec, Op: OpFull, Cats: []string{"dl1", "win", "bw"}},
 		{Session: spec, Op: OpMatrix, Cats: []string{"dl1", "dmiss", "win"}},
+		{Session: spec, Op: OpSlack},
 	}
 }
 
 // answerOnly renders just the analysis payload of a response —
-// stripping session identity, serving provenance, and the windowed
-// shape fields — so windowed and whole-graph sessions for the same
-// machine can be compared answer-for-answer.
-func answerOnly(t *testing.T, resp *Response) []byte {
+// stripping session identity, serving provenance and the build pass's
+// shape — so an engine answer compares with the library's
+// (reference.answer).
+func answerOnly(t testing.TB, resp *Response) []byte {
 	t.Helper()
 	cp := *resp
 	cp.SessionKey = ""
 	cp.Elapsed = 0
 	cp.Cached = false
-	cp.Windowed = false
 	cp.Windows = 0
 	cp.PeakBytes = 0
 	raw, err := json.Marshal(&cp)
@@ -52,61 +52,50 @@ func answerOnly(t *testing.T, resp *Response) []byte {
 	return raw
 }
 
-// TestWindowedSessionMatchesWholeGraph: a session built through the
-// bounded-memory windowed pipeline answers the whole query surface
-// identically to the resident-graph session for the same machine and
-// trace — the engine-level restatement of the windowed-exactness
-// property.
+// sameAsLibrary fails unless resp answers q as the library does.
+func sameAsLibrary(t testing.TB, ref *reference, q Query, resp *Response) {
+	t.Helper()
+	if g, w := answerOnly(t, resp), ref.answer(t, q); !bytes.Equal(g, w) {
+		t.Fatalf("%s %v diverged from the library:\n  library: %s\n  engine:  %s", q.Op, q.Cats, w, g)
+	}
+}
+
+// TestWindowedSessionMatchesWholeGraph: a session streamed in blocks
+// answers the whole query surface, slack included, identically to the
+// library's whole-graph walk — the engine-level restatement of the
+// windowed-exactness property — and reports its build's block count
+// and peak bytes.
 func TestWindowedSessionMatchesWholeGraph(t *testing.T) {
 	ctx := context.Background()
 	e := New(Config{Workers: 2, MaxSessions: 4})
 	defer e.Close()
 
-	whole := SessionSpec{Bench: "gcc", Seed: 11, TraceLen: 5000, Warmup: 1000}
-	windowed := whole
-	windowed.WindowInsts = 777 // deliberately not dividing TraceLen
-
-	for i, wq := range windowedQueryMix(whole) {
-		want, err := e.Query(ctx, wq)
+	spec := SessionSpec{Bench: "gcc", Seed: 11, TraceLen: 5000, Warmup: 1000, WindowInsts: 777} // 777 does not divide 5000
+	ref := newReference(t, spec)
+	for _, q := range windowedQueryMix(spec) {
+		got, err := e.Query(ctx, q)
 		if err != nil {
-			t.Fatalf("whole-graph %s: %v", wq.Op, err)
+			t.Fatalf("%s: %v", q.Op, err)
 		}
-		qq := windowedQueryMix(windowed)[i]
-		got, err := e.Query(ctx, qq)
-		if err != nil {
-			t.Fatalf("windowed %s: %v", qq.Op, err)
-		}
-		if !got.Windowed {
-			t.Fatalf("%s: windowed session response not marked windowed", qq.Op)
-		}
-		if wantW := (whole.TraceLen + windowed.WindowInsts - 1) / windowed.WindowInsts; got.Windows != wantW {
-			t.Fatalf("%s: %d windows, want %d", qq.Op, got.Windows, wantW)
+		if wantW := (spec.TraceLen + spec.WindowInsts - 1) / spec.WindowInsts; got.Windows != wantW {
+			t.Fatalf("%s: %d windows, want %d", q.Op, got.Windows, wantW)
 		}
 		if got.PeakBytes <= 0 {
-			t.Fatalf("%s: peak bytes %d", qq.Op, got.PeakBytes)
+			t.Fatalf("%s: peak bytes %d", q.Op, got.PeakBytes)
 		}
-		if g, w := answerOnly(t, got), answerOnly(t, want); !bytes.Equal(g, w) {
-			t.Fatalf("%s diverged:\n  whole:    %s\n  windowed: %s", wq.Op, w, g)
-		}
+		sameAsLibrary(t, ref, q, got)
 	}
 	if m := e.Metrics(); m.WindowedBuildsTotal != 1 {
 		t.Fatalf("windowed builds %d, want 1", m.WindowedBuildsTotal)
 	}
-
-	// Slack needs a resident graph; a windowed session must reject it
-	// as a validation error, not panic on its nil graph.
-	_, err := e.Query(ctx, Query{Session: windowed, Op: OpSlack})
-	var ve *ValidationError
-	if !errors.As(err, &ve) {
-		t.Fatalf("slack on windowed session: got %v, want validation error", err)
-	}
-	if _, err := e.Query(ctx, Query{Session: whole, Op: OpSlack}); err != nil {
-		t.Fatalf("slack on whole-graph session: %v", err)
-	}
 }
 
 // TestWindowedSpecValidation pins the spec-level contract for
-// window_insts.
+// window_insts: a negative one is refused; 0 resolves to the default
+// 4096-instruction block, one session with the explicit 4096, and
+// another block size is another session. A machine whose wakeup_extra
+// voids the carry argument answers every op, slack included, exactly —
+// its passes hold the whole stream.
 func TestWindowedSpecValidation(t *testing.T) {
 	e := New(Config{Workers: 1})
 	defer e.Close()
@@ -117,42 +106,70 @@ func TestWindowedSpecValidation(t *testing.T) {
 	if _, err := e.Warm(ctx, bad); !errors.As(err, &ve) {
 		t.Fatalf("negative window_insts: got %v", err)
 	}
-	// WakeupExtra beyond the windowed-exactness precondition is legal
-	// for whole-graph sessions but must be rejected when windowed.
-	edge := SessionSpec{Bench: "gcc", TraceLen: 500, WakeupExtra: 100}
-	if _, err := e.Warm(ctx, edge); err != nil {
-		t.Fatalf("whole-graph wakeup_extra=100: %v", err)
+	for _, windowInsts := range []int{0, 64} {
+		edge := SessionSpec{Bench: "gcc", TraceLen: 500, WakeupExtra: 100, WindowInsts: windowInsts}
+		ref := newReference(t, edge)
+		for _, q := range []Query{{Op: OpBreakdown}, {Op: OpSlack}, {Op: OpSensitivity, Cats: []string{"dl1"}}} {
+			q.Session = edge
+			resp, err := e.Query(ctx, q)
+			if err != nil {
+				t.Fatalf("wakeup_extra 100, window_insts %d, %s: %v", windowInsts, q.Op, err)
+			}
+			sameAsLibrary(t, ref, q, resp)
+		}
 	}
-	edge.WindowInsts = 64
-	if _, err := e.Warm(ctx, edge); !errors.As(err, &ve) {
-		t.Fatalf("windowed wakeup_extra=100: got %v", err)
-	}
-	// Slack needs a resident graph: refused on a windowed spec before
-	// admission, so no build runs.
-	if _, err := e.Query(ctx, Query{Session: SessionSpec{Bench: "gcc", TraceLen: 500, WindowInsts: 64}, Op: OpSlack}); !errors.As(err, &ve) {
-		t.Fatalf("slack on a windowed spec: got %v", err)
-	}
-	if m := e.Metrics(); m.WindowedBuildsTotal != 0 {
-		t.Fatalf("rejected windowed queries ran %d windowed builds", m.WindowedBuildsTotal)
-	}
-	// window_insts is part of session identity.
 	a := SessionSpec{Bench: "gcc", TraceLen: 500}
-	b := a
-	b.WindowInsts = 128
+	b, c := a, a
+	b.WindowInsts, c.WindowInsts = defaultWindowInsts, 128
 	ka, _ := a.Key()
 	kb, _ := b.Key()
-	if ka == kb {
-		t.Fatal("window_insts not in session key")
+	kc, _ := c.Key()
+	if ka != kb || ka == kc {
+		t.Fatalf("keys: default %s, 4096 %s, 128 %s; want the first two equal, the third apart", ka, kb, kc)
+	}
+}
+
+// TestFoldBudgetSplitsPasses: a batch whose rings would pass
+// foldBudget folds over several passes, each within it, and still
+// answers exactly. At wakeup_extra 100 a pass holds a ring row per
+// instruction, so a full breakdown's 256 lanes over 30k instructions
+// (184 MB of rings in one pass) split; the default machine's stay one
+// pass.
+func TestFoldBudgetSplitsPasses(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		spec   SessionSpec
+		passes int64
+	}{
+		{SessionSpec{Bench: "gcc", Seed: 5, TraceLen: 30000, Warmup: 1000}, 1},
+		{SessionSpec{Bench: "gcc", Seed: 5, TraceLen: 30000, Warmup: 1000, WakeupExtra: 100}, 12},
+	} {
+		spec, _ := tc.spec.normalize()
+		per, cfg := spec.lanesPerPass(), spec.machine().Graph
+		if ring := int64(per+1) * 24 * int64(cfg.FoldRows(spec.TraceLen)); ring > foldBudget {
+			t.Fatalf("wakeup_extra %d: %d lanes a pass hold %d bytes of rings, budget %d", spec.WakeupExtra, per, ring, foldBudget)
+		}
+		e := New(Config{Workers: 2})
+		q := Query{Session: spec, Op: OpFull}
+		resp, err := e.Query(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m := e.Metrics(); m.BatchesTotal != tc.passes || m.BatchLanesTotal != 256 {
+			t.Fatalf("wakeup_extra %d: %d passes over %d lanes, want %d over 256", spec.WakeupExtra, m.BatchesTotal, m.BatchLanesTotal, tc.passes)
+		}
+		e.Close()
+		sameAsLibrary(t, newReference(t, spec), q, resp)
 	}
 }
 
 // TestHugeWindowResolvesToStream: a request's window is capped at the
 // stream's length, warmup included, which changes no answer — a window
 // that long never fills — and keeps a huge window from sizing rings or
-// overflowing Window × WindowIdealFactor. Whole-graph and windowed
-// sessions at windows up to MaxInt64 answer a matrix exactly as at
-// 1<<20, and a windowed session holds no more than at the stream's
-// length.
+// overflowing Window × WindowIdealFactor. Sessions at windows up to
+// MaxInt64, in default and 512-instruction blocks, answer a matrix
+// exactly as the library does at 1<<20, and hold no more than at the
+// stream's length.
 func TestHugeWindowResolvesToStream(t *testing.T) {
 	ctx := context.Background()
 	e := New(Config{Workers: 2, MaxSessions: 16})
@@ -168,25 +185,28 @@ func TestHugeWindowResolvesToStream(t *testing.T) {
 		}
 		return resp
 	}
-	want := answerOnly(t, query(1<<20, 0))
-	stream := query(spec.Warmup+spec.TraceLen, 512)
-	for _, window := range []int{1 << 16, 1 << 40, 1 << 62, math.MaxInt64} {
-		for _, windowInsts := range []int{0, 512} {
+	ref := newReference(t, SessionSpec{Bench: "gcc", Seed: 4, TraceLen: 2000, Warmup: 1000, Window: 1 << 20})
+	want := ref.answer(t, Query{Op: OpMatrix})
+	for _, windowInsts := range []int{0, 512} {
+		stream := query(spec.Warmup+spec.TraceLen, windowInsts)
+		for _, window := range []int{1 << 16, 1 << 40, 1 << 62, math.MaxInt64} {
 			resp := query(window, windowInsts)
 			if got := answerOnly(t, resp); !bytes.Equal(got, want) {
-				t.Fatalf("window %d, window_insts %d: matrix diverged from window 1<<20:\n  want %s\n  got  %s",
+				t.Fatalf("window %d, window_insts %d: matrix diverged from the library at window 1<<20:\n  want %s\n  got  %s",
 					window, windowInsts, want, got)
 			}
 			if resp.PeakBytes > stream.PeakBytes {
-				t.Fatalf("window %d: peak bytes %d, %d at the stream's length", window, resp.PeakBytes, stream.PeakBytes)
+				t.Fatalf("window %d, window_insts %d: peak bytes %d, %d at the stream's length",
+					window, windowInsts, resp.PeakBytes, stream.PeakBytes)
 			}
 		}
 	}
 }
 
-// TestWindowedSnapshotRoundTrip: a windowed session snapshots to the
-// kind-1 payload, restores answering the full windowed query surface
-// byte-identically, and re-snapshots bit-for-bit.
+// TestWindowedSnapshotRoundTrip: a session in 512-instruction blocks
+// snapshots, restores answering the full query surface byte-identically
+// (its slack simulating in the restored engine), and re-snapshots
+// bit-for-bit.
 func TestWindowedSnapshotRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	spec := SessionSpec{Bench: "vpr", Seed: 5, TraceLen: 4000, Warmup: 500, WindowInsts: 512}
@@ -238,96 +258,29 @@ func TestWindowedSnapshotRoundTrip(t *testing.T) {
 	if !bytes.Equal(snap.Bytes(), snap2.Bytes()) {
 		t.Fatalf("re-snapshot differs (%d vs %d bytes)", snap.Len(), snap2.Len())
 	}
-	// Slack stays rejected after restore.
-	var ve *ValidationError
-	if _, err := e2.Query(ctx, Query{Session: spec, Op: OpSlack}); !errors.As(err, &ve) {
-		t.Fatalf("slack on restored windowed session: got %v", err)
-	}
 }
 
-// TestSnapshotRestoresCSRByteEqual: restoring a whole-graph snapshot
-// reproduces the flat CSR record columns byte for byte — the graph a
-// restored session answers from is the graph that was simulated, not
-// a merely equivalent one.
-func TestSnapshotRestoresCSRByteEqual(t *testing.T) {
-	ctx := context.Background()
-	spec := SessionSpec{Bench: "mcf", Seed: 13, TraceLen: 3000, Warmup: 300}
-
-	e1 := New(Config{Workers: 1})
-	key, err := e1.Warm(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig := e1.sessionByKey(key)
-	if orig == nil || orig.result.Graph == nil {
-		t.Fatal("built session has no graph")
-	}
-	var snap bytes.Buffer
-	if err := e1.SnapshotSession(ctx, key, &snap); err != nil {
-		t.Fatal(err)
-	}
-
-	e2 := New(Config{Workers: 1})
-	defer e2.Close()
-	if _, err := e2.RestoreSession(ctx, bytes.NewReader(snap.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	rest := e2.sessionByKey(key)
-	if rest == nil || rest.result.Graph == nil {
-		t.Fatal("restored session has no graph")
-	}
-	g1, g2 := orig.result.Graph, rest.result.Graph
-	if g1.Len() != g2.Len() {
-		t.Fatalf("lengths differ: %d vs %d", g1.Len(), g2.Len())
-	}
-	n := g1.Len()
-	if !bytes.Equal(g1.DDBreak[:n], g2.DDBreak[:n]) {
-		t.Fatal("DDBreak columns differ")
-	}
-	for i := 0; i < n; i++ {
-		if g1.Info[i] != g2.Info[i] {
-			t.Fatalf("Info[%d]: %+v vs %+v", i, g1.Info[i], g2.Info[i])
-		}
-		if g1.RELat[i] != g2.RELat[i] || g1.CCLat[i] != g2.CCLat[i] ||
-			g1.Prod1[i] != g2.Prod1[i] || g1.Prod2[i] != g2.Prod2[i] ||
-			g1.PPLeader[i] != g2.PPLeader[i] {
-			t.Fatalf("record %d differs: (%d,%d,%d,%d,%d) vs (%d,%d,%d,%d,%d)", i,
-				g1.RELat[i], g1.CCLat[i], g1.Prod1[i], g1.Prod2[i], g1.PPLeader[i],
-				g2.RELat[i], g2.CCLat[i], g2.Prod1[i], g2.Prod2[i], g2.PPLeader[i])
-		}
-	}
-	e1.Close() // after comparison: Close releases pooled graph storage
-}
-
-// TestWindowedRefolds pins which idealizations a windowed session
-// folds, and when. A fresh session's build folds the base and exactly
-// what its first query reads, so that query — whatever its op — runs
-// no re-fold and answers byte-identically to the whole-graph session.
-// After a base-only Warm, a query needing anything else re-folds the
-// stream once for all of its misses, two concurrent queries missing the
-// same subset share one re-fold, and a sensitivity query re-folds only
-// the grid points the memo lacks.
+// TestWindowedRefolds pins which idealizations a session folds, and
+// when. A fresh session's build folds the base and exactly what its
+// first query reads, so that query — whatever its op — runs no re-fold
+// and answers byte-identically to the library. After a base-only Warm,
+// a query needing anything else re-folds the stream once for all of
+// its misses, two concurrent queries missing the same subset share one
+// re-fold, and a sensitivity query re-folds only the grid points the
+// memo lacks. Every pass, the build's included, counts as one batch.
 func TestWindowedRefolds(t *testing.T) {
 	ctx := context.Background()
-	whole := SessionSpec{Bench: "mcf", Seed: 3, TraceLen: 3000, Warmup: 500}
-	windowed := whole
-	windowed.WindowInsts = 512
+	windowed := SessionSpec{Bench: "mcf", Seed: 3, TraceLen: 3000, Warmup: 500, WindowInsts: 512}
+	ref := newReference(t, windowed)
 
 	same := func(e *Engine, q Query) {
 		t.Helper()
 		q.Session = windowed
 		got, err := e.Query(ctx, q)
 		if err != nil {
-			t.Fatalf("windowed %s %v: %v", q.Op, q.Cats, err)
+			t.Fatalf("%s %v: %v", q.Op, q.Cats, err)
 		}
-		q.Session = whole
-		want, err := e.Query(ctx, q)
-		if err != nil {
-			t.Fatalf("whole-graph %s %v: %v", q.Op, q.Cats, err)
-		}
-		if g, w := answerOnly(t, got), answerOnly(t, want); !bytes.Equal(g, w) {
-			t.Fatalf("%s %v diverged:\n  whole:    %s\n  windowed: %s", q.Op, q.Cats, w, g)
-		}
+		sameAsLibrary(t, ref, q, got)
 	}
 	refolds := func(e *Engine) (int64, int64) {
 		m := e.Metrics()
@@ -359,6 +312,10 @@ func TestWindowedRefolds(t *testing.T) {
 		if m.WindowedBuildsTotal != 1 || m.WindowedBuildLanesTotal != tc.lanes {
 			t.Fatalf("%s %v: %d builds over %d lanes, want 1 over %d",
 				tc.q.Op, tc.q.Cats, m.WindowedBuildsTotal, m.WindowedBuildLanesTotal, tc.lanes)
+		}
+		if m.BatchesTotal != 1 || m.BatchLanesTotal != tc.lanes {
+			t.Fatalf("%s %v: %d batches over %d lanes, want the build's 1 over %d",
+				tc.q.Op, tc.q.Cats, m.BatchesTotal, m.BatchLanesTotal, tc.lanes)
 		}
 		if n, lanes := refolds(e); n != 0 || lanes != 0 {
 			t.Fatalf("%s %v: first query ran %d re-folds over %d lanes, want none", tc.q.Op, tc.q.Cats, n, lanes)
@@ -398,8 +355,8 @@ func TestWindowedRefolds(t *testing.T) {
 
 	// A full breakdown over three categories misses every subset but the
 	// base and the two singles the curves folded: one re-fold of five
-	// lanes. A re-fold is not a graph walk: the batch counters stay put.
-	batches := e.Metrics().BatchesTotal
+	// lanes, and one more batch of five lanes.
+	before := e.Metrics()
 	full := Query{Session: windowed, Op: OpFull, Cats: []string{"dl1", "win", "bw"}}
 	if _, err := e.Query(ctx, full); err != nil {
 		t.Fatal(err)
@@ -407,8 +364,9 @@ func TestWindowedRefolds(t *testing.T) {
 	if n, lanes := refolds(e); n != 3 || lanes != 15 {
 		t.Fatalf("full over three categories: %d re-folds over %d lanes in all, want 3 over 15", n, lanes)
 	}
-	if got := e.Metrics().BatchesTotal; got != batches {
-		t.Fatalf("a windowed re-fold fed the graph batch counter: %d -> %d", batches, got)
+	if m := e.Metrics(); m.BatchesTotal != before.BatchesTotal+1 || m.BatchLanesTotal != before.BatchLanesTotal+5 {
+		t.Fatalf("the re-fold counted %d batches over %d lanes, want 1 over 5",
+			m.BatchesTotal-before.BatchesTotal, m.BatchLanesTotal-before.BatchLanesTotal)
 	}
 	same(e, full)
 
@@ -452,25 +410,6 @@ func TestWindowedRefolds(t *testing.T) {
 	}
 }
 
-// denseTable folds every one of the 256 idealization subsets of a
-// windowed spec in one pass, index == flags.
-func denseTable(t testing.TB, spec SessionSpec) []int64 {
-	t.Helper()
-	spec, err := spec.normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := make([]depgraph.Flags, 1<<depgraph.NumFlags)
-	for i := range all {
-		all[i] = depgraph.Flags(i)
-	}
-	wres, err := window.Analyze(context.Background(), spec.windowRequest(), all)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return wres.Times
-}
-
 // snapFrame frames a payload under an explicit codec version.
 func snapFrame(version byte, payload []byte) []byte {
 	frame := []byte{'I', 'C', 'S', 'S', version}
@@ -479,82 +418,89 @@ func snapFrame(version byte, payload []byte) []byte {
 	return append(frame, payload...)
 }
 
-// windowedPayload hand-encodes a windowed session's payload up to and
-// including its run shape; the caller appends the body's entries.
-func windowedPayload(s *session) []byte {
+// sessionPayload hand-encodes a session's version-4 payload up to and
+// including its run shape; the caller appends the memo entries.
+func sessionPayload(s *session) []byte {
 	sp := s.spec
 	p := binary.AppendUvarint(nil, uint64(len(sp.Bench)))
 	p = append(p, sp.Bench...)
 	for _, v := range []uint64{sp.Seed, uint64(sp.TraceLen), uint64(sp.Warmup), uint64(sp.DL1Latency),
 		uint64(sp.Window), uint64(sp.WakeupExtra), uint64(sp.BranchRecovery), uint64(sp.WindowInsts),
-		uint64(s.built), uint64(s.result.Cycles)} {
-		p = binary.AppendUvarint(p, v)
-	}
-	p = append(p, snapKindWindowed)
-	for _, v := range []uint64{uint64(s.insts), uint64(s.windows), uint64(s.peakBytes)} {
+		uint64(s.built), uint64(s.cycles), uint64(s.insts), uint64(s.windows), uint64(s.peakBytes)} {
 		p = binary.AppendUvarint(p, v)
 	}
 	return p
 }
 
-// denseV2Frame hand-encodes s as a version-2 snapshot, whose windowed
-// body is the dense table of all 256 subset times.
-func denseV2Frame(s *session, table []int64) []byte {
-	p := binary.AppendUvarint(windowedPayload(s), uint64(len(table)))
-	for _, t := range table {
-		p = binary.AppendUvarint(p, uint64(t))
+// v3Frame hand-encodes s as a version-3 snapshot: the payload of
+// version 4 with the windowed kind byte (1) before the run shape.
+func v3Frame(s *session) []byte {
+	sp := s.spec
+	p := binary.AppendUvarint(nil, uint64(len(sp.Bench)))
+	p = append(p, sp.Bench...)
+	for _, v := range []uint64{sp.Seed, uint64(sp.TraceLen), uint64(sp.Warmup), uint64(sp.DL1Latency),
+		uint64(sp.Window), uint64(sp.WakeupExtra), uint64(sp.BranchRecovery), uint64(sp.WindowInsts),
+		uint64(s.built), uint64(s.cycles)} {
+		p = binary.AppendUvarint(p, v)
 	}
-	return snapFrame(snapVersion2, p)
+	p = append(p, 1)
+	for _, v := range []uint64{uint64(s.insts), uint64(s.windows), uint64(s.peakBytes), 1, 0, uint64(s.cycles)} {
+		p = binary.AppendUvarint(p, v)
+	}
+	return snapFrame(3, p)
 }
 
-// TestWindowedSnapshotVersion2Restores: a version-2 snapshot, whose
-// windowed body is the dense 256-entry table, still restores and
-// answers the windowed query surface exactly as the built session
-// does — with no re-fold, since every subset arrives folded.
-func TestWindowedSnapshotVersion2Restores(t *testing.T) {
+// TestOldSnapshotVersionsRefused: frames of versions 1-3, whose
+// readers went with the whole-graph session kind, are a
+// *SnapshotVersionError (a 426 to the router), and the snapshot
+// directory counts them as load errors; the session then builds on
+// demand and answers as the library does.
+func TestOldSnapshotVersionsRefused(t *testing.T) {
 	ctx := context.Background()
 	spec := SessionSpec{Bench: "gzip", Seed: 3, TraceLen: 3000, Warmup: 500, WindowInsts: 512}
 	e1 := New(Config{Workers: 1})
-	defer e1.Close()
 	key, err := e1.Warm(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2 := denseV2Frame(e1.sessionByKey(key), denseTable(t, spec))
+	v3 := v3Frame(e1.sessionByKey(key))
+	e1.Close()
 
 	e2 := New(Config{Workers: 1})
 	defer e2.Close()
-	if got, err := e2.RestoreSession(ctx, bytes.NewReader(v2)); err != nil || got != key {
-		t.Fatalf("restoring a version-2 snapshot: key %s, err %v", got, err)
-	}
-	mix := append(windowedQueryMix(spec), Query{Session: spec, Op: OpFull})
-	for _, q := range mix {
-		want, err := e1.Query(ctx, q)
-		if err != nil {
-			t.Fatalf("built %s: %v", q.Op, err)
-		}
-		got, err := e2.Query(ctx, q)
-		if err != nil {
-			t.Fatalf("restored %s: %v", q.Op, err)
-		}
-		if g, w := canonicalResponse(t, got), canonicalResponse(t, want); !bytes.Equal(g, w) {
-			t.Fatalf("%s diverged after a version-2 restore:\n  built:    %s\n  restored: %s", q.Op, w, g)
+	for _, version := range []byte{1, 2, 3} {
+		frame := append([]byte(nil), v3...)
+		frame[4] = version
+		var ver *SnapshotVersionError
+		if _, err := e2.RestoreSession(ctx, bytes.NewReader(frame)); !errors.As(err, &ver) || ver.Version != version {
+			t.Fatalf("version %d frame: got %v, want a *SnapshotVersionError", version, err)
 		}
 	}
-	if m := e2.Metrics(); m.WindowedRefoldsTotal != 0 || m.WindowedBuildsTotal != 0 {
-		t.Fatalf("version-2 restore re-folded %d times, built %d times", m.WindowedRefoldsTotal, m.WindowedBuildsTotal)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, key+".icss"), v3, 0o644); err != nil {
+		t.Fatal(err)
 	}
+	if n, err := e2.LoadSnapshots(ctx, dir); n != 0 || err != nil {
+		t.Fatalf("loading a version-3 file: %d loaded, %v", n, err)
+	}
+	if m := e2.Metrics(); m.SnapshotLoadErrorsTotal != 1 || m.SessionsLive != 0 {
+		t.Fatalf("version-3 file: %d load errors, %d live sessions; want 1 and 0", m.SnapshotLoadErrorsTotal, m.SessionsLive)
+	}
+	q := Query{Session: spec, Op: OpBreakdown}
+	resp, err := e2.Query(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameAsLibrary(t, newReference(t, spec), q, resp)
 }
 
-// TestWindowedSnapshotRefoldsAfterRestore: a restored version-3
-// session carries only the subsets folded before the snapshot; a query
-// outside them re-folds the stream, and the answer matches the
-// whole-graph session's byte for byte.
+// TestWindowedSnapshotRefoldsAfterRestore: a restored session carries
+// only the subsets folded before the snapshot, and no block log. Its
+// first miss simulates and records one; its second replays it; both
+// answer as the library does.
 func TestWindowedSnapshotRefoldsAfterRestore(t *testing.T) {
 	ctx := context.Background()
-	whole := SessionSpec{Bench: "parser", Seed: 9, TraceLen: 3000, Warmup: 500}
-	spec := whole
-	spec.WindowInsts = 400
+	spec := SessionSpec{Bench: "parser", Seed: 9, TraceLen: 3000, Warmup: 500, WindowInsts: 400}
 	e1 := New(Config{Workers: 1})
 	key, err := e1.Warm(ctx, spec)
 	if err != nil {
@@ -565,8 +511,8 @@ func TestWindowedSnapshotRefoldsAfterRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	e1.Close()
-	if v := snap.Bytes()[4]; v != snapVersion3 {
-		t.Fatalf("snapshot stamped version %d, want %d", v, snapVersion3)
+	if v := snap.Bytes()[4]; v != snapVersion4 {
+		t.Fatalf("snapshot stamped version %d, want %d", v, snapVersion4)
 	}
 
 	e2 := New(Config{Workers: 1})
@@ -574,28 +520,31 @@ func TestWindowedSnapshotRefoldsAfterRestore(t *testing.T) {
 	if _, err := e2.RestoreSession(ctx, bytes.NewReader(snap.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	q := Query{Session: spec, Op: OpExecTime, Cats: []string{"dl1", "win", "bw"}}
-	got, err := e2.Query(ctx, q)
-	if err != nil {
-		t.Fatal(err)
+	if m := e2.Metrics(); m.WindowedLogBytes != 0 {
+		t.Fatalf("a restored session holds %d log bytes", m.WindowedLogBytes)
 	}
-	if m := e2.Metrics(); m.WindowedRefoldsTotal != 1 || m.WindowedRefoldLanesTotal != 1 {
-		t.Fatalf("restored miss: %d re-folds over %d lanes, want 1 over 1", m.WindowedRefoldsTotal, m.WindowedRefoldLanesTotal)
-	}
-	q.Session = whole
-	want, err := e2.Query(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g, w := answerOnly(t, got), answerOnly(t, want); !bytes.Equal(g, w) {
-		t.Fatalf("restored re-fold diverged:\n  whole:    %s\n  windowed: %s", w, g)
+	ref := newReference(t, spec)
+	for i, q := range []Query{
+		{Session: spec, Op: OpExecTime, Cats: []string{"dl1", "win", "bw"}},
+		{Session: spec, Op: OpExecTime, Cats: []string{"dmiss", "bmisp"}},
+	} {
+		got, err := e2.Query(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := e2.Metrics()
+		if m.WindowedRefoldsTotal != int64(i+1) || m.WindowedReplaysTotal != int64(i) || m.WindowedLogBytes <= 0 {
+			t.Fatalf("restored miss %d: %d re-folds, %d replays, %d log bytes; want %d, %d and some",
+				i, m.WindowedRefoldsTotal, m.WindowedReplaysTotal, m.WindowedLogBytes, i+1, i)
+		}
+		sameAsLibrary(t, ref, q, got)
 	}
 }
 
-// TestWindowedSnapshotRejectsBadEntries: a checksum-valid version-3
-// windowed body whose entries break the format — too many, flags out
-// of order, repeated or beyond the eight categories, the base missing
-// or disagreeing with the cycles — is the sender's malformed input.
+// TestWindowedSnapshotRejectsBadEntries: a checksum-valid version-4
+// body whose entries break the format — too many, flags out of order,
+// repeated or beyond the eight categories, the base missing or
+// disagreeing with the cycles — is the sender's malformed input.
 func TestWindowedSnapshotRejectsBadEntries(t *testing.T) {
 	ctx := context.Background()
 	spec := SessionSpec{Bench: "gzip", Seed: 3, TraceLen: 300, Warmup: 200, WindowInsts: 128}
@@ -606,28 +555,28 @@ func TestWindowedSnapshotRejectsBadEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := e.sessionByKey(key)
-	cycles := uint64(s.result.Cycles)
+	cycles := uint64(s.cycles)
 	payload := func(entries ...uint64) []byte {
-		p := binary.AppendUvarint(windowedPayload(s), uint64(len(entries)/2))
+		p := binary.AppendUvarint(sessionPayload(s), uint64(len(entries)/2))
 		for _, v := range entries {
 			p = binary.AppendUvarint(p, v)
 		}
 		return p
 	}
-	body := func(entries ...uint64) []byte { return snapFrame(snapVersion3, payload(entries...)) }
-	tooMany := binary.AppendUvarint(windowedPayload(s), 257)
+	body := func(entries ...uint64) []byte { return snapFrame(snapVersion4, payload(entries...)) }
+	tooMany := binary.AppendUvarint(sessionPayload(s), 257)
 	for f := uint64(0); f < 257; f++ {
 		tooMany = binary.AppendUvarint(binary.AppendUvarint(tooMany, f), cycles)
 	}
 	for name, raw := range map[string][]byte{
-		"257 entries":    snapFrame(snapVersion3, tooMany),
+		"257 entries":    snapFrame(snapVersion4, tooMany),
 		"out of order":   body(0, cycles, 2, 1, 1, 1),
 		"repeated flags": body(0, cycles, 1, 1, 1, 1),
 		"flags 256":      body(0, cycles, 256, 1),
 		"no base":        body(1, cycles),
 		"base != cycles": body(0, cycles+1),
 		"no entries":     body(),
-		"trailing byte":  snapFrame(snapVersion3, append(payload(0, cycles), 0)),
+		"trailing byte":  snapFrame(snapVersion4, append(payload(0, cycles), 0)),
 	} {
 		var ve *ValidationError
 		if _, err := e.RestoreSession(ctx, bytes.NewReader(raw)); !errors.As(err, &ve) {
@@ -640,16 +589,13 @@ func TestWindowedSnapshotRejectsBadEntries(t *testing.T) {
 }
 
 // TestWindowedBreakdownThenSensitivityReplays: the long-trace study's
-// shape on a fresh windowed session — a breakdown opens it, a
-// sensitivity query follows. The breakdown builds and records the
-// session's block log; the sensitivity query's misses replay it, with
-// no trace generation or simulation at all, and answer exactly as the
-// whole-graph session does.
+// shape on a fresh session — a breakdown opens it, a sensitivity query
+// follows. The breakdown builds and records the session's block log;
+// the sensitivity query's misses replay it, with no trace generation or
+// simulation at all, and answer exactly as the library does.
 func TestWindowedBreakdownThenSensitivityReplays(t *testing.T) {
 	ctx := context.Background()
-	whole := SessionSpec{Bench: "gzip", Seed: 7, TraceLen: 6000, Warmup: 500}
-	spec := whole
-	spec.WindowInsts = 1000
+	spec := SessionSpec{Bench: "gzip", Seed: 7, TraceLen: 6000, Warmup: 500, WindowInsts: 1000}
 	e := New(Config{Workers: 2})
 	defer e.Close()
 	if _, err := e.Query(ctx, Query{Session: spec, Op: OpBreakdown}); err != nil {
@@ -673,52 +619,47 @@ func TestWindowedBreakdownThenSensitivityReplays(t *testing.T) {
 	if m := e.Metrics(); m.WindowedBuildsTotal != 1 || m.WindowedReplaysTotal != 1 || m.WindowedRefoldsTotal != 1 {
 		t.Fatalf("%d builds, %d replays, %d re-folds, want 1 of each", m.WindowedBuildsTotal, m.WindowedReplaysTotal, m.WindowedRefoldsTotal)
 	}
-	q.Session = whole
-	want, err := e.Query(ctx, q)
-	if err != nil {
-		t.Fatal(err)
+	sameAsLibrary(t, newReference(t, spec), q, got)
+}
+
+// logOf reports whether the engine holds a block log for key, and it.
+func logOf(e *Engine, key string) (*window.Log, bool) {
+	e.logs.mu.Lock()
+	defer e.logs.mu.Unlock()
+	el, ok := e.logs.logs[key]
+	if !ok {
+		return nil, false
 	}
-	if g, w := answerOnly(t, got), answerOnly(t, want); !bytes.Equal(g, w) {
-		t.Fatalf("replayed sensitivity diverged:\n  whole:    %s\n  windowed: %s", w, g)
-	}
+	return el.Value.(*heldLog).log, true
 }
 
 // TestWindowedLogHandOff runs replays on session A while session B's
-// build takes the engine's one log slot. The replays in flight keep
-// their own reference and answer byte-identically to the whole-graph
-// session; B records into a fresh log, never into the one A's replays
-// read (under -race, a write to it would also be a reported race); A's
-// next miss re-simulates; and once no replay reads B's log, the next
-// build recycles it.
+// build records a log that pushes A's out of the engine's log budget.
+// The replays in flight read A's log to the end and answer
+// byte-identically to the library; A's log is evicted but unchanged (a
+// complete log is never recycled: under -race, a write to it would
+// also be a reported race); the budget holds B's; A's next miss
+// simulates and records again; and a session evicted from the store
+// drops its log.
 func TestWindowedLogHandOff(t *testing.T) {
 	ctx := context.Background()
-	wholeA := SessionSpec{Bench: "mcf", Seed: 3, TraceLen: 8000, Warmup: 500}
-	specA := wholeA
-	specA.WindowInsts = 512
-	// B's trace is longer than A's, so a recording into A's log would
-	// show in its instruction count too.
-	specB := SessionSpec{Bench: "gcc", Seed: 4, TraceLen: 9000, Warmup: 500, WindowInsts: 512}
-	specC := specB
-	specC.Seed = 5
-	e := New(Config{Workers: 4, MaxSessions: 8})
+	specA := SessionSpec{Bench: "mcf", Seed: 3, TraceLen: 200_000, Warmup: 500, WindowInsts: 4096}
+	// B's log alone takes the budget, so holding it evicts A's.
+	specB := SessionSpec{Bench: "gcc", Seed: 4, TraceLen: 300_000, Warmup: 500, WindowInsts: 4096}
+	e := New(Config{Workers: 4, MaxSessions: 2})
 	defer e.Close()
 	keyA, err := e.Warm(ctx, specA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	held := func() *heldLog {
-		e.logs.mu.Lock()
-		defer e.logs.mu.Unlock()
-		return e.logs.held
+	logA, ok := logOf(e, keyA)
+	if !ok {
+		t.Fatal("A's build left no log held")
 	}
-	hA := held()
-	if hA == nil || hA.key != keyA {
-		t.Fatal("A's build left no log in the slot")
-	}
-	logA, instsA := hA.log, hA.log.Insts()
+	instsA, bytesA := logA.Insts(), logA.Bytes()
 
-	// Each replay on A holds its reference at the gate until B's build
-	// has taken the slot, then folds while B records.
+	// Each replay on A holds its log at the gate until B's build has
+	// evicted it, then folds while B's log is held.
 	const replays = 3
 	entered := make(chan struct{}, replays)
 	gate := make(chan struct{})
@@ -746,50 +687,41 @@ func TestWindowedLogHandOff(t *testing.T) {
 	for range replays {
 		<-entered
 	}
-	buildB := make(chan error, 1)
-	go func() {
-		_, err := e.Warm(ctx, specB)
-		buildB <- err
-	}()
-	keyB, _ := specB.Key()
-	for h := held(); h != nil && h.key != keyB; h = held() {
-		runtime.Gosched()
+	keyB, err := e.Warm(ctx, specB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, held := logOf(e, keyA); held {
+		t.Fatal("B's log did not push A's out of the budget")
+	}
+	if _, held := logOf(e, keyB); !held {
+		t.Fatal("the budget does not hold B's log, the newest")
 	}
 	close(gate)
 	wg.Wait()
-	if err := <-buildB; err != nil {
-		t.Fatal(err)
-	}
 	e.logs.mu.Lock()
 	e.logs.onReplay = nil
 	e.logs.mu.Unlock()
 
+	ref := newReference(t, specA)
 	for i, q := range missesA {
 		if errs[i] != nil {
 			t.Fatalf("replay %s on A: %v", q.Op, errs[i])
 		}
-		q.Session = wholeA
-		want, err := e.Query(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g, w := answerOnly(t, got[i]), answerOnly(t, want); !bytes.Equal(g, w) {
-			t.Fatalf("replay %s on A diverged while B built:\n  whole:    %s\n  windowed: %s", q.Op, w, g)
-		}
+		sameAsLibrary(t, ref, q, got[i])
 	}
-	hB := held()
-	if hB == nil || hB.key != keyB || hB.log == logA {
-		t.Fatal("B's build did not record into a fresh log while A's replays read A's")
-	}
-	if !logA.Complete() || logA.Insts() != instsA {
+	if !logA.Complete() || logA.Insts() != instsA || logA.Bytes() != bytesA {
 		t.Fatal("A's log changed under its replays")
 	}
 	m := e.Metrics()
 	if m.WindowedReplaysTotal != replays || m.WindowedBuildsTotal != 2 {
 		t.Fatalf("%d replays over %d builds, want %d over 2", m.WindowedReplaysTotal, m.WindowedBuildsTotal, replays)
 	}
+	if logB, _ := logOf(e, keyB); m.WindowedLogBytes != logB.Bytes() {
+		t.Fatalf("windowed_log_bytes %d, B's log %d", m.WindowedLogBytes, logB.Bytes())
+	}
 
-	// A's next miss re-simulates.
+	// A's next miss simulates and records a log again.
 	q := Query{Session: specA, Op: OpExecTime, Cats: []string{"dl1", "dmiss", "win"}}
 	resp, err := e.Query(ctx, q)
 	if err != nil {
@@ -799,21 +731,17 @@ func TestWindowedLogHandOff(t *testing.T) {
 		t.Fatalf("A's miss after B's build: %d replays, %d re-folds, want %d and %d",
 			after.WindowedReplaysTotal, after.WindowedRefoldsTotal, m.WindowedReplaysTotal, m.WindowedRefoldsTotal+1)
 	}
-	q.Session = wholeA
-	want, err := e.Query(ctx, q)
-	if err != nil {
-		t.Fatal(err)
+	if _, held := logOf(e, keyA); !held {
+		t.Fatal("A's simulated miss recorded no log")
 	}
-	if g, w := answerOnly(t, resp), answerOnly(t, want); !bytes.Equal(g, w) {
-		t.Fatalf("re-simulated miss on A diverged:\n  whole:    %s\n  windowed: %s", w, g)
-	}
+	sameAsLibrary(t, ref, q, resp)
 
-	// No replay reads B's log now: C's build records into it.
-	keyC, err := e.Warm(ctx, specC)
-	if err != nil {
+	// A third session evicts B, the least recently used, from the
+	// store, and B's log goes with it.
+	if _, err := e.Warm(ctx, SessionSpec{Bench: "gzip", Seed: 5, TraceLen: 2000, Warmup: 500}); err != nil {
 		t.Fatal(err)
 	}
-	if hC := held(); hC == nil || hC.key != keyC || hC.log != hB.log {
-		t.Fatal("C's build did not recycle B's unread log")
+	if _, held := logOf(e, keyB); held {
+		t.Fatal("B left the store but its log is still held")
 	}
 }

@@ -54,7 +54,8 @@ const (
 	// block log instead of simulating, once per decoded block.
 	WindowReplay Point = "window.replay"
 	// GraphWalk fires at the entry of every cancellable graph walk
-	// (scalar recurrence, batched evaluation, latest-times pass).
+	// (scalar recurrence, batched evaluation, latest-times pass, and a
+	// windowed pass, which walks the stream's graph block by block).
 	// Walks issued through the infallible background-context wrappers
 	// are exempt by contract — their callers are promised no error.
 	GraphWalk Point = "depgraph.walk"

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"icost/internal/profiler"
 )
@@ -152,6 +153,12 @@ func WriteStream(w io.Writer, h Header, batches []*profiler.Samples) error {
 	return sw.Close()
 }
 
+// framePool recycles ReadStream's frame buffers: a stream starts from
+// the capacity an earlier stream's frames grew one to, instead of
+// regrowing an empty buffer by doubling. Decoded batches never alias
+// the buffer.
+var framePool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
 // ReadStream decodes an ingestion stream, invoking fn with the
 // stream's header and each batch as it arrives (streaming — the whole
 // stream is never buffered). It returns the header, the number of
@@ -168,9 +175,11 @@ func ReadStream(r io.Reader, fn func(Header, *profiler.Samples) error) (Header, 
 		return h, 0, err
 	}
 
-	// One frame buffer serves every batch. It grows as frame bytes
-	// arrive, never to a declared length alone.
-	var frame bytes.Buffer
+	// One frame buffer serves every batch, and then the next stream
+	// (framePool). It grows as frame bytes arrive, never to a declared
+	// length alone.
+	frame := framePool.Get().(*bytes.Buffer)
+	defer framePool.Put(frame)
 	n := 0
 	for {
 		rec, err := br.ReadByte()

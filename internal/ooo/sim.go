@@ -41,9 +41,10 @@ type machine struct {
 	// (mask covers any index, horizon never clamps), so the step code
 	// below is one path, bit-exact for both modes. In windowed mode
 	// the same arrays are a power-of-two ring (mask = size-1) and
-	// horizon = the re-order window: producer/leader reads farther
+	// horizon = depgraph.Config.Horizon: producer/leader reads farther
 	// back are skipped, which windoweval.go's carry analysis proves
-	// can never change a node time under the windowed preconditions.
+	// can never change a node time, and a machine outside that
+	// argument gets a horizon of the whole pass.
 	mask     int
 	horizon  int
 	windowed bool
@@ -284,10 +285,11 @@ func (m *machine) step(sin *isa.Inst, din *trace.DynInst) {
 	times.D[mi] = d
 
 	// --- R node: operands ready ---
-	// Producer reads are horizon-guarded: a producer more than a full
-	// re-order window back has completed long before this dispatch and
-	// cannot lift readiness (the ValidateWindowed precondition); in
-	// full mode the guard is vacuous.
+	// Producer reads are horizon-guarded: a producer farther back than
+	// the carry depth has completed long before this dispatch and
+	// cannot lift readiness (the ValidateWindowed precondition; without
+	// it the horizon is the whole pass); in full mode the guard is
+	// vacuous.
 	r := d + int64(gcfg.DispatchToReady)
 	wake := int64(gcfg.WakeupExtra)
 	if p := g.Prod1[mi]; p >= 0 && i-int(p) <= m.horizon {

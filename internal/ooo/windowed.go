@@ -29,21 +29,22 @@ func newWindowedMachine(prog *program.Program, cfg Config, opt Options, n, winIn
 	m.n = n
 	m.st.Insts = n
 	m.mask = ring - 1
-	m.horizon = cfg.Graph.Window
+	m.horizon = cfg.Graph.Horizon(n)
 	m.windowed = true
 	return m
 }
 
 // windowedRingSize picks the power-of-two ring length for a pass of n
 // timed instructions: it must retain every index the step recurrence
-// reads back to (the re-order window and the bandwidth-edge spans)
-// plus a full emission block and the instruction before it (for the
-// MispPrev gate of a block's first instruction). A ring of n slots
-// holds the whole pass and never wraps, so no pass needs more,
-// whatever the window.
+// reads back to (the horizon, depgraph.Config.Horizon, and the
+// bandwidth-edge spans) plus a full emission block and the instruction
+// before it (for the MispPrev gate of a block's first instruction). A
+// ring of n slots holds the whole pass and never wraps, so no pass
+// needs more, whatever the window; a machine outside the carry
+// argument gets exactly that.
 func windowedRingSize(gcfg *depgraph.Config, winInsts, n int) int {
 	need := winInsts + 2
-	for _, v := range []int{gcfg.Window + 1, gcfg.FetchBW + 1, gcfg.CommitBW + 1} {
+	for _, v := range []int{gcfg.Horizon(n) + 1, gcfg.FetchBW + 1, gcfg.CommitBW + 1} {
 		if v > need {
 			need = v
 		}
@@ -132,13 +133,12 @@ func (m *machine) finishWindowed() *Result {
 // Windowed simulation models the real machine only: opt.Ideal and
 // opt.KeepGraph are rejected — idealizations are applied by the
 // window evaluator's lanes, which is the point (one pass, many
-// lanes). The configuration must satisfy ValidateWindowed. The
-// drain-or-cancel contract matches SimulateStream.
+// lanes). A configuration outside the carry argument
+// (depgraph.Config.ValidateWindowed) runs at a horizon of the whole
+// pass, in a ring of n slots. The drain-or-cancel contract matches
+// SimulateStream.
 func SimulateWindowed(ctx context.Context, st *trace.Stream, cfg Config, opt Options, winInsts int, sink func(*depgraph.Window) error) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.Graph.ValidateWindowed(); err != nil {
 		return nil, err
 	}
 	if opt.Ideal != 0 {

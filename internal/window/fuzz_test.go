@@ -21,12 +21,17 @@ import (
 // replay arm records the pass into a block log and folds the input
 // again from the log alone: a reference the encoding dropped while the
 // fold could still read it, or a mispredict gate re-derived wrong,
-// diverges too.
+// diverges too. Bits 8 and up of the seed pick the machine: the Table 6
+// machine, or one whose wakeup_extra (5 or 100) voids the carry
+// argument, so that its passes run at a horizon of the whole stream.
 func FuzzWindowFold(f *testing.F) {
 	f.Add(uint64(1), uint16(512), uint16(40), uint8(0), uint8(3), uint8(0))
 	f.Add(uint64(2), uint16(1), uint16(200), uint8(0xff), uint8(0), uint8(1))
 	f.Add(uint64(3), uint16(1500), uint16(977), uint8(0x24), uint8(77), uint8(2))
 	f.Add(uint64(4), uint16(63), uint16(1280), uint8(0x81), uint8(200), uint8(4))
+	f.Add(uint64(1<<8|5), uint16(300), uint16(1500), uint8(0x3c), uint8(20), uint8(2))
+	f.Add(uint64(2<<8|6), uint16(7), uint16(700), uint8(0x81), uint8(9), uint8(3))
+	machines := []ooo.Config{ooo.DefaultConfig(), ooo.DefaultConfig().WithWakeupExtra(5), ooo.DefaultConfig().WithWakeupExtra(100)}
 	f.Fuzz(func(t *testing.T, seed uint64, winSel, lenSel uint16, laneMask, warmSel, groupSel uint8) {
 		names := workload.Names()
 		bench := names[seed%uint64(len(names))]
@@ -38,7 +43,7 @@ func FuzzWindowFold(f *testing.F) {
 			TraceLen:    200 + int(lenSel)%2048,
 			Warmup:      int(warmSel) % 128,
 			WindowInsts: 1 + int(winSel)%2048,
-			Sim:         ooo.DefaultConfig(),
+			Sim:         machines[(seed>>8)%uint64(len(machines))],
 		}
 		lanes := []depgraph.Flags{
 			0,

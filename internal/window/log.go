@@ -29,13 +29,13 @@ import (
 //	miss     DataLevel | DTLBMiss<<2 | ILevel<<3 | ITLBMiss<<5
 //	refs     uvarint backward distance, producer 1, producer 2, leader
 //
-// A reference farther back than the carry depth (or before the stream
-// start) is dropped, since the fold ignores it anyway (refRow in
-// depgraph/windoweval.go). MispPrev is re-derived from the previous
-// instruction's mispredict bit, and SIdx, which the fold never reads,
-// is not kept. The encoding fills fixed-size chunks — an instruction
-// never straddles two — so a recording grows without copying, and a
-// log's chunks are reused by the next recording into it.
+// A reference farther back than the pass's horizon
+// (depgraph.Config.Horizon) or before the stream start is dropped,
+// since the fold ignores it anyway (refRow in depgraph/windoweval.go).
+// MispPrev is re-derived from the previous instruction's mispredict
+// bit, and SIdx, which the fold never reads, is not kept. The encoding
+// fills fixed-size chunks — an instruction never straddles two — so a
+// recording grows without copying.
 
 // Presence bits.
 const (
@@ -115,14 +115,10 @@ func (l *Log) encodedBytes() int64 {
 	return n
 }
 
-// reset prepares l to record a pass of req, keeping its chunks for the
-// new encoding.
+// reset prepares l to record a pass of req, dropping any earlier
+// recording.
 func (l *Log) reset(req Request) {
-	chunks := l.chunks
-	for k := range chunks {
-		chunks[k] = chunks[k][:0]
-	}
-	*l = Log{req: req, carry: int64(req.Sim.Graph.CarryDepth()), chunks: chunks, state: logRecording}
+	*l = Log{req: req, carry: int64(req.Sim.Graph.Horizon(req.TraceLen)), state: logRecording}
 }
 
 // abandon gives the recording up and frees its chunks.
@@ -131,25 +127,19 @@ func (l *Log) abandon() {
 	l.chunks = nil
 }
 
-// finish completes a recording whose pass succeeded, and drops the
-// chunks a longer earlier recording left unused.
+// finish completes a recording whose pass succeeded.
 func (l *Log) finish(res *ooo.Result) {
 	if l.state != logRecording || l.insts != int64(l.req.TraceLen) {
 		l.abandon()
 		return
-	}
-	if len(l.chunks) > 0 {
-		clear(l.chunks[l.cur+1:])
-		l.chunks = l.chunks[:l.cur+1]
 	}
 	l.state = logComplete
 	l.cycles, l.stats = res.Cycles, res.Stats
 }
 
 // chunk returns the chunk to encode the next instruction into: the
-// current one while it has room for a whole instruction, else the
-// next, reusing one left by an earlier recording. It returns nil once
-// the log would outgrow LogCap.
+// current one while it has room for a whole instruction, else a new
+// one. It returns nil once the log would outgrow LogCap.
 func (l *Log) chunk() []byte {
 	if len(l.chunks) == 0 {
 		l.chunks = append(l.chunks, make([]byte, 0, logChunk))
@@ -162,9 +152,7 @@ func (l *Log) chunk() []byte {
 		return nil
 	}
 	l.cur++
-	if l.cur == len(l.chunks) {
-		l.chunks = append(l.chunks, make([]byte, 0, logChunk))
-	}
+	l.chunks = append(l.chunks, make([]byte, 0, logChunk))
 	return l.chunks[l.cur]
 }
 

@@ -43,10 +43,11 @@ func sameResult(t *testing.T, what string, got, want *Result) {
 // TestReplayMatchesSimulatedPass is the block log's oracle test: on
 // every benchmark, a recorded pass replays bit for bit — each lane
 // equal to the simulated pass and to the whole-graph scalar walk — on
-// the Table 6 machine and on one whose carry depth (window 256: 5,120
-// instructions) far exceeds the block size, at trace lengths the block
-// size does not divide. The recording is reused in place from one
-// benchmark to the next, as the engine's log slot reuses it.
+// the Table 6 machine, on one whose carry depth (window 256: 5,120
+// instructions) far exceeds the block size, and on two whose
+// wakeup_extra (5 and 100) voids the carry argument, so that the pass
+// and its log reach back over the whole stream, at trace lengths the
+// block size does not divide. One Log records every pass in turn.
 func TestReplayMatchesSimulatedPass(t *testing.T) {
 	ctx := context.Background()
 	ids := replayLanes()
@@ -59,6 +60,8 @@ func TestReplayMatchesSimulatedPass(t *testing.T) {
 	}{
 		{"table6", ooo.DefaultConfig(), 3001, 512},
 		{"window256", ooo.DefaultConfig().WithWindow(256), 7777, 1000},
+		{"wakeup5", ooo.DefaultConfig().WithWakeupExtra(5), 3001, 512},
+		{"wakeup100", ooo.DefaultConfig().WithWakeupExtra(100), 3001, 512},
 	} {
 		if k := m.sim.Graph.CarryDepth(); m.name == "window256" && k <= m.win {
 			t.Fatalf("test premise broken: carry depth %d not above the %d-instruction block", k, m.win)
@@ -112,8 +115,9 @@ func TestLogBytesPerInstruction(t *testing.T) {
 }
 
 // TestReplayLogLifecycle pins the log's states: an abandoned or failed
-// recording never replays, a recording reuses the chunks of the one
-// before it, and a replay leaves its log untouched.
+// recording never replays, a recording drops the one before it and
+// holds no more than it encodes, and a replay leaves its log
+// untouched.
 func TestReplayLogLifecycle(t *testing.T) {
 	ctx := context.Background()
 	req := Request{Bench: "gzip", Seed: 2, TraceLen: 40_000, Warmup: 100, WindowInsts: 700, Sim: ooo.DefaultConfig()}
@@ -125,10 +129,9 @@ func TestReplayLogLifecycle(t *testing.T) {
 	if _, err := Record(ctx, req, ids, &log); err != nil {
 		t.Fatal(err)
 	}
-	first := &log.chunks[0][:1][0]
 	held := log.Bytes()
 	if len(log.chunks) < 2 {
-		t.Fatalf("a %d-instruction log fits one chunk; the reuse check needs two", req.TraceLen)
+		t.Fatalf("a %d-instruction log fits one chunk; the shrink check needs two", req.TraceLen)
 	}
 
 	// A canceled recording is incomplete and cannot replay.
@@ -144,15 +147,11 @@ func TestReplayLogLifecycle(t *testing.T) {
 		t.Fatal("replay of a canceled recording succeeded")
 	}
 
-	// A shorter recording reuses the first chunk and holds no more than
-	// it encodes.
+	// A shorter recording holds no more than it encodes.
 	short := req
 	short.TraceLen = 2000
 	if _, err := Record(ctx, short, ids, &log); err != nil {
 		t.Fatal(err)
-	}
-	if &log.chunks[0][:1][0] != first {
-		t.Fatal("the recording did not reuse the log's first chunk")
 	}
 	if log.Bytes() != logChunk || log.Bytes() >= held {
 		t.Fatalf("a 2,000-instruction log holds %d bytes (the longer one held %d)", log.Bytes(), held)

@@ -42,8 +42,8 @@ type Request struct {
 	// WindowInsts is the emission-block size. Larger windows amortize
 	// emission overhead; memory grows linearly with it.
 	WindowInsts int
-	// Sim is the machine configuration. Must satisfy the windowed
-	// preconditions (ooo.SimulateWindowed validates).
+	// Sim is the machine configuration (ooo.SimulateWindowed
+	// validates it).
 	Sim ooo.Config
 }
 
@@ -68,6 +68,10 @@ type Result struct {
 	// length. A block log, which does grow with the trace, is not
 	// counted: Log.Bytes reports it.
 	PeakBytes int64
+	// Gen and Sim split a simulated pass's stages (zero for a replay):
+	// the producer's generating and blocked time, and the simulator's
+	// stepping and waiting time (ooo.StreamTiming).
+	Gen, GenStall, Sim, SimStall int64
 }
 
 // Analyze runs the windowed pipeline for req, evaluating every lane
@@ -101,8 +105,8 @@ func AnalyzeIdeals(ctx context.Context, req Request, lanes []depgraph.Ideal) (*R
 // Record is AnalyzeIdeals that also records the pass's blocks into
 // log, for Replay. The encoding runs on one more consumer goroutine of
 // the in-flight blocks, beside the lane groups, not on the simulator's
-// goroutine. log's chunks are reused; it must not be read by a
-// replay during the recording. On success log is complete, unless the
+// goroutine. log is reset first, so it must not be read by a replay
+// during the recording. On success log is complete, unless the
 // recording outgrew LogCap and was abandoned — the pass's answer
 // stands either way. On error log is left incomplete.
 func Record(ctx context.Context, req Request, lanes []depgraph.Ideal, log *Log) (*Result, error) {
@@ -254,6 +258,13 @@ func analyze(ctx context.Context, req Request, lanes []depgraph.Ideal, procs int
 	if req.WindowInsts < 1 {
 		return nil, fmt.Errorf("window: window of %d instructions", req.WindowInsts)
 	}
+	// Fault hook: one per pass, which is a graph walk over the stream,
+	// cancellable passes only, as EvalBatch.
+	if ctx.Done() != nil {
+		if err := faultinject.Hit(ctx, faultinject.GraphWalk); err != nil {
+			return nil, err
+		}
+	}
 	evalLanes := lanes
 	baseAt := -1
 	for k, id := range lanes {
@@ -283,11 +294,12 @@ func analyze(ctx context.Context, req Request, lanes []depgraph.Ideal, procs int
 	defer cancel()
 	var res *ooo.Result
 	var peak int64
+	var stages [4]int64
 	var err error
 	if from != nil {
 		res, err = p.replay(ctx, from)
 	} else {
-		res, peak, err = p.simulate(ctx, req, rec)
+		res, peak, stages, err = p.simulate(ctx, req, rec)
 	}
 	p.stop()
 	if err != nil {
@@ -333,28 +345,34 @@ func analyze(ctx context.Context, req Request, lanes []depgraph.Ideal, procs int
 		Windows:   p.blocks,
 		Insts:     p.groups[0].we.Insts(),
 		PeakBytes: peak,
+		Gen:       stages[0],
+		GenStall:  stages[1],
+		Sim:       stages[2],
+		SimStall:  stages[3],
 	}, nil
 }
 
 // simulate produces the pass's blocks by generating and simulating
 // req's stream, recording them into rec unless it is nil, and returns
-// the simulated result and the simulator's resident bytes: its rings
-// and its own emission block.
-func (p *pass) simulate(ctx context.Context, req Request, rec *Log) (*ooo.Result, int64, error) {
+// the simulated result, the simulator's resident bytes (its rings and
+// its own emission block) and the stage times (Result.Gen..SimStall).
+func (p *pass) simulate(ctx context.Context, req Request, rec *Log) (*ooo.Result, int64, [4]int64, error) {
+	var stages [4]int64
 	if rec != nil {
 		rec.reset(req)
 	}
 	w, err := workload.Cached(req.Bench, req.Seed)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, stages, err
 	}
 	st, err := w.ExecuteRecycled(ctx, req.Warmup+req.TraceLen, req.Seed+1, 0)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, stages, err
 	}
 	p.start(ctx, rec)
 	var peakBlock int64
-	res, err := ooo.SimulateWindowed(ctx, st, req.Sim, ooo.Options{Warmup: req.Warmup}, req.WindowInsts,
+	var tm ooo.StreamTiming
+	res, err := ooo.SimulateWindowed(ctx, st, req.Sim, ooo.Options{Warmup: req.Warmup, Timing: &tm}, req.WindowInsts,
 		func(win *depgraph.Window) error {
 			if b := win.Bytes(); b > peakBlock {
 				peakBlock = b
@@ -368,9 +386,10 @@ func (p *pass) simulate(ctx context.Context, req Request, rec *Log) (*ooo.Result
 			return nil
 		})
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, stages, err
 	}
-	return res, ooo.WindowedFootprint(&req.Sim.Graph, req.WindowInsts, req.TraceLen) + peakBlock, nil
+	stages = [4]int64{st.GenNS(), st.StallNS(), tm.SimNS, tm.WaitNS}
+	return res, ooo.WindowedFootprint(&req.Sim.Graph, req.WindowInsts, req.TraceLen) + peakBlock, stages, nil
 }
 
 // replay produces the pass's blocks by decoding log straight into the
